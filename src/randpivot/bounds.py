@@ -29,9 +29,10 @@ from .errors import BadMoments, EpsOutOfRange, HypothesisViolated
 
 __all__ = ["BoundInputs", "BoundResult", "hypothesis_margin", "error_bound", "chebyshev_p_s2", "rate"]
 
-# Default universal constant: the best known Berry-Esseen constant for
-# i.i.d. summands.  The non-identically-distributed case has no agreed
-# single value, so the constant is a user-settable input.
+# Default universal constant: Shevtsova's Berry-Esseen constant for sums
+# of independent, non-identically distributed summands, which is the case
+# of the weighted sums here (her i.i.d. constant, 0.4748, does not apply).
+# The constant is a user-settable input.
 DEFAULT_C_BE = 0.5600
 
 

@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps1", type=float, required=True, help="variance slack eps1")
     p.add_argument("--eps2", type=float, required=True, help="continuity slack eps2")
     p.add_argument("--rho3", type=float, required=True,
-                   help="standardized third absolute moment E|X-mu|^3/sigma^(3/2)")
+                   help="standardized third absolute moment E|X-mu|^3/sigma^3")
     p.add_argument("--p-s2", type=float, default=None,
                    help="P(|S_n^2 - sigma^2| > eps1^2); else give --sigma2/--mu4")
     p.add_argument("--sigma2", type=float, default=None, help="variance, for the Chebyshev fallback")

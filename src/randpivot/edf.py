@@ -51,18 +51,23 @@ class EdfPoint:
         return self._f_hat
 
 
-def _indicators(x_data, x: float) -> np.ndarray:
-    return (np.asarray(x_data, dtype=np.float64) <= x).astype(np.float64)
+def _indicators(x_data, x: float, w: WeightVector) -> np.ndarray:
+    ind = (np.asarray(x_data, dtype=np.float64) <= x).astype(np.float64)
+    if ind.size != w.n:
+        raise ValueError(f"data length {ind.size} != weight length {w.n}")
+    return ind
+
+
+def _edf_values(ind: np.ndarray, w: WeightVector) -> tuple[float, float]:
+    """F_n(x) and F_mn(x) from the indicators 1(x_i <= x)."""
+    idx, counts_nz = w.nonzero()
+    return float(ind.sum()) / w.n, float((counts_nz * ind[idx]).sum()) / w.m
 
 
 def edf_point(x_data, w: WeightVector, x: float) -> EdfPoint:
     """All four EDF-type values at x in one pass over the indices."""
-    ind = _indicators(x_data, x)
-    if ind.size != w.n:
-        raise ValueError(f"data length {ind.size} != weight length {w.n}")
-    f_n = float(ind.sum()) / w.n
-    idx, counts_nz = w.nonzero()
-    f_mn = float((counts_nz * ind[idx]).sum()) / w.m
+    ind = _indicators(x_data, x, w)
+    f_n, f_mn = _edf_values(ind, w)
 
     abs_dev = np.abs(w.counts / w.m - 1.0 / w.n)
     sabs = math.fsum(abs_dev)
@@ -78,15 +83,13 @@ def edf_pivot(s: str, x_data, w: WeightVector, x: float,
     if s in ("hat2", "hathat2") and f_x is None:
         raise MissingF(f"{s} requires the distribution value F(x)")
 
-    ind = _indicators(x_data, x)
-    if ind.size != w.n:
-        raise ValueError(f"data length {ind.size} != weight length {w.n}")
+    ind = _indicators(x_data, x, w)
     wstats = weight_stats(w)
     if wstats.degenerate:
         raise DegenerateWeights("all weights equal m/n")
-    point = edf_point(x_data, w, x)
 
-    f_scale = point.f_n if s in ("hat1", "hat2") else point.f_mn
+    f_n, f_mn = _edf_values(ind, w)
+    f_scale = f_n if s in ("hat1", "hat2") else f_mn
     scale2 = f_scale * (1.0 - f_scale)
     if scale2 <= 0.0:
         raise ZeroScale(f"indicator variance is zero at x={x}")

@@ -1,17 +1,18 @@
-"""Deterministic Monte Carlo harness for coverage and proportion studies.
+"""Deterministic Monte Carlo studies: coverage, band proportions, KS distance.
 
-Every replication draws from its own stream derived from (seed, indices),
-so identical (seed, parameters) give identical reports no matter how the
-work is partitioned over processes.  Replications whose weights are
-degenerate or whose studentizing scale vanishes are redrawn from a fresh
-stream keyed by an attempt counter and counted, so the nominal
-replication count is always met.
+All three studies run on one row engine.  A row is one (sample, weights)
+pair; a block of rows is evaluated by one call each of the vectorized
+pivot kernel and the classical Student t kernel (divisor n-1, whose exact
+cutoffs t_{alpha,n-1} are exact-size under normal data).  Rows with
+degenerate weights or a vanishing scale are redrawn by one helper, at
+most MAX_REDRAWS draws per row, and counted.
 
-Each study also evaluates the classical Student t-statistic for the mean
-on the same data replications, so the randomized pivot and its classical
-comparator come from one seeded run.  The comparator uses the
-conventional divisor-(n-1) standard deviation: that is the statistic
-whose exact cutoffs t_{alpha,n-1} are exact-size under normal data.
+Draws come from counter-based streams keyed by (seed, indices), so a
+report never depends on how rows are grouped into blocks or processes.
+coverage_study and kolmogorov_distance key replication r at attempt a by
+stream(seed, r, a), the draws a single-sample pivot or ci_mu call on
+gen_sample then draw_weights would see; proportion_study keys outer
+replication o by (seed, o) and its redraws by (seed, o, a).
 """
 from __future__ import annotations
 
@@ -19,17 +20,18 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable
 
 import numpy as np
 from scipy.stats import t as _student_t
 
 from ._normal import norm_cdf
-from .errors import BadParams, DegenerateWeights, RandPivotError, ZeroScale
-from .intervals import ci_mu, critical_z
-from .pivots import PivotKind, pivot
+from .errors import BadParams, RandPivotError
+from .intervals import _z_for
+from .pivots import PivotKind
 from .rng import stream
-from .weights import draw_weights
+from .weights import draw_indices
 
 __all__ = [
     "SCHEMA_VERSION", "DistributionSpec", "parse_dist", "gen_sample",
@@ -41,9 +43,16 @@ __all__ = [
 SCHEMA_VERSION = 1
 MAX_REDRAWS = 100
 
+# Parameter count and parameter check of each family.
 _FAMILIES = {
-    "binomial": 2, "poisson": 1, "lognormal": 2, "lognormal_std": 2,
-    "exponential": 1, "normal": 2, "beta": 2, "uniform": 2,
+    "binomial": (2, lambda p: p[0] >= 1 and p[0] == int(p[0]) and 0.0 <= p[1] <= 1.0),
+    "poisson": (1, lambda p: p[0] > 0),
+    "lognormal": (2, lambda p: p[1] > 0),
+    "lognormal_std": (2, lambda p: p[1] > 0),
+    "exponential": (1, lambda p: p[0] > 0),
+    "normal": (2, lambda p: p[1] > 0),
+    "beta": (2, lambda p: p[0] > 0 and p[1] > 0),
+    "uniform": (2, lambda p: p[0] < p[1]),
 }
 
 
@@ -60,24 +69,10 @@ class DistributionSpec:
             raise BadParams(f"unknown family {fam!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         p = self.params
-        if len(p) != _FAMILIES[fam]:
-            raise BadParams(f"{fam} takes {_FAMILIES[fam]} parameters, got {len(p)}")
-        ok = True
-        if fam == "binomial":
-            ok = p[0] >= 1 and p[0] == int(p[0]) and 0.0 <= p[1] <= 1.0
-        elif fam == "poisson":
-            ok = p[0] > 0
-        elif fam in ("lognormal", "lognormal_std"):
-            ok = p[1] > 0
-        elif fam == "exponential":
-            ok = p[0] > 0
-        elif fam == "normal":
-            ok = p[1] > 0
-        elif fam == "beta":
-            ok = p[0] > 0 and p[1] > 0
-        elif fam == "uniform":
-            ok = p[0] < p[1]
-        if not ok:
+        arity, valid = _FAMILIES[fam]
+        if len(p) != arity:
+            raise BadParams(f"{fam} takes {arity} parameters, got {len(p)}")
+        if not valid(p):
             raise BadParams(f"bad parameters {p} for family {fam}")
 
     @property
@@ -199,129 +194,28 @@ class ProportionReport:
         }
 
 
-def _cutoff_value(kind: str, alpha: float, sided: str, n: int) -> float:
-    half = alpha / 2.0 if sided == "two" else alpha
-    if kind == "normal":
-        return critical_z(half)
-    if kind == "student_t":
-        return student_t_cutoff(half, n - 1)
-    raise ValueError(f"classical_cutoff must be 'normal' or 'student_t', got {kind!r}")
+def _cutoffs(alpha: float, sided: str, classical_cutoff: str, n: int) -> tuple[float, float]:
+    """Validated normal cutoff z of the pivot and the classical comparator's cutoff."""
+    z = _z_for(alpha, sided)
+    if classical_cutoff == "normal":
+        return z, z
+    if classical_cutoff == "student_t":
+        return z, student_t_cutoff(alpha / 2.0 if sided == "two" else alpha, n - 1)
+    raise ValueError(f"classical_cutoff must be 'normal' or 'student_t', got {classical_cutoff!r}")
 
 
-def _event(value: float, cutoff: float, sided: str) -> bool:
+def _covered(values: np.ndarray, cutoff: float, sided: str) -> np.ndarray:
+    """Per-row coverage event: the value below, above or within the cutoff."""
     if sided == "upper":
-        return value <= cutoff
+        return values <= cutoff
     if sided == "lower":
-        return value >= -cutoff
-    return abs(value) <= cutoff
+        return values >= -cutoff
+    return np.abs(values) <= cutoff
 
 
-def _classical_t(x: np.ndarray, mu: float) -> float:
-    n = x.size
-    s1 = float(x.std(ddof=1))
-    if s1 == 0.0:
-        raise ZeroScale("classical t: sample s.d. is zero")
-    return (float(x.mean()) - mu) / (s1 / math.sqrt(n))
-
-
-def _one_replication(d: DistributionSpec, n: int, m: int, kind: PivotKind,
-                     seed: int, r: int) -> tuple[float, float, int]:
-    """Pivot value and classical t for replication r, redrawing degenerates."""
-    mu = d.true_mean
-    for attempt in range(MAX_REDRAWS):
-        rng = stream(seed, r, attempt)
-        x = gen_sample(d, n, rng)
-        w = draw_weights(n, m, rng)
-        try:
-            val = pivot(kind, x, w, mu=mu if kind.needs_mu else None)
-            tval = _classical_t(x, mu)
-        except (DegenerateWeights, ZeroScale):
-            continue
-        return val, tval, attempt
-    raise RandPivotError(
-        f"replication {r}: {MAX_REDRAWS} consecutive degenerate draws; "
-        f"the configuration {d.label()}, n={n}, m={m} looks unusable"
-    )
-
-
-def _coverage_chunk(args) -> tuple[int, int, int]:
-    (d, n, m, kind, alpha, sided, seed, cutoff_kind, start, stop) = args
-    z = critical_z(alpha / 2.0 if sided == "two" else alpha)
-    cutoff = _cutoff_value(cutoff_kind, alpha, sided, n)
-    mu = d.true_mean
-    hits = t_hits = degenerate = 0
-    for r in range(start, stop):
-        if kind.needs_mu:
-            # Interval route: cover mu with the one- or two-sided ci_mu.
-            for attempt in range(MAX_REDRAWS):
-                rng = stream(seed, r, attempt)
-                x = gen_sample(d, n, rng)
-                w = draw_weights(n, m, rng)
-                try:
-                    ci = ci_mu(x, w, alpha, variant=kind.value, sided=sided)
-                    tval = _classical_t(x, mu)
-                except (DegenerateWeights, ZeroScale):
-                    continue
-                hits += ci.contains(mu)
-                t_hits += _event(tval, cutoff, sided)
-                degenerate += attempt
-                break
-            else:
-                raise RandPivotError(f"replication {r}: too many degenerate draws")
-        else:
-            # Event route: the T-pivots cover the sample mean iff the
-            # pivot falls below (within, for two-sided) the cutoff.
-            val, tval, attempt = _one_replication(d, n, m, kind, seed, r)
-            hits += _event(val, z, sided)
-            t_hits += _event(tval, cutoff, sided)
-            degenerate += attempt
-    return hits, t_hits, degenerate
-
-
-def _run_chunks(worker, argses: list, threads: int) -> list:
-    if threads <= 1 or len(argses) <= 1:
-        return [worker(a) for a in argses]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, argses))
-
-
-def _split(total: int, pieces: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(pieces, total))
-    step = math.ceil(total / pieces)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
-                   reps: int, alpha: float, sided: str = "upper", seed: int = 0,
-                   classical_cutoff: str = "normal", threads: int = 1) -> CoverageReport:
-    """Empirical coverage of one pivot over seeded replications.
-
-    Each replication r draws a fresh sample and weight vector from
-    stream(seed, r, attempt).  G-pivots cover the population mean via
-    ci_mu; T-pivots cover the sample mean via the pivot-cutoff event.
-    """
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    pivot_kind = PivotKind(pivot_kind)
-    argses = [
-        (d, n, m, pivot_kind, alpha, sided, seed, classical_cutoff, lo, hi)
-        for lo, hi in _split(reps, max(threads, 1) * 4)
-    ]
-    hits = t_hits = degenerate = 0
-    for h, th, dg in _run_chunks(_coverage_chunk, argses, threads):
-        hits += h
-        t_hits += th
-        degenerate += dg
-    return CoverageReport(
-        dist=d.label(), n=n, m=m, pivot=pivot_kind.value, reps=reps,
-        alpha=alpha, sided=sided, coverage=hits / reps,
-        classical_coverage=t_hits / reps, classical_cutoff=classical_cutoff,
-        degenerate_count=degenerate, seed=seed,
-    )
-
-
-def _counts_matrix(n: int, m: int, rows: int, rng: np.random.Generator) -> np.ndarray:
-    idx = rng.integers(0, n, size=(rows, m))
+def _counts_matrix(idx: np.ndarray, n: int) -> np.ndarray:
+    """Weight counts, one row per row of resampled indices."""
+    rows, m = idx.shape
     flat = np.repeat(np.arange(rows, dtype=np.int64), m) * n + idx.ravel()
     return np.bincount(flat, minlength=rows * n).reshape(rows, n).astype(np.float64)
 
@@ -357,48 +251,130 @@ def _batch_classical(x: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
     return t, valid
 
 
-def _proportion_chunk(args) -> tuple[int, int, int]:
-    (d, n, m, kind, alpha, sided, band, seed, cutoff_kind, start, stop, inner) = args
-    z = critical_z(alpha / 2.0 if sided == "two" else alpha)
-    cutoff = _cutoff_value(cutoff_kind, alpha, sided, n)
-    mu = d.true_mean
-    lo, hi = band
-    in_band = t_in_band = degenerate = 0
-    for o in range(start, stop):
-        rng = stream(seed, o)
-        x = gen_sample(d, inner * n, rng).reshape(inner, n)
-        w = _counts_matrix(n, m, inner, rng)
-        vals, ok_v = _batch_values(kind, x, w, m, mu)
-        tvals, ok_t = _batch_classical(x, mu)
-        bad = ~(ok_v & ok_t)
-        attempt = 0
-        while bad.any():
-            attempt += 1
-            if attempt > MAX_REDRAWS:
-                raise RandPivotError(f"outer replication {o}: too many degenerate draws")
-            rng_b = stream(seed, o, attempt)
-            nb = int(bad.sum())
-            degenerate += nb
-            x[bad] = gen_sample(d, nb * n, rng_b).reshape(nb, n)
-            w[bad] = _counts_matrix(n, m, nb, rng_b)
-            vals[bad], ok_v2 = _batch_values(kind, x[bad], w[bad], m, mu)
-            tvals[bad], ok_t2 = _batch_classical(x[bad], mu)
-            nxt = np.zeros_like(bad)
-            nxt[bad] = ~(ok_v2 & ok_t2)
-            bad = nxt
+def _evaluate_rows(draw, d: DistributionSpec, n: int, m: int, kind: PivotKind,
+                   rows: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Pivot and classical t values of `rows` rows, redrawing invalid rows.
 
-        if sided == "upper":
-            cov = float((vals <= z).mean())
-            t_cov = float((tvals <= cutoff).mean())
-        elif sided == "lower":
-            cov = float((vals >= -z).mean())
-            t_cov = float((tvals >= -cutoff).mean())
-        else:
-            cov = float((np.abs(vals) <= z).mean())
-            t_cov = float((np.abs(tvals) <= cutoff).mean())
+    draw(attempt, which) returns the (sample, counts) matrices of the rows
+    numbered `which` at that attempt.  A row whose weights are degenerate
+    or whose pivot or classical scale vanishes is drawn again, at most
+    MAX_REDRAWS draws in all.  Returns both value arrays and the number
+    of redraws.
+    """
+    mu = d.true_mean
+    vals, tvals = np.empty(rows), np.empty(rows)
+    which = np.arange(rows)
+    redraws = 0
+    for attempt in range(MAX_REDRAWS):
+        x, w = draw(attempt, which)
+        vals[which], ok = _batch_values(kind, x, w, m, mu)
+        tvals[which], ok_t = _batch_classical(x, mu)
+        which = which[~(ok & ok_t)]
+        if which.size == 0:
+            return vals, tvals, redraws
+        redraws += which.size
+    raise RandPivotError(
+        f"{which.size} of {rows} rows had {MAX_REDRAWS} consecutive degenerate "
+        f"draws; the configuration {d.label()}, n={n}, m={m} looks unusable"
+    )
+
+
+def _draw_replications(d: DistributionSpec, n: int, m: int, seed: int, first: int,
+                       attempt: int, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Replication r = first + i draws its sample, then its m resampled
+    # indices (as draw_weights would), from stream(seed, r, attempt).
+    x = np.empty((which.size, n))
+    idx = np.empty((which.size, m), dtype=np.int64)
+    for row, i in enumerate(which):
+        rng = stream(seed, first + i, attempt)
+        x[row] = gen_sample(d, n, rng)
+        idx[row] = draw_indices(n, m, rng)
+    return x, _counts_matrix(idx, n)
+
+
+# Element budget of one block's sample and index matrices.  Every
+# replication has its own stream, so the block size never changes a result.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _replication_chunk(args) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """_evaluate_rows results of replications [start, stop), block by block."""
+    (d, n, m, kind, seed, start, stop) = args
+    step = max(1, _BLOCK_ELEMENTS // max(n, m))
+    return [_evaluate_rows(partial(_draw_replications, d, n, m, seed, lo), d, n, m,
+                           kind, min(lo + step, stop) - lo)
+            for lo in range(start, stop, step)]
+
+
+def _run_chunks(worker, total: int, threads: int, *args) -> list:
+    """worker((*args, start, stop)) over about four ranges per thread of range(total)."""
+    step = math.ceil(total / max(1, min(max(threads, 1) * 4, total)))
+    argses = [(*args, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    if threads <= 1 or len(argses) <= 1:
+        return [worker(a) for a in argses]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, argses))
+
+
+def _replications(d: DistributionSpec, n: int, m: int, kind: PivotKind, reps: int,
+                  seed: int, threads: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Pivot values, classical t values and redraws of replications 0..reps-1."""
+    parts = _run_chunks(_replication_chunk, reps, threads, d, n, m, kind, seed)
+    vals, tvals, redraws = zip(*(block for part in parts for block in part))
+    return np.concatenate(vals), np.concatenate(tvals), sum(redraws)
+
+
+def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
+                   reps: int, alpha: float, sided: str = "upper", seed: int = 0,
+                   classical_cutoff: str = "normal", threads: int = 1) -> CoverageReport:
+    """Empirical coverage of one pivot over seeded replications.
+
+    Replication r draws its sample and weights from stream(seed, r, attempt)
+    and counts as covered when its pivot value meets the normal cutoff
+    (below z, above -z, or within +/-z by sidedness).  For T-pivots that
+    is coverage of the sample mean.  For G-pivots the event is the same
+    as ci_mu(...).contains(mu): the interval's finite endpoint is
+    ratio_mean -/+ z * unit and G = (ratio_mean - mu) / unit, so the
+    population mean is covered exactly when G meets the cutoff.
+    """
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    pivot_kind = PivotKind(pivot_kind)
+    z, cutoff = _cutoffs(alpha, sided, classical_cutoff, n)
+    vals, tvals, redraws = _replications(d, n, m, pivot_kind, reps, seed, threads)
+    hits = int(_covered(vals, z, sided).sum())
+    t_hits = int(_covered(tvals, cutoff, sided).sum())
+    return CoverageReport(
+        dist=d.label(), n=n, m=m, pivot=pivot_kind.value, reps=reps,
+        alpha=alpha, sided=sided, coverage=hits / reps,
+        classical_coverage=t_hits / reps, classical_cutoff=classical_cutoff,
+        degenerate_count=redraws, seed=seed,
+    )
+
+
+def _draw_outer(d: DistributionSpec, n: int, m: int, seed: int, o: int,
+                attempt: int, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Outer replication o draws its whole inner block from stream(seed, o),
+    # and the rows still invalid at attempt a from stream(seed, o, a).
+    rng = stream(seed, o, attempt) if attempt else stream(seed, o)
+    rows = which.size
+    x = gen_sample(d, rows * n, rng).reshape(rows, n)
+    return x, _counts_matrix(draw_indices(n, rows * m, rng).reshape(rows, m), n)
+
+
+def _proportion_chunk(args) -> tuple[int, int, int]:
+    (d, n, m, kind, z, cutoff, sided, band, seed, inner, start, stop) = args
+    lo, hi = band
+    in_band = t_in_band = redraws = 0
+    for o in range(start, stop):
+        draw = partial(_draw_outer, d, n, m, seed, o)
+        vals, tvals, rd = _evaluate_rows(draw, d, n, m, kind, inner)
+        redraws += rd
+        cov = float(_covered(vals, z, sided).mean())
+        t_cov = float(_covered(tvals, cutoff, sided).mean())
         in_band += lo <= cov <= hi
         t_in_band += lo <= t_cov <= hi
-    return in_band, t_in_band, degenerate
+    return in_band, t_in_band, redraws
 
 
 def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
@@ -419,32 +395,18 @@ def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
         raise ValueError("outer_reps and inner_reps must be positive")
     pivot_kind = PivotKind(pivot_kind)
     m = n if m is None else m
-    argses = [
-        (d, n, m, pivot_kind, alpha, sided, tuple(band), seed, classical_cutoff,
-         lo, hi, inner_reps)
-        for lo, hi in _split(outer_reps, max(threads, 1) * 4)
-    ]
-    in_band = t_in_band = degenerate = 0
-    for ib, tb, dg in _run_chunks(_proportion_chunk, argses, threads):
-        in_band += ib
-        t_in_band += tb
-        degenerate += dg
+    z, cutoff = _cutoffs(alpha, sided, classical_cutoff, n)
+    parts = _run_chunks(_proportion_chunk, outer_reps, threads, d, n, m, pivot_kind,
+                        z, cutoff, sided, tuple(band), seed, inner_reps)
+    in_band, t_in_band, redraws = map(sum, zip(*parts))
     return ProportionReport(
         dist=d.label(), n=n, m=m, pivot=pivot_kind.value,
         outer_reps=outer_reps, inner_reps=inner_reps, alpha=alpha, sided=sided,
         band=(band[0], band[1]), proportion=in_band / outer_reps,
         classical_proportion=t_in_band / outer_reps,
-        classical_cutoff=classical_cutoff, degenerate_count=degenerate,
+        classical_cutoff=classical_cutoff, degenerate_count=redraws,
         seed=seed,
     )
-
-
-def _kdist_chunk(args) -> np.ndarray:
-    (d, n, m, kind, seed, start, stop) = args
-    out = np.empty(stop - start, dtype=np.float64)
-    for r in range(start, stop):
-        out[r - start], _, _ = _one_replication(d, n, m, kind, seed, r)
-    return out
 
 
 KDIST_GRID = np.linspace(-5.0, 5.0, 512)
@@ -457,9 +419,7 @@ def kolmogorov_distance(pivot_kind: PivotKind, d: DistributionSpec, n: int,
     if reps < 1:
         raise ValueError("reps must be positive")
     pivot_kind = PivotKind(pivot_kind)
-    argses = [(d, n, m, pivot_kind, seed, lo, hi)
-              for lo, hi in _split(reps, max(threads, 1) * 4)]
-    values = np.sort(np.concatenate(_run_chunks(_kdist_chunk, argses, threads)))
+    values = np.sort(_replications(d, n, m, pivot_kind, reps, seed, threads)[0])
     ecdf = np.searchsorted(values, KDIST_GRID, side="right") / reps
     phi = np.array([norm_cdf(t) for t in KDIST_GRID])
     return float(np.max(np.abs(ecdf - phi)))

@@ -144,7 +144,8 @@ def pivot(kind: PivotKind, x, w: WeightVector, mu: float | None = None) -> float
         raise DegenerateWeights("all weights equal m/n; pivot denominators vanish")
 
     if kind.uses_subsample_scale:
-        scale = randomized_stats(x, w).rsd
+        idx, counts_nz = w.nonzero()
+        scale = math.sqrt(randomized_stats_from_nonzero(x[idx], counts_nz, w.m)[1])
         if scale == 0.0:
             raise ZeroScale("sub-sample variance is zero")
     else:

@@ -84,21 +84,28 @@ class TestCiMu:
         assert ci1.center == ci2.center == pytest.approx(r.ratio_mean, rel=1e-12)
 
     def test_one_sided_upper_matches_pivot_event(self):
-        # mu in [center - z*unit, inf) iff G1 <= z
+        # mu in [center - z*unit, inf) iff G <= z; the lower interval
+        # mirrors it (G >= -z) and the two-sided one needs |G| <= z_{alpha/2}.
+        # Checked for G1 and G2 on all three sidednesses.
         from randpivot import PivotKind, pivot
-        rng = stream(9)
-        z = critical_z(0.05)
-        for _ in range(200):
-            x = rng.normal(size=15)
-            w = draw_weights(15, 15, rng)
-            mu = float(rng.normal())
-            try:
-                g = pivot(PivotKind.G1, x, w, mu=mu)
-            except (DegenerateWeights, ZeroScale):
-                continue
-            ci = ci_mu(x, w, 0.05, "g1", sided="upper")
-            assert ci.upper == math.inf
-            assert ci.contains(mu) == (g <= z)
+        events = {"upper": lambda g, z: g <= z, "lower": lambda g, z: g >= -z,
+                  "two": lambda g, z: abs(g) <= z}
+        for kind in (PivotKind.G1, PivotKind.G2):
+            for sided, event in events.items():
+                rng = stream(9)
+                z = critical_z(0.025 if sided == "two" else 0.05)
+                for _ in range(200):
+                    x = rng.normal(size=15)
+                    w = draw_weights(15, 15, rng)
+                    mu = float(rng.normal())
+                    try:
+                        g = pivot(kind, x, w, mu=mu)
+                    except (DegenerateWeights, ZeroScale):
+                        continue
+                    ci = ci_mu(x, w, 0.05, kind.value, sided=sided)
+                    assert (ci.upper == math.inf) == (sided == "upper")
+                    assert (ci.lower == -math.inf) == (sided == "lower")
+                    assert ci.contains(mu) == event(g, z), (kind, sided)
 
     def test_width_scales_linearly_with_data(self):
         rng = stream(10)

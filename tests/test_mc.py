@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from randpivot import (BadParams, DistributionSpec, PivotKind, coverage_study,
-                       gen_sample, kolmogorov_distance, parse_dist,
-                       proportion_study, stream, student_t_cutoff)
+import randpivot.mc as mc
+from randpivot import (BadParams, DegenerateWeights, DistributionSpec, PivotKind,
+                       RandPivotError, ZeroScale, ci_mu, coverage_study,
+                       critical_z, draw_weights, gen_sample, kolmogorov_distance,
+                       parse_dist, pivot, proportion_study, stream,
+                       student_t_cutoff)
+from randpivot._normal import norm_cdf
 from randpivot.mc import to_csv, to_json
 
 NORMAL = DistributionSpec("normal", (0.0, 1.0))
@@ -207,3 +211,108 @@ class TestSerialization:
         report = coverage_study(NORMAL, 10, 10, PivotKind.G1, reps=100, seed=33, alpha=0.05)
         p = report.coverage
         assert report.stderr == pytest.approx(math.sqrt(p * (1 - p) / 100), rel=1e-12)
+
+
+def _replay(d, n, kind, reps, seed, alpha=0.05):
+    """Replications through the single-sample API, as coverage_study keys them.
+
+    Returns the pivot values, the per-sidedness (hits, classical hits) and
+    the redraw count.  G-pivots are covered via ci_mu(...).contains(mu).
+    """
+    mu = d.true_mean
+    events = {"upper": lambda v, c: v <= c, "lower": lambda v, c: v >= -c,
+              "two": lambda v, c: abs(v) <= c}
+    hits = {sided: [0, 0] for sided in events}
+    values, redraws = [], 0
+    for r in range(reps):
+        for attempt in range(mc.MAX_REDRAWS):
+            rng = stream(seed, r, attempt)
+            x = gen_sample(d, n, rng)
+            w = draw_weights(n, n, rng)
+            try:
+                val = pivot(kind, x, w, mu=mu if kind.needs_mu else None)
+                cis = {sided: ci_mu(x, w, alpha, variant=kind.value, sided=sided)
+                       for sided in events} if kind.needs_mu else None
+            except (DegenerateWeights, ZeroScale):
+                continue
+            s1 = float(x.std(ddof=1))
+            if s1 == 0.0:
+                continue
+            tval = (float(x.mean()) - mu) / (s1 / math.sqrt(n))
+            break
+        else:
+            raise AssertionError(f"replication {r} never valid")
+        redraws += attempt
+        values.append(val)
+        for sided, event in events.items():
+            z = critical_z(alpha / 2.0 if sided == "two" else alpha)
+            hits[sided][0] += cis[sided].contains(mu) if cis else event(val, z)
+            hits[sided][1] += event(tval, z)
+    return np.array(values), hits, redraws
+
+
+class TestRowEngineMatchesSingleSampleApi:
+    @pytest.mark.parametrize("kind", list(PivotKind))
+    @pytest.mark.parametrize("spec,n", [("normal:0,1", 20), ("poisson:1", 5),
+                                        ("exponential:1", 20)])
+    def test_reports_equal_replay(self, spec, n, kind):
+        d = parse_dist(spec)
+        reps, seed = 150, 41
+        values, hits, redraws = _replay(d, n, kind, reps, seed)
+        for sided, (h, th) in hits.items():
+            report = coverage_study(d, n, n, kind, reps, 0.05, sided=sided, seed=seed)
+            assert report.coverage == h / reps, sided
+            assert report.classical_coverage == th / reps, sided
+            assert report.degenerate_count == redraws, sided
+        ecdf = np.searchsorted(np.sort(values), mc.KDIST_GRID, side="right") / reps
+        phi = np.array([norm_cdf(t) for t in mc.KDIST_GRID])
+        assert kolmogorov_distance(kind, d, n, n, reps, seed=seed) == \
+            float(np.max(np.abs(ecdf - phi)))
+
+    def test_redraws_exercised(self):
+        # poisson:1 n=5 with the sub-sample scale redraws often, so the
+        # equivalence above also covers the redraw keying
+        assert _replay(parse_dist("poisson:1"), 5, PivotKind.G2, 150, 41)[2] > 10
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        d = parse_dist("poisson:1")
+        want = coverage_study(d, 5, 5, PivotKind.T2, 300, 0.05, seed=3)
+        want_kd = kolmogorov_distance(PivotKind.T2, d, 5, 5, 300, seed=3)
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7)
+        assert coverage_study(d, 5, 5, PivotKind.T2, 300, 0.05, seed=3) == want
+        assert kolmogorov_distance(PivotKind.T2, d, 5, 5, 300, seed=3) == want_kd
+
+
+class TestStudyInputs:
+    @pytest.mark.parametrize("kind", list(PivotKind))
+    @pytest.mark.parametrize("sided,alpha", [("both", 0.05), ("upper", 0.7),
+                                             ("lower", 0.7)])
+    def test_bad_sided_or_alpha_rejected(self, kind, sided, alpha):
+        with pytest.raises(ValueError):
+            coverage_study(NORMAL, 10, 10, kind, reps=5, alpha=alpha, sided=sided)
+        with pytest.raises(ValueError):
+            proportion_study(NORMAL, 10, kind, outer_reps=2, inner_reps=5,
+                             alpha=alpha, sided=sided)
+
+    @pytest.mark.parametrize("kind", [PivotKind.T2, PivotKind.G2])
+    def test_one_redraw_budget(self, kind, monkeypatch):
+        # n = m = 2: weights (1,1) are degenerate and (2,0), (0,2) leave a
+        # one-point sub-sample, so every draw has zero sub-sample scale.
+        # Each study gives up after MAX_REDRAWS draws of its one row.
+        calls = []
+
+        def counting_stream(*key):
+            calls.append(key)
+            return stream(*key)
+
+        monkeypatch.setattr(mc, "stream", counting_stream)
+        studies = [
+            lambda: coverage_study(NORMAL, 2, 2, kind, reps=1, alpha=0.05),
+            lambda: kolmogorov_distance(kind, NORMAL, 2, 2, reps=1),
+            lambda: proportion_study(NORMAL, 2, kind, outer_reps=1, inner_reps=1),
+        ]
+        for study in studies:
+            calls.clear()
+            with pytest.raises(RandPivotError):
+                study()
+            assert len(calls) == mc.MAX_REDRAWS
