@@ -7,9 +7,12 @@ Binary layout (documented in the README, bit-exact):
 Because the randomized mean and variance need only the records whose
 weight is nonzero, a confidence interval for the full-data mean touches
 m draws' worth of distinct records instead of all n.  The reader is
-instrumented (records, bytes, read calls) so that frugality is checkable,
-and fetches sorted offsets with adjacent records coalesced into single
-reads within 4 KiB windows.
+instrumented (records, pages, bytes, read calls) so that frugality is
+checkable.  It plans its reads with one vectorized pass over the sorted
+indices: a new read starts at a gap of a whole 4 KiB page (512 records)
+or more, or at the next aligned RANGE_LIMIT block, so sparse samples cost
+about one small read per record and dense ones merge into reads of at
+most 1 MiB.
 """
 from __future__ import annotations
 
@@ -41,7 +44,8 @@ MAGIC = b"RPV1"
 VERSION = 1
 HEADER_SIZE = 16
 RECORD_SIZE = 8
-COALESCE_WINDOW = 4096  # bytes; adjacent records within one window share a read
+PAGE_SIZE = 4096  # bytes; records less than a page apart share a read
+RANGE_LIMIT = 1 << 20  # bytes; no read crosses an aligned block of this size
 MIN_RECORDS = 16
 
 
@@ -52,6 +56,7 @@ class ReadStats:
     records_read: int = 0
     bytes_read: int = 0
     read_calls: int = 0
+    pages_touched: int = 0
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,23 @@ class SubsampleReport:
     records_read: int
     bytes_read: int
     read_calls: int
+    pages_touched: int
     rate_bound: float
     dkw: float | None = None
+
+    @property
+    def file_fraction(self) -> float:
+        """Bytes read over the n * 8 record bytes of the file."""
+        return self.bytes_read / (RECORD_SIZE * self.n)
+
+    @property
+    def predicted_page_fraction(self) -> float:
+        """1 - (1 - 1/P)^m: the expected share of the file's P pages that m
+        uniform draws touch."""
+        pages = -(-(HEADER_SIZE + RECORD_SIZE * self.n) // PAGE_SIZE)
+        if pages == 1:
+            return 1.0
+        return -math.expm1(self.m * math.log1p(-1.0 / pages))
 
     def to_dict(self) -> dict[str, Any]:
         d = {
@@ -95,6 +115,9 @@ class SubsampleReport:
             "records_read": self.records_read,
             "bytes_read": self.bytes_read,
             "read_calls": self.read_calls,
+            "pages_touched": self.pages_touched,
+            "file_fraction": self.file_fraction,
+            "predicted_page_fraction": self.predicted_page_fraction,
             "rate_bound": self.rate_bound,
         }
         if self.dkw is not None:
@@ -117,42 +140,59 @@ class DatasetHandle:
         """Fetch the records at sorted distinct indices.
 
         Returns the values in the given (ascending) order plus I/O stats.
-        Seeks ascend through the file; records whose span from the current
-        group's first record stays within one 4 KiB window are served by a
-        single read.
+        The reads are planned in one vectorized pass: a new read starts
+        where the next index is a whole 4 KiB page (512 records) or more
+        past the previous one, or lies in the next aligned RANGE_LIMIT
+        block.  Each read covers its records' full span, so a read is
+        never longer than RANGE_LIMIT, and the plan adapts to density:
+        a sparse sample costs about one 8-byte read per record, a dense
+        one a few reads per MiB.  On the 6e7-record, 458 MiB file of the
+        benchmark's dense query (m ~ 6.8e5) this trades bytes for read
+        calls: about 100,000 reads of 0.71 of the file under the previous
+        rule (coalescing only within 4 KiB of each read's first record)
+        become about 2,460 reads of 0.98 of it.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return np.empty(0, dtype=np.float64), ReadStats()
-        if (np.diff(indices) <= 0).any():
+        gaps = np.diff(indices)
+        if (gaps <= 0).any():
             raise ValueError("indices must be strictly increasing")
         if indices[0] < 0 or indices[-1] >= self.count:
             raise ValueError("index out of range")
 
-        per_window = COALESCE_WINDOW // RECORD_SIZE
+        blocks = indices // (RANGE_LIMIT // RECORD_SIZE)
+        breaks = (gaps >= PAGE_SIZE // RECORD_SIZE) | (np.diff(blocks) != 0)
+        bounds = np.concatenate(([0], np.flatnonzero(breaks) + 1, [indices.size]))
+        firsts = indices[bounds[:-1]]
+        spans = indices[bounds[1:] - 1] - firsts + 1
+        offsets = indices - np.repeat(firsts, np.diff(bounds))  # within each range
+        pages = (HEADER_SIZE + indices * RECORD_SIZE) // PAGE_SIZE
+
         values = np.empty(indices.size, dtype=np.float64)
-        stats = ReadStats(records_read=int(indices.size))
-        with open(self.path, "rb") as f:
-            pos = 0
-            while pos < indices.size:
-                first = int(indices[pos])
-                end = int(np.searchsorted(indices, first + per_window, side="left"))
-                span = int(indices[end - 1]) - first + 1
+        buf = np.empty(int(spans.max()), dtype="<f8")
+        with open(self.path, "rb", buffering=0) as f:
+            for lo, hi, first, span in zip(bounds[:-1].tolist(), bounds[1:].tolist(),
+                                           firsts.tolist(), spans.tolist()):
                 f.seek(HEADER_SIZE + first * RECORD_SIZE)
-                raw = f.read(span * RECORD_SIZE)
-                if len(raw) != span * RECORD_SIZE:
+                if f.readinto(buf[:span]) != span * RECORD_SIZE:
                     raise DatasetFormatError(f"{self.path}: truncated read")
-                block = np.frombuffer(raw, dtype="<f8")
-                values[pos:end] = block[indices[pos:end] - first]
-                stats.bytes_read += len(raw)
-                stats.read_calls += 1
-                pos = end
+                values[lo:hi] = buf[offsets[lo:hi]]
+        stats = ReadStats(records_read=int(indices.size),
+                          bytes_read=int(spans.sum()) * RECORD_SIZE,
+                          read_calls=int(spans.size),
+                          pages_touched=int(np.count_nonzero(np.diff(pages))) + 1)
         return values, stats
 
 
 def write_dataset(values, dst: str | Path) -> DatasetHandle:
-    """Write values to the binary format and return a handle."""
+    """Write values to the binary format and return a handle.
+
+    Raises NonFiniteValue, naming the first offending record, on NaN or
+    infinity.
+    """
     values = np.asarray(values, dtype=np.float64)
+    _check_finite(values)
     dst = Path(dst)
     with open(dst, "wb") as f:
         f.write(MAGIC)
@@ -235,6 +275,16 @@ def draw_index_sample(n: int, m: int, rng: np.random.Generator) -> IndexSample:
                        counts=counts.astype(np.int64), m=m, n=n)
 
 
+def _check_finite(values: np.ndarray, indices: np.ndarray | None = None) -> None:
+    """Raise NonFiniteValue at the first NaN or infinity, naming its record
+    (the position in values, or indices[position] when given)."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        j = int(bad[0])
+        raise NonFiniteValue(j if indices is None else int(indices[j]),
+                             repr(float(values[j])))
+
+
 def _prepare(h: DatasetHandle, policy: SizingPolicy,
              rng: np.random.Generator) -> tuple[IndexSample, np.ndarray, ReadStats]:
     if h.count < MIN_RECORDS:
@@ -242,6 +292,7 @@ def _prepare(h: DatasetHandle, policy: SizingPolicy,
     m = subsample_size(h.count, policy)
     sample = draw_index_sample(h.count, m, rng)
     values, stats = h.read_records(sample.indices)
+    _check_finite(values, sample.indices)
     return sample, values, stats
 
 
@@ -260,7 +311,7 @@ def bigdata_ci_mean(h: DatasetHandle, alpha: float, policy: SizingPolicy,
         n=sample.n, m=sample.m, policy=str(policy),
         distinct_records=sample.distinct, records_read=stats.records_read,
         bytes_read=stats.bytes_read, read_calls=stats.read_calls,
-        rate_bound=rate(sample.n, sample.m, "D"),
+        pages_touched=stats.pages_touched, rate_bound=rate(sample.n, sample.m, "D"),
     )
     return ci, report
 
@@ -282,7 +333,7 @@ def bigdata_ci_edf(h: DatasetHandle, x: float, alpha: float, policy: SizingPolic
         n=sample.n, m=sample.m, policy=str(policy),
         distinct_records=sample.distinct, records_read=stats.records_read,
         bytes_read=stats.bytes_read, read_calls=stats.read_calls,
-        rate_bound=rate(sample.n, sample.m, "D"),
+        pages_touched=stats.pages_touched, rate_bound=rate(sample.n, sample.m, "D"),
         dkw=None if dkw_eps is None else dkw_bound(sample.n, dkw_eps),
     )
     return ci, report

@@ -121,8 +121,8 @@ def ci_edf_from_stats(f_mn: float, wstats: WeightStats, x: float, alpha: float,
 def ci_edf(x_data, w: WeightVector, x: float, alpha: float,
            sided: str = "two") -> ConfidenceInterval:
     """Pointwise interval for F_n(x); also covers F(x) + eps_n(x)."""
-    point = edf_point(x_data, w, x)
-    return ci_edf_from_stats(point.f_mn, weight_stats(w), x, alpha, sided,
+    _, f_mn = _edf_values(_indicators(x_data, x, w), w)
+    return ci_edf_from_stats(f_mn, weight_stats(w), x, alpha, sided,
                              n=w.n, m=w.m)
 
 

@@ -68,7 +68,10 @@ class ParseError(RandPivotError):
 
 
 class NonFiniteValue(RandPivotError):
-    """A CSV cell parsed to NaN or infinity."""
+    """A CSV cell or a dataset record is NaN or infinite.
+
+    ``row`` is the 0-based CSV row or record index.
+    """
 
     def __init__(self, row: int, content: str):
         super().__init__(f"row {row}: non-finite value {content!r}")

@@ -21,7 +21,8 @@ import numpy as np
 
 from ._normal import norm_ppf
 from .errors import DegenerateWeights, DomainError, ZeroScale
-from .pivots import RandomizedStats, randomized_stats, sample_stats
+from .pivots import (RandomizedStats, _ratio_estimate, randomized_stats_from_nonzero,
+                     sample_stats)
 from .weights import WeightStats, WeightVector, weight_stats
 
 __all__ = [
@@ -169,18 +170,19 @@ def ci_mu(x, w: WeightVector, alpha: float, variant: str = "g1",
     wstats = weight_stats(w)
     if wstats.degenerate:
         raise DegenerateWeights("all weights equal m/n")
-    rstats = randomized_stats(x, w)
+    center = _ratio_estimate(x, w)
     if variant == "g1":
         scale = sample_stats(x).sd
     else:
-        scale = rstats.rsd
+        idx, counts_nz = w.nonzero()
+        scale = math.sqrt(randomized_stats_from_nonzero(x[idx], counts_nz, w.m)[1])
     if scale == 0.0:
         raise ZeroScale(f"{variant} scale is zero")
 
     z = _z_for(alpha, sided)
     half = z * scale * math.sqrt(wstats.sum_sq_dev) / wstats.sum_abs_dev
     meta = {"n": w.n, "m": w.m, "pivot": variant}
-    return _assemble("population_mean", alpha, rstats.ratio_mean, half, sided, meta)
+    return _assemble("population_mean", alpha, center, half, sided, meta)
 
 
 def ci_xbar(rstats: RandomizedStats, wstats: WeightStats, alpha: float,

@@ -24,7 +24,6 @@ from functools import partial
 from typing import Any, Iterable
 
 import numpy as np
-from scipy.stats import t as _student_t
 
 from ._normal import norm_cdf
 from .errors import BadParams, RandPivotError
@@ -128,8 +127,14 @@ def gen_sample(d: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndar
 
 
 def student_t_cutoff(alpha: float, df: int) -> float:
-    """Upper-tail Student t critical value t_{alpha, df}."""
-    return float(_student_t.ppf(1.0 - alpha, df))
+    """Upper-tail Student t critical value t_{alpha, df}.
+
+    scipy.stats is imported here, on first use, because importing it
+    costs more than the rest of the package's start-up.
+    """
+    from scipy.stats import t
+
+    return float(t.ppf(1.0 - alpha, df))
 
 
 @dataclass(frozen=True)

@@ -116,17 +116,23 @@ def randomized_stats_from_nonzero(values_nz: np.ndarray, counts_nz: np.ndarray,
     return rmean, rvar
 
 
-def randomized_stats(x, w: WeightVector) -> RandomizedStats:
-    """Randomized sample mean/variance and the ratio estimator of mu."""
+def _ratio_estimate(x, w: WeightVector) -> float | None:
+    """sum |d_i| x_i / sum |d_i|, the ratio estimator of mu; None for
+    degenerate weights."""
     x = np.asarray(x, dtype=np.float64)
     if x.size != w.n:
         raise ValueError(f"data length {x.size} != weight length {w.n}")
-    idx, counts_nz = w.nonzero()
-    rmean, rvar = randomized_stats_from_nonzero(x[idx], counts_nz, w.m)
-
     abs_dev = np.abs(w.counts / w.m - 1.0 / w.n)
     sabs = math.fsum(abs_dev)
-    ratio = math.fsum(abs_dev * x) / sabs if sabs > 0.0 else None
+    return math.fsum(abs_dev * x) / sabs if sabs > 0.0 else None
+
+
+def randomized_stats(x, w: WeightVector) -> RandomizedStats:
+    """Randomized sample mean/variance and the ratio estimator of mu."""
+    x = np.asarray(x, dtype=np.float64)
+    ratio = _ratio_estimate(x, w)
+    idx, counts_nz = w.nonzero()
+    rmean, rvar = randomized_stats_from_nonzero(x[idx], counts_nz, w.m)
     return RandomizedStats(rmean=rmean, rvar=rvar, _ratio_mean=ratio)
 
 

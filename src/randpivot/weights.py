@@ -120,26 +120,54 @@ def stats_from_nonzero(counts_nz: np.ndarray, n: int, m: int) -> WeightStats:
     """Deviation functionals from the nonzero counts alone.
 
     The n - k zero-weight categories all contribute the same deviation
-    -1/n, so their part of each sum is a closed form.  Both the dense and
-    the sparse (big-data) paths go through here, which keeps the two
-    bitwise identical.
+    -1/n, so their part of each sum is a closed form.  Likewise a nonzero
+    category's deviation depends only on its count c, so each sum is
+    sum_c h_c f(c) plus the zero-category tail, where h_c is the number of
+    categories with count c; the work grows with the number of distinct
+    counts, not with k.
+
+    Exactness: f(c) is computed with the same IEEE operations as the
+    elementwise form (c/m - 1/n, then square, abs and product), so each
+    term is the same float.  h_c f(c) is passed to math.fsum as the
+    terms f(c) 2^b over the set bits b of h_c; scaling by a power of two
+    is exact (every f(c) is at most 1 and h_c < 2^63, so nothing
+    overflows), so these terms add up to h_c f(c) exactly.  fsum returns
+    the correctly rounded value of the exact sum of its terms, which is
+    the same multiset total as the elementwise k + 1 terms: the result is
+    bitwise that of the elementwise fsum.  Both the dense and the sparse
+    (big-data) paths go through here, which keeps the two bitwise
+    identical.
     """
+    hist = np.bincount(np.asarray(counts_nz, dtype=np.int64))
+    seen = hist.nonzero()[0]
     k = len(counts_nz)
     inv_n = 1.0 / n
     zeros = n - k
-    dev = np.asarray(counts_nz, dtype=np.float64) / m - inv_n
-    abs_dev = np.abs(dev)
-    sq = dev * dev
+    fm = float(m)
 
-    ssq = math.fsum(itertools.chain(sq, (zeros * (inv_n * inv_n),)))
-    sabs = math.fsum(itertools.chain(abs_dev, (zeros * inv_n,)))
-    scub = math.fsum(itertools.chain(abs_dev * sq, (zeros * inv_n ** 3,)))
+    sq_terms = [zeros * (inv_n * inv_n)]
+    abs_terms = [zeros * inv_n]
+    cub_terms = [zeros * inv_n ** 3]
+    max_sq = inv_n * inv_n if zeros else 0.0
+    for c, h in zip(seen.tolist(), hist[seen].tolist()):
+        dev = c / fm - inv_n
+        abs_dev = abs(dev)
+        sq = dev * dev
+        cub = abs_dev * sq
+        max_sq = max(max_sq, sq)
+        while h:
+            if h & 1:
+                sq_terms.append(sq)
+                abs_terms.append(abs_dev)
+                cub_terms.append(cub)
+            h >>= 1
+            sq *= 2.0
+            abs_dev *= 2.0
+            cub *= 2.0
 
-    max_sq = float(sq.max()) if k else 0.0
-    if zeros:
-        max_sq = max(max_sq, inv_n * inv_n)
+    ssq = math.fsum(sq_terms)
     max_ratio = max_sq / ssq if ssq > 0.0 else None
-    return WeightStats(ssq, sabs, scub, max_ratio)
+    return WeightStats(ssq, math.fsum(abs_terms), math.fsum(cub_terms), max_ratio)
 
 
 def weight_stats(w: WeightVector) -> WeightStats:

@@ -1,16 +1,39 @@
 """Tests for the binary dataset format, sparse subsampling, and big-data CIs."""
 import math
+import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randpivot import (DatasetFormatError, DatasetTooSmall, NonFiniteValue,
                        ParseError, ZeroScale, bigdata_ci_edf, bigdata_ci_mean,
                        ci_xbar, draw_index_sample, draw_weights, ingest_csv,
                        open_dataset, randomized_stats, read_csv_column, stream,
                        weight_stats, write_dataset)
-from randpivot.bigdata import RECORD_SIZE
+from randpivot.bigdata import (HEADER_SIZE, MAGIC, PAGE_SIZE, RANGE_LIMIT, RECORD_SIZE,
+                               VERSION)
 from randpivot.intervals import Fixed, PowerDelta
+
+
+def planned_ranges(indices):
+    """The reader's range rule, one index at a time: (first, last) per read."""
+    ranges = []
+    for i in indices:
+        if (ranges and i - ranges[-1][1] < PAGE_SIZE // RECORD_SIZE
+                and i * RECORD_SIZE // RANGE_LIMIT == ranges[-1][0] * RECORD_SIZE // RANGE_LIMIT):
+            ranges[-1][1] = i
+        else:
+            ranges.append([i, i])
+    return ranges
+
+
+def pages_of(indices):
+    return len({(HEADER_SIZE + i * RECORD_SIZE) // PAGE_SIZE for i in indices})
 
 
 class TestBinaryFormat:
@@ -55,6 +78,13 @@ class TestBinaryFormat:
         csv.write_text("1.0\nNaN\n2.0\n")
         with pytest.raises(NonFiniteValue):
             ingest_csv(csv, 0, tmp_path / "x.rpv")
+
+    def test_write_rejects_non_finite(self, tmp_path):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteValue) as err:
+                write_dataset([1.0, 2.0, bad, 4.0], tmp_path / "x.rpv")
+            assert err.value.row == 2
+            assert not (tmp_path / "x.rpv").exists()
 
     def test_parse_error_carries_row(self, tmp_path):
         csv = tmp_path / "bad.csv"
@@ -200,3 +230,143 @@ class TestBigdataCiEdf:
         ci, _ = bigdata_ci_edf(h, 0.5, 0.05, Fixed(1000), stream(8))
         want = 1.959964 * 0.5 * math.sqrt(1.0 / 1000)
         assert ci.half_width == pytest.approx(want, rel=0.15)
+
+
+# Long enough for reads to meet RANGE_LIMIT block boundaries twice.
+RANGED_N = 2 * RANGE_LIMIT // RECORD_SIZE + 40_000
+
+
+@pytest.fixture(scope="module")
+def ranged_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ranged") / "d.rpv"
+    write_dataset(stream(2718).normal(size=RANGED_N), path)
+    return path
+
+
+def index_sets():
+    """Strictly increasing index sets mixing dense runs, gaps near one page
+    and long jumps."""
+    gap = st.one_of(st.integers(1, 8), st.integers(505, 520), st.integers(1, 150_000))
+    return st.tuples(st.integers(0, RANGED_N - 1), st.lists(gap, max_size=400)).map(
+        lambda t: [i for i in np.cumsum([t[0], *t[1]]).tolist() if i < RANGED_N])
+
+
+class TestRangedReads:
+    @settings(max_examples=150, deadline=None)
+    @given(index_sets())
+    def test_values_and_counts_follow_the_range_rule(self, ranged_file, indices):
+        h = open_dataset(ranged_file)
+        values, stats = h.read_records(np.array(indices, dtype=np.int64))
+        direct = np.fromfile(ranged_file, dtype="<f8", offset=HEADER_SIZE)
+        assert (values == direct[indices]).all()
+        ranges = planned_ranges(indices)
+        spans = [last - first + 1 for first, last in ranges]
+        assert stats.read_calls == len(ranges)
+        assert stats.bytes_read == RECORD_SIZE * sum(spans)
+        assert max(spans) * RECORD_SIZE <= RANGE_LIMIT
+        assert stats.records_read == len(indices)
+        assert stats.pages_touched == pages_of(indices)
+
+    def test_dense_sample_reads_whole_blocks(self, ranged_file):
+        h = open_dataset(ranged_file)
+        indices = np.arange(0, RANGED_N, 3)
+        values, stats = h.read_records(indices)
+        assert stats.read_calls == math.ceil(RANGED_N * RECORD_SIZE / RANGE_LIMIT)
+        assert (values == np.fromfile(ranged_file, dtype="<f8", offset=HEADER_SIZE)[indices]).all()
+
+    def test_truncated_after_open(self, tmp_path):
+        path = tmp_path / "t.rpv"
+        write_dataset(np.arange(float(RANGED_N)), path)
+        h = open_dataset(path)
+        os.truncate(path, HEADER_SIZE + 1000 * RECORD_SIZE)
+        values, _ = h.read_records(np.array([0, 5, 999]))
+        assert values.tolist() == [0.0, 5.0, 999.0]
+        for indices in ([0, 5, RANGED_N - 1], [990, 1005], [1000]):
+            with pytest.raises(DatasetFormatError):
+                h.read_records(np.array(indices))
+
+
+class TestReport:
+    def test_reader_counts_by_hand(self, tmp_path):
+        # 2000 records: 16 + 16000 bytes over 4 pages
+        h = write_dataset(np.arange(2000.0), tmp_path / "d.rpv")
+        _, stats = h.read_records(np.array([0, 1, 509, 510, 1500, 1999]))
+        # pages of the records: 0, 0, 0, 1, 2, 3; reads [0, 510] and [1500, 1999]
+        assert stats.pages_touched == 4
+        assert stats.read_calls == 2
+        assert stats.bytes_read == (511 + 500) * RECORD_SIZE
+
+    @pytest.mark.parametrize("stat", ["mean", "edf"])
+    def test_report_fields_match_hand_counts(self, tmp_path, stat):
+        n, m = 50_000, 60
+        h = write_dataset(stream(31).normal(size=n), tmp_path / "d.rpv")
+        if stat == "mean":
+            _, report = bigdata_ci_mean(h, 0.05, Fixed(m), stream(4, 4))
+        else:
+            _, report = bigdata_ci_edf(h, 0.0, 0.05, Fixed(m), stream(4, 4))
+        indices = draw_index_sample(n, m, stream(4, 4)).indices.tolist()
+        ranges = planned_ranges(indices)
+        nbytes = RECORD_SIZE * sum(last - first + 1 for first, last in ranges)
+        file_pages = 98  # ceil((16 + 8 * 50000) / 4096)
+        d = report.to_dict()
+        assert d["pages_touched"] == pages_of(indices)
+        assert d["read_calls"] == len(ranges)
+        assert d["bytes_read"] == nbytes
+        assert d["file_fraction"] == nbytes / (RECORD_SIZE * n)
+        assert d["predicted_page_fraction"] == pytest.approx(
+            1.0 - (1.0 - 1.0 / file_pages) ** m, rel=1e-12)
+
+    def test_single_page_file(self, tmp_path):
+        h = write_dataset(np.arange(200.0), tmp_path / "d.rpv")  # 1616 bytes
+        _, report = bigdata_ci_mean(h, 0.05, Fixed(50), stream(2))
+        assert report.pages_touched == 1
+        assert report.predicted_page_fraction == 1.0
+
+
+def write_raw(path, values):
+    """A dataset file written byte by byte, bypassing write_dataset's checks."""
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(values)))
+        for v in values:
+            f.write(struct.pack("<d", v))
+
+
+class TestNonFiniteRecords:
+    @pytest.fixture
+    def poisoned(self, tmp_path):
+        values = [float(i) for i in range(64)]
+        values[10] = math.nan
+        values[40] = math.inf
+        path = tmp_path / "p.rpv"
+        write_raw(path, values)
+        return path
+
+    @pytest.mark.parametrize("stat", ["mean", "edf"])
+    def test_queries_raise(self, poisoned, stat):
+        h = open_dataset(poisoned)
+        with pytest.raises(NonFiniteValue) as err:
+            if stat == "mean":
+                bigdata_ci_mean(h, 0.05, Fixed(2000), stream(1))
+            else:
+                bigdata_ci_edf(h, 30.0, 0.05, Fixed(2000), stream(1))
+        # 2000 draws over 64 records fetch record 10, the first bad one
+        assert err.value.row == 10
+        assert err.value.content == "nan"
+
+    def test_inf_alone_is_named(self, tmp_path):
+        values = [float(i) for i in range(64)]
+        values[40] = -math.inf
+        write_raw(tmp_path / "i.rpv", values)
+        with pytest.raises(NonFiniteValue) as err:
+            bigdata_ci_edf(open_dataset(tmp_path / "i.rpv"), 30.0, 0.05, Fixed(2000), stream(1))
+        assert (err.value.row, err.value.content) == (40, "-inf")
+
+    @pytest.mark.parametrize("stat", ["mean", "edf"])
+    def test_cli_exits_1(self, poisoned, stat):
+        out = subprocess.run([sys.executable, "-m", "randpivot.cli", "ci-bigdata",
+                              "--data", str(poisoned), "--stat", stat, "--x", "30",
+                              "--policy", "fixed:2000", "--seed", "1", "--no-timestamp"],
+                             capture_output=True, text=True)
+        assert out.returncode == 1, out.stdout
+        assert out.stdout == ""
+        assert "non-finite" in out.stderr

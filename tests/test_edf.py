@@ -156,6 +156,22 @@ class TestCiEdf:
         assert ci.half_width == pytest.approx(want, rel=1e-12)
         assert ci.center == pytest.approx(p.f_mn, rel=1e-12)
 
+    def test_equals_route_through_edf_point(self):
+        from randpivot.edf import ci_edf_from_stats
+        rng = stream(37)
+        for n, m in [(10, 10), (25, 7), (40, 90), (200, 200)]:
+            for _ in range(10):
+                x = rng.normal(size=n)
+                w = draw_weights(n, m, rng)
+                at = float(rng.normal(scale=0.5))
+                try:
+                    ci = ci_edf(x, w, at, 0.1)
+                except (DegenerateWeights, ZeroScale):
+                    continue
+                old = ci_edf_from_stats(edf_point(x, w, at).f_mn, weight_stats(w), at, 0.1,
+                                        n=n, m=m)
+                assert ci == old
+
     def test_zero_scale_at_extremes(self):
         w = _w([2, 0])
         with pytest.raises(ZeroScale):

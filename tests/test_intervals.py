@@ -107,6 +107,30 @@ class TestCiMu:
                     assert (ci.lower == -math.inf) == (sided == "lower")
                     assert ci.contains(mu) == event(g, z), (kind, sided)
 
+    def test_equals_route_through_randomized_stats(self):
+        # center from randomized_stats(...).ratio_mean, scale from
+        # sample_stats (g1) or randomized_stats(...).rsd (g2)
+        from randpivot.intervals import _assemble
+        from randpivot.pivots import sample_stats
+        rng = stream(12)
+        for n, m in [(5, 5), (15, 40), (30, 30), (100, 20)]:
+            for _ in range(10):
+                x = rng.lognormal(size=n)
+                w = draw_weights(n, m, rng)
+                ws = weight_stats(w)
+                if ws.degenerate:
+                    continue
+                r = randomized_stats(x, w)
+                for variant, scale in (("g1", sample_stats(x).sd), ("g2", r.rsd)):
+                    if scale == 0.0:
+                        with pytest.raises(ZeroScale):
+                            ci_mu(x, w, 0.1, variant)
+                        continue
+                    half = critical_z(0.05) * scale * math.sqrt(ws.sum_sq_dev) / ws.sum_abs_dev
+                    old = _assemble("population_mean", 0.1, r.ratio_mean, half, "two",
+                                    {"n": n, "m": m, "pivot": variant})
+                    assert ci_mu(x, w, 0.1, variant) == old
+
     def test_width_scales_linearly_with_data(self):
         rng = stream(10)
         x = rng.normal(size=20)

@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo harness: sampling, coverage, proportions, KS."""
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +77,15 @@ class TestStudentCutoffs:
         assert student_t_cutoff(0.05, 19) == pytest.approx(1.729, abs=5e-4)
         assert student_t_cutoff(0.05, 24) == pytest.approx(1.711, abs=5e-4)
         assert student_t_cutoff(0.05, 29) == pytest.approx(1.699, abs=5e-4)
+
+    def test_scipy_stats_loaded_only_on_use(self):
+        code = ("import sys, randpivot, randpivot.cli\n"
+                "assert 'scipy.stats' not in sys.modules\n"
+                "print(randpivot.student_t_cutoff(0.05, 19))\n"
+                "assert 'scipy.stats' in sys.modules\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) == pytest.approx(1.729, abs=5e-4)
 
 
 class TestCoverageStudy:

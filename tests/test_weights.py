@@ -1,14 +1,34 @@
 """Tests for multinomial weights, their functionals, and the exact oracles."""
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randpivot import (DegenerateWeights, WeightVector, draw_weights,
                        enumerate_weight_vectors, exact_expectation_abs_dev,
                        exact_weight_moment, stream, weight_stats)
-from randpivot.weights import stats_from_nonzero
+from randpivot.weights import WeightStats, stats_from_nonzero
+
+
+def elementwise_stats(counts_nz, n, m):
+    """Reference: one fsum over all k nonzero terms plus the zero tail."""
+    k = len(counts_nz)
+    inv_n = 1.0 / n
+    zeros = n - k
+    dev = np.asarray(counts_nz, dtype=np.float64) / m - inv_n
+    abs_dev = np.abs(dev)
+    sq = dev * dev
+    ssq = math.fsum(itertools.chain(sq, (zeros * (inv_n * inv_n),)))
+    sabs = math.fsum(itertools.chain(abs_dev, (zeros * inv_n,)))
+    scub = math.fsum(itertools.chain(abs_dev * sq, (zeros * inv_n ** 3,)))
+    max_sq = float(sq.max()) if k else 0.0
+    if zeros:
+        max_sq = max(max_sq, inv_n * inv_n)
+    return WeightStats(ssq, sabs, scub, max_sq / ssq if ssq > 0.0 else None)
 
 
 class TestWeightVector:
@@ -116,6 +136,37 @@ class TestWeightStats:
             a = weight_stats(w)
             b = stats_from_nonzero(counts_nz, n, m)
             assert a == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 400), st.integers(1, 1500), st.integers(0, 2**32 - 1))
+    def test_per_count_sums_equal_elementwise_fsum(self, n, m, seed):
+        # covers m < n, m = n and m > n
+        w = draw_weights(n, m, stream(seed))
+        _, counts_nz = w.nonzero()
+        assert stats_from_nonzero(counts_nz, n, m) == elementwise_stats(counts_nz, n, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 70), min_size=1, max_size=300), st.integers(0, 50))
+    def test_arbitrary_multiplicities_equal_elementwise_fsum(self, counts, extra):
+        # extra = 0 is k = n, no zero categories
+        n, m = len(counts) + extra, sum(counts)
+        assert stats_from_nonzero(np.array(counts), n, m) == elementwise_stats(counts, n, m)
+
+    @pytest.mark.parametrize("counts,n,m", [
+        ([7], 1, 7),            # one category, the whole mass
+        ([9], 5, 9),            # one nonzero category of five
+        ([1] * 12, 12, 12),     # k = n, all equal: degenerate
+        ([2, 1, 1, 3], 4, 7),   # k = n, m > n
+        ([1, 1, 2], 10, 4),     # m < n
+    ])
+    def test_edge_cases_equal_elementwise_fsum(self, counts, n, m):
+        assert stats_from_nonzero(np.array(counts), n, m) == elementwise_stats(counts, n, m)
+
+    def test_many_categories_equal_elementwise_fsum(self):
+        n, m = 10**6, 300_000
+        _, counts_nz = draw_weights(n, m, stream(606)).nonzero()
+        assert counts_nz.size >= 10**5
+        assert stats_from_nonzero(counts_nz, n, m) == elementwise_stats(counts_nz, n, m)
 
     def test_max_ratio_trend_toward_zero(self):
         # 99th percentile of max d^2 / sum d^2 shrinks as n grows (m = n)
