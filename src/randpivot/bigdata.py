@@ -18,20 +18,20 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .bounds import rate
-from .errors import (DatasetFormatError, DatasetTooSmall, NonFiniteValue,
-                     ParseError, ZeroScale)
+from .errors import DatasetFormatError, DatasetTooSmall, NonFiniteValue, ParseError
 from .edf import ci_edf_from_stats, dkw_bound
 from .intervals import ConfidenceInterval, SizingPolicy, ci_xbar, subsample_size
 from .pivots import RandomizedStats, randomized_stats_from_nonzero
-from .weights import draw_indices, stats_from_nonzero
+from .weights import WeightStats, draw_indices, stats_from_nonzero
 
 __all__ = [
     "MAGIC", "VERSION", "HEADER_SIZE", "RECORD_SIZE", "MIN_RECORDS",
@@ -189,16 +189,22 @@ def write_dataset(values, dst: str | Path) -> DatasetHandle:
     """Write values to the binary format and return a handle.
 
     Raises NonFiniteValue, naming the first offending record, on NaN or
-    infinity.
+    infinity.  The records are written, uncopied, to a temporary file that
+    is then renamed onto dst, so an existing dst is replaced whole or kept.
     """
     values = np.asarray(values, dtype=np.float64)
     _check_finite(values)
     dst = Path(dst)
-    with open(dst, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", values.size))
-        f.write(values.astype("<f8").tobytes())
+    tmp = dst.with_name(f".{dst.name}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(MAGIC + struct.pack("<IQ", VERSION, values.size))
+            values.astype("<f8", copy=False).tofile(f)
+        os.replace(tmp, dst)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return DatasetHandle(dst, int(values.size))
 
 
@@ -285,35 +291,37 @@ def _check_finite(values: np.ndarray, indices: np.ndarray | None = None) -> None
                              repr(float(values[j])))
 
 
-def _prepare(h: DatasetHandle, policy: SizingPolicy,
-             rng: np.random.Generator) -> tuple[IndexSample, np.ndarray, ReadStats]:
+def _query(h: DatasetHandle, policy: SizingPolicy, rng: np.random.Generator,
+           interval: Callable[[IndexSample, np.ndarray, WeightStats], ConfidenceInterval],
+           dkw_eps: float | None = None) -> tuple[ConfidenceInterval, SubsampleReport]:
+    """Size, draw, read and check the sub-sample; then interval(sample,
+    values, weight stats) and the report of what was touched."""
     if h.count < MIN_RECORDS:
         raise DatasetTooSmall(f"{h.count} records; need at least {MIN_RECORDS}")
     m = subsample_size(h.count, policy)
     sample = draw_index_sample(h.count, m, rng)
     values, stats = h.read_records(sample.indices)
     _check_finite(values, sample.indices)
-    return sample, values, stats
+    ci = interval(sample, values, stats_from_nonzero(sample.counts, sample.n, sample.m))
+    report = SubsampleReport(
+        n=sample.n, m=sample.m, policy=str(policy),
+        distinct_records=sample.distinct, records_read=stats.records_read,
+        bytes_read=stats.bytes_read, read_calls=stats.read_calls,
+        pages_touched=stats.pages_touched, rate_bound=rate(sample.n, sample.m, "D"),
+        dkw=None if dkw_eps is None else dkw_bound(sample.n, dkw_eps),
+    )
+    return ci, report
 
 
 def bigdata_ci_mean(h: DatasetHandle, alpha: float, policy: SizingPolicy,
                     rng: np.random.Generator,
                     sided: str = "two") -> tuple[ConfidenceInterval, SubsampleReport]:
     """Interval for the full-data mean, touching only the sub-sampled records."""
-    sample, values, stats = _prepare(h, policy, rng)
-    wstats = stats_from_nonzero(sample.counts, sample.n, sample.m)
-    rmean, rvar = randomized_stats_from_nonzero(values, sample.counts, sample.m)
-    if rvar == 0.0:
-        raise ZeroScale("all fetched records are equal")
-    ci = ci_xbar(RandomizedStats(rmean=rmean, rvar=rvar), wstats, alpha,
-                 sided=sided, n=sample.n, m=sample.m)
-    report = SubsampleReport(
-        n=sample.n, m=sample.m, policy=str(policy),
-        distinct_records=sample.distinct, records_read=stats.records_read,
-        bytes_read=stats.bytes_read, read_calls=stats.read_calls,
-        pages_touched=stats.pages_touched, rate_bound=rate(sample.n, sample.m, "D"),
-    )
-    return ci, report
+    def interval(sample, values, wstats):
+        rstats = RandomizedStats(*randomized_stats_from_nonzero(values, sample.counts, sample.m))
+        return ci_xbar(rstats, wstats, alpha, sided=sided, n=sample.n, m=sample.m)
+
+    return _query(h, policy, rng, interval)
 
 
 def bigdata_ci_edf(h: DatasetHandle, x: float, alpha: float, policy: SizingPolicy,
@@ -324,16 +332,9 @@ def bigdata_ci_edf(h: DatasetHandle, x: float, alpha: float, policy: SizingPolic
     With a caller-supplied dkw_eps the report carries the uniform bound
     min(1, 2 exp(-2 n eps^2)) quantifying how far F_n can sit from F.
     """
-    sample, values, stats = _prepare(h, policy, rng)
-    wstats = stats_from_nonzero(sample.counts, sample.n, sample.m)
-    f_mn = float((sample.counts * (values <= x)).sum()) / sample.m
-    ci = ci_edf_from_stats(f_mn, wstats, x, alpha, sided=sided,
-                           n=sample.n, m=sample.m)
-    report = SubsampleReport(
-        n=sample.n, m=sample.m, policy=str(policy),
-        distinct_records=sample.distinct, records_read=stats.records_read,
-        bytes_read=stats.bytes_read, read_calls=stats.read_calls,
-        pages_touched=stats.pages_touched, rate_bound=rate(sample.n, sample.m, "D"),
-        dkw=None if dkw_eps is None else dkw_bound(sample.n, dkw_eps),
-    )
-    return ci, report
+    def interval(sample, values, wstats):
+        f_mn = float((sample.counts * (values <= x)).sum()) / sample.m
+        return ci_edf_from_stats(f_mn, wstats, x, alpha, sided=sided,
+                                 n=sample.n, m=sample.m)
+
+    return _query(h, policy, rng, interval, dkw_eps)

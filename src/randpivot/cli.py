@@ -26,11 +26,20 @@ from .weights import draw_weights
 __all__ = ["main", "build_parser"]
 
 
-def _env_seed() -> int:
+def _env_seed(parser: argparse.ArgumentParser) -> int:
+    text = os.environ.get("RANDPIVOT_SEED", "0")
     try:
-        return int(os.environ.get("RANDPIVOT_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        parser.error(f"environment variable RANDPIVOT_SEED: invalid int value: {text!r}")
+
+
+def _band(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two numbers lo,hi, got {text!r}") from None
+    return lo, hi
 
 
 def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
@@ -132,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pivot kind (default: g1)")
     p.add_argument("--outer", type=int, default=500, help="outer replications (default: 500)")
     p.add_argument("--inner", type=int, default=500, help="inner replications (default: 500)")
-    p.add_argument("--band", default="0.94,0.96", help="coverage band lo,hi (default: 0.94,0.96)")
+    p.add_argument("--band", type=_band, default="0.94,0.96",
+                   help="coverage band lo,hi (default: 0.94,0.96)")
     p.add_argument("--alpha", type=float, default=0.05, help="nominal error (default: 0.05)")
     p.add_argument("--sided", choices=intervals.SIDES, default="upper",
                    help="coverage sidedness (default: upper)")
@@ -216,7 +226,7 @@ def _load_sample(args: argparse.Namespace) -> np.ndarray:
 
 
 def _run(args: argparse.Namespace) -> dict[str, Any]:
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = args.seed
     cmd = args.command
 
     if cmd == "ingest":
@@ -273,10 +283,9 @@ def _run(args: argparse.Namespace) -> dict[str, Any]:
     if cmd == "proportion":
         d = mc.parse_dist(args.dist)
         m = _resolve_m(args.m, args.n)
-        lo, hi = (float(t) for t in args.band.split(","))
         report = mc.proportion_study(
             d, args.n, PivotKind(args.pivot), outer_reps=args.outer,
-            inner_reps=args.inner, band=(lo, hi), alpha=args.alpha, seed=seed,
+            inner_reps=args.inner, band=args.band, alpha=args.alpha, seed=seed,
             m=m, sided=args.sided,
             classical_cutoff=args.classical_cutoff.replace("-", "_"),
             threads=args.threads,
@@ -324,6 +333,8 @@ def _run(args: argparse.Namespace) -> dict[str, Any]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is None:
+        args.seed = _env_seed(parser)
     try:
         payload = _run(args)
     except (RandPivotError, OSError, ValueError, OverflowError) as exc:

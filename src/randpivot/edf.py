@@ -16,13 +16,14 @@ use <= (right-continuous EDF).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from .errors import DegenerateWeights, MissingF, ZeroScale
-from .intervals import ConfidenceInterval, _assemble, _z_for
+from .intervals import ConfidenceInterval, _interval
+from .pivots import _ratio_estimate, _studentized
 from .weights import WeightStats, WeightVector, weight_stats
 
 __all__ = ["EdfPoint", "edf_point", "edf_pivot", "ci_edf", "ci_edf_from_stats",
@@ -68,11 +69,7 @@ def edf_point(x_data, w: WeightVector, x: float) -> EdfPoint:
     """All four EDF-type values at x in one pass over the indices."""
     ind = _indicators(x_data, x, w)
     f_n, f_mn = _edf_values(ind, w)
-
-    abs_dev = np.abs(w.counts / w.m - 1.0 / w.n)
-    sabs = math.fsum(abs_dev)
-    f_hat = math.fsum(abs_dev * ind) / sabs if sabs > 0.0 else None
-    return EdfPoint(x=x, f_n=f_n, f_mn=f_mn, _f_hat=f_hat)
+    return EdfPoint(x=x, f_n=f_n, f_mn=f_mn, _f_hat=_ratio_estimate(ind, w))
 
 
 def edf_pivot(s: str, x_data, w: WeightVector, x: float,
@@ -92,30 +89,17 @@ def edf_pivot(s: str, x_data, w: WeightVector, x: float,
     f_scale = f_n if s in ("hat1", "hat2") else f_mn
     scale2 = f_scale * (1.0 - f_scale)
     if scale2 <= 0.0:
-        raise ZeroScale(f"indicator variance is zero at x={x}")
-
-    dev = w.counts / w.m - 1.0 / w.n
-    if s in ("hat1", "hathat1"):
-        num = math.fsum(dev * ind)
-    else:
-        num = math.fsum(np.abs(dev) * (ind - f_x))
-    return num / (math.sqrt(scale2) * math.sqrt(wstats.sum_sq_dev))
+        raise ZeroScale(f"{s} scale is zero at x={x}")
+    return _studentized(w, wstats, ind, None if s in ("hat1", "hathat1") else f_x, scale2)
 
 
 def ci_edf_from_stats(f_mn: float, wstats: WeightStats, x: float, alpha: float,
                       sided: str = "two", n: int | None = None,
                       m: int | None = None) -> ConfidenceInterval:
     """Pointwise interval for F_n(x) from sub-sample quantities alone."""
-    if wstats.degenerate:
-        raise DegenerateWeights("all weights equal m/n")
-    s2 = f_mn * (1.0 - f_mn)
-    if s2 <= 0.0:
-        raise ZeroScale(f"F_mn(x) in {{0, 1}} at x={x}; the CLT scale is zero")
-    z = _z_for(alpha, sided)
-    half = z * math.sqrt(s2) * math.sqrt(wstats.sum_sq_dev)
     meta: dict[str, Any] = {"n": n, "m": m, "pivot": "hathat1", "x": x}
-    ci = _assemble("edf_value", alpha, f_mn, half, sided, meta)
-    return _clamp_unit(ci)
+    return _clamp_unit(_interval("edf_value", alpha, sided,
+                                 lambda: (f_mn, f_mn * (1.0 - f_mn)), wstats, meta))
 
 
 def ci_edf(x_data, w: WeightVector, x: float, alpha: float,
@@ -129,17 +113,13 @@ def ci_edf(x_data, w: WeightVector, x: float, alpha: float,
 def ci_df(x_data, w: WeightVector, x: float, alpha: float,
           sided: str = "two") -> ConfidenceInterval:
     """Pointwise interval for the distribution value F(x)."""
-    wstats = weight_stats(w)
-    if wstats.degenerate:
-        raise DegenerateWeights("all weights equal m/n")
-    point = edf_point(x_data, w, x)
-    if point.s2_mn <= 0.0:
-        raise ZeroScale(f"F_mn(x) in {{0, 1}} at x={x}; the CLT scale is zero")
-    z = _z_for(alpha, sided)
-    half = z * math.sqrt(point.s2_mn) * math.sqrt(wstats.sum_sq_dev) / wstats.sum_abs_dev
+    def center_scale2() -> tuple[float, float]:
+        point = edf_point(x_data, w, x)
+        return point.f_hat, point.s2_mn
+
     meta: dict[str, Any] = {"n": w.n, "m": w.m, "pivot": "hathat2", "x": x}
-    ci = _assemble("df_value", alpha, point.f_hat, half, sided, meta)
-    return _clamp_unit(ci)
+    return _clamp_unit(_interval("df_value", alpha, sided, center_scale2,
+                                 weight_stats(w), meta, ratio=True))
 
 
 def _clamp_unit(ci: ConfidenceInterval) -> ConfidenceInterval:
@@ -148,12 +128,8 @@ def _clamp_unit(ci: ConfidenceInterval) -> ConfidenceInterval:
     upper = min(1.0, ci.upper)
     if lower == ci.lower and upper == ci.upper:
         return ci
-    meta = dict(ci.meta)
-    meta.update(clamped=True, raw_lower=ci.lower, raw_upper=ci.upper)
-    return ConfidenceInterval(
-        target=ci.target, level=ci.level, lower=lower, upper=upper,
-        center=ci.center, half_width=ci.half_width, sided=ci.sided, meta=meta,
-    )
+    meta = {**ci.meta, "clamped": True, "raw_lower": ci.lower, "raw_upper": ci.upper}
+    return replace(ci, lower=lower, upper=upper, meta=meta)
 
 
 def dkw_bound(n: int, eps: float) -> float:

@@ -1,10 +1,13 @@
 """Confidence intervals from the pivots, critical values, sub-sample sizing.
 
-Interval recipes (z is the relevant normal critical value, sq the square
-root of sum_sq_dev, sa the sum of absolute deviations):
+Every interval comes from one recipe, _interval (z is the relevant normal
+critical value, sq the square root of sum_sq_dev, sa the sum of absolute
+deviations, S the studentizing scale):
 
-    population mean:  ratio_mean +/- z * S * sq / sa   (S = S_n or S_{m,n})
-    sample mean:      rmean      +/- z * S_{m,n} * sq
+    ratio-estimator center:  center +/- z * S * sq / sa   (mu: ci_mu; F(x): ci_df)
+    other centers:           center +/- z * S * sq        (x-bar: ci_xbar; F_n(x): ci_edf)
+
+S is S_n or S_{m,n} for means and sqrt(F_mn(1-F_mn)) for EDF values.
 
 Sidedness: "two" uses z_{alpha/2} on both sides; "upper" keeps the pivot
 below +z_alpha, giving [center - z*unit, +inf); "lower" mirrors it.  For
@@ -15,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from ._normal import norm_ppf
 from .errors import DegenerateWeights, DomainError, ZeroScale
-from .pivots import (RandomizedStats, _ratio_estimate, randomized_stats_from_nonzero,
-                     sample_stats)
+from .pivots import RandomizedStats, _ratio_estimate, _scale2
 from .weights import WeightStats, WeightVector, weight_stats
 
 __all__ = [
@@ -156,6 +158,27 @@ def _assemble(target: str, alpha: float, center: float, half_width: float,
     )
 
 
+def _interval(target: str, alpha: float, sided: str,
+              center_scale2: Callable[[], tuple[float, float]], wstats: WeightStats,
+              meta: dict[str, Any], ratio: bool = False) -> ConfidenceInterval:
+    """center +/- z * sqrt(scale2) * sqrt(sum d_i^2), over sum |d_i| if ratio.
+
+    center_scale2() is called only after the degenerate-weights check: the
+    ratio center and S_n are undefined (and may raise) for such weights.
+    """
+    if wstats.degenerate:
+        raise DegenerateWeights("all weights equal m/n")
+    center, scale2 = center_scale2()
+    if scale2 <= 0.0:
+        at = f" at x={meta['x']}" if "x" in meta else ""
+        raise ZeroScale(f"{meta['pivot']} scale is zero{at}")
+    z = _z_for(alpha, sided)
+    half = z * math.sqrt(scale2) * math.sqrt(wstats.sum_sq_dev)
+    if ratio:
+        half /= wstats.sum_abs_dev
+    return _assemble(target, alpha, center, half, sided, meta)
+
+
 def ci_mu(x, w: WeightVector, alpha: float, variant: str = "g1",
           sided: str = "two") -> ConfidenceInterval:
     """Confidence interval for the population mean from a G-type pivot.
@@ -167,22 +190,9 @@ def ci_mu(x, w: WeightVector, alpha: float, variant: str = "g1",
     if variant not in ("g1", "g2"):
         raise ValueError(f"variant must be g1 or g2, got {variant!r}")
     x = np.asarray(x, dtype=np.float64)
-    wstats = weight_stats(w)
-    if wstats.degenerate:
-        raise DegenerateWeights("all weights equal m/n")
-    center = _ratio_estimate(x, w)
-    if variant == "g1":
-        scale = sample_stats(x).sd
-    else:
-        idx, counts_nz = w.nonzero()
-        scale = math.sqrt(randomized_stats_from_nonzero(x[idx], counts_nz, w.m)[1])
-    if scale == 0.0:
-        raise ZeroScale(f"{variant} scale is zero")
-
-    z = _z_for(alpha, sided)
-    half = z * scale * math.sqrt(wstats.sum_sq_dev) / wstats.sum_abs_dev
-    meta = {"n": w.n, "m": w.m, "pivot": variant}
-    return _assemble("population_mean", alpha, center, half, sided, meta)
+    return _interval("population_mean", alpha, sided,
+                     lambda: (_ratio_estimate(x, w), _scale2(x, w, variant == "g2")),
+                     weight_stats(w), {"n": w.n, "m": w.m, "pivot": variant}, ratio=True)
 
 
 def ci_xbar(rstats: RandomizedStats, wstats: WeightStats, alpha: float,
@@ -194,14 +204,9 @@ def ci_xbar(rstats: RandomizedStats, wstats: WeightStats, alpha: float,
     between the sample and population means; for big n that gap is
     negligible, so the interval doubles as one for mu.
     """
-    if wstats.degenerate:
-        raise DegenerateWeights("all weights equal m/n")
-    if rstats.rvar == 0.0:
-        raise ZeroScale("sub-sample variance is zero")
-    z = _z_for(alpha, sided)
-    half = z * rstats.rsd * math.sqrt(wstats.sum_sq_dev)
     meta = {"n": n, "m": m, "pivot": "t2", "also_covers": "mu + eps_n"}
-    return _assemble("sample_mean", alpha, rstats.rmean, half, sided, meta)
+    return _interval("sample_mean", alpha, sided, lambda: (rstats.rmean, rstats.rvar),
+                     wstats, meta)
 
 
 def subsample_size(n: int, policy: SizingPolicy) -> int:

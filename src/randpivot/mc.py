@@ -21,7 +21,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -42,16 +42,38 @@ __all__ = [
 SCHEMA_VERSION = 1
 MAX_REDRAWS = 100
 
-# Parameter count and parameter check of each family.
+
+class _Family(NamedTuple):
+    """One row per family: parameter count and check, mean, sampler (p, n, rng)."""
+
+    arity: int
+    valid: Callable[[tuple[float, ...]], bool]
+    mean: Callable[[tuple[float, ...]], float]
+    sample: Callable[[tuple[float, ...], int, np.random.Generator], np.ndarray]
+
+
+def _lognormal_std(p: tuple[float, ...], n: int, rng: np.random.Generator) -> np.ndarray:
+    mean = _FAMILIES["lognormal"].mean(p)
+    return (rng.lognormal(p[0], p[1], n) - mean) / (mean * math.sqrt(math.expm1(p[1] ** 2)))
+
+
 _FAMILIES = {
-    "binomial": (2, lambda p: p[0] >= 1 and p[0] == int(p[0]) and 0.0 <= p[1] <= 1.0),
-    "poisson": (1, lambda p: p[0] > 0),
-    "lognormal": (2, lambda p: p[1] > 0),
-    "lognormal_std": (2, lambda p: p[1] > 0),
-    "exponential": (1, lambda p: p[0] > 0),
-    "normal": (2, lambda p: p[1] > 0),
-    "beta": (2, lambda p: p[0] > 0 and p[1] > 0),
-    "uniform": (2, lambda p: p[0] < p[1]),
+    "binomial": _Family(2, lambda p: p[0] >= 1 and p[0] == int(p[0]) and 0.0 <= p[1] <= 1.0,
+                        lambda p: p[0] * p[1],
+                        lambda p, n, rng: rng.binomial(int(p[0]), p[1], n).astype(np.float64)),
+    "poisson": _Family(1, lambda p: p[0] > 0, lambda p: p[0],
+                       lambda p, n, rng: rng.poisson(p[0], n).astype(np.float64)),
+    "lognormal": _Family(2, lambda p: p[1] > 0, lambda p: math.exp(p[0] + 0.5 * p[1] ** 2),
+                         lambda p, n, rng: rng.lognormal(p[0], p[1], n)),
+    "lognormal_std": _Family(2, lambda p: p[1] > 0, lambda p: 0.0, _lognormal_std),
+    "exponential": _Family(1, lambda p: p[0] > 0, lambda p: 1.0 / p[0],
+                           lambda p, n, rng: rng.exponential(1.0 / p[0], n)),
+    "normal": _Family(2, lambda p: p[1] > 0, lambda p: p[0],
+                      lambda p, n, rng: rng.normal(p[0], p[1], n)),
+    "beta": _Family(2, lambda p: p[0] > 0 and p[1] > 0, lambda p: p[0] / (p[0] + p[1]),
+                    lambda p, n, rng: rng.beta(p[0], p[1], n)),
+    "uniform": _Family(2, lambda p: p[0] < p[1], lambda p: 0.5 * (p[0] + p[1]),
+                       lambda p, n, rng: rng.uniform(p[0], p[1], n)),
 }
 
 
@@ -68,25 +90,15 @@ class DistributionSpec:
             raise BadParams(f"unknown family {fam!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         p = self.params
-        arity, valid = _FAMILIES[fam]
-        if len(p) != arity:
-            raise BadParams(f"{fam} takes {arity} parameters, got {len(p)}")
-        if not valid(p):
+        row = _FAMILIES[fam]
+        if len(p) != row.arity:
+            raise BadParams(f"{fam} takes {row.arity} parameters, got {len(p)}")
+        if not row.valid(p):
             raise BadParams(f"bad parameters {p} for family {fam}")
 
     @property
     def true_mean(self) -> float:
-        p = self.params
-        return {
-            "binomial": lambda: p[0] * p[1],
-            "poisson": lambda: p[0],
-            "lognormal": lambda: math.exp(p[0] + 0.5 * p[1] ** 2),
-            "lognormal_std": lambda: 0.0,
-            "exponential": lambda: 1.0 / p[0],
-            "normal": lambda: p[0],
-            "beta": lambda: p[0] / (p[0] + p[1]),
-            "uniform": lambda: 0.5 * (p[0] + p[1]),
-        }[self.family]()
+        return _FAMILIES[self.family].mean(self.params)
 
     def label(self) -> str:
         args = ",".join(f"{v:g}" for v in self.params)
@@ -102,28 +114,7 @@ def parse_dist(text: str) -> DistributionSpec:
 
 def gen_sample(d: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the family, as float64."""
-    p = d.params
-    fam = d.family
-    if fam == "binomial":
-        return rng.binomial(int(p[0]), p[1], n).astype(np.float64)
-    if fam == "poisson":
-        return rng.poisson(p[0], n).astype(np.float64)
-    if fam == "lognormal":
-        return rng.lognormal(p[0], p[1], n)
-    if fam == "lognormal_std":
-        raw = rng.lognormal(p[0], p[1], n)
-        mean = math.exp(p[0] + 0.5 * p[1] ** 2)
-        sd = mean * math.sqrt(math.expm1(p[1] ** 2))
-        return (raw - mean) / sd
-    if fam == "exponential":
-        return rng.exponential(1.0 / p[0], n)
-    if fam == "normal":
-        return rng.normal(p[0], p[1], n)
-    if fam == "beta":
-        return rng.beta(p[0], p[1], n)
-    if fam == "uniform":
-        return rng.uniform(p[0], p[1], n)
-    raise BadParams(f"unknown family {fam!r}")
+    return _FAMILIES[d.family].sample(d.params, n, rng)
 
 
 def student_t_cutoff(alpha: float, df: int) -> float:
@@ -398,6 +389,8 @@ def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
     """
     if outer_reps < 1 or inner_reps < 1:
         raise ValueError("outer_reps and inner_reps must be positive")
+    if not 0.0 <= band[0] <= band[1] <= 1.0:
+        raise ValueError(f"band must satisfy 0 <= lo <= hi <= 1, got {tuple(band)}")
     pivot_kind = PivotKind(pivot_kind)
     m = n if m is None else m
     z, cutoff = _cutoffs(alpha, sided, classical_cutoff, n)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWeights, MissingMu, TooFewObservations, ZeroScale
-from .weights import WeightVector, weight_stats
+from .weights import WeightStats, WeightVector, weight_stats
 
 __all__ = [
     "SampleStats",
@@ -136,6 +136,26 @@ def randomized_stats(x, w: WeightVector) -> RandomizedStats:
     return RandomizedStats(rmean=rmean, rvar=rvar, _ratio_mean=ratio)
 
 
+def _scale2(x: np.ndarray, w: WeightVector, subsample: bool) -> float:
+    """S_{m,n}^2 when subsample, else S_n^2: the squared studentizing scale."""
+    if subsample:
+        idx, counts_nz = w.nonzero()
+        return randomized_stats_from_nonzero(x[idx], counts_nz, w.m)[1]
+    return sample_stats(x).var_biased
+
+
+def _studentized(w: WeightVector, wstats: WeightStats, data: np.ndarray,
+                 center: float | None, scale2: float) -> float:
+    """The one pivot sum: sum d_i data_i, or sum |d_i| (data_i - center)
+    when a center is given, over sqrt(scale2) * sqrt(sum d_i^2)."""
+    dev = w.counts / w.m - 1.0 / w.n
+    if center is None:
+        num = math.fsum(dev * data)
+    else:
+        num = math.fsum(np.abs(dev) * (data - center))
+    return num / (math.sqrt(scale2) * math.sqrt(wstats.sum_sq_dev))
+
+
 def pivot(kind: PivotKind, x, w: WeightVector, mu: float | None = None) -> float:
     """Evaluate one randomized pivot on a (data, weights) pair."""
     kind = PivotKind(kind)
@@ -148,20 +168,7 @@ def pivot(kind: PivotKind, x, w: WeightVector, mu: float | None = None) -> float
     wstats = weight_stats(w)
     if wstats.degenerate:
         raise DegenerateWeights("all weights equal m/n; pivot denominators vanish")
-
-    if kind.uses_subsample_scale:
-        idx, counts_nz = w.nonzero()
-        scale = math.sqrt(randomized_stats_from_nonzero(x[idx], counts_nz, w.m)[1])
-        if scale == 0.0:
-            raise ZeroScale("sub-sample variance is zero")
-    else:
-        scale = sample_stats(x).sd
-        if scale == 0.0:
-            raise ZeroScale("sample variance is zero")
-
-    dev = w.counts / w.m - 1.0 / w.n
-    if kind.needs_mu:
-        num = math.fsum(np.abs(dev) * (x - mu))
-    else:
-        num = math.fsum(dev * x)
-    return num / (scale * math.sqrt(wstats.sum_sq_dev))
+    scale2 = _scale2(x, w, kind.uses_subsample_scale)
+    if scale2 == 0.0:
+        raise ZeroScale(f"{kind.value} scale is zero")
+    return _studentized(w, wstats, x, mu if kind.needs_mu else None, scale2)

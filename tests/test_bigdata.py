@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from randpivot import (DatasetFormatError, DatasetTooSmall, NonFiniteValue,
                        ci_xbar, draw_index_sample, draw_weights, ingest_csv,
                        open_dataset, randomized_stats, read_csv_column, stream,
                        weight_stats, write_dataset)
+from randpivot import bigdata
 from randpivot.bigdata import (HEADER_SIZE, MAGIC, PAGE_SIZE, RANGE_LIMIT, RECORD_SIZE,
                                VERSION)
 from randpivot.intervals import Fixed, PowerDelta
@@ -85,6 +87,54 @@ class TestBinaryFormat:
                 write_dataset([1.0, 2.0, bad, 4.0], tmp_path / "x.rpv")
             assert err.value.row == 2
             assert not (tmp_path / "x.rpv").exists()
+
+    def test_failed_replace_keeps_existing_file(self, tmp_path, monkeypatch):
+        dst = tmp_path / "d.rpv"
+        write_dataset(np.arange(20.0), dst)
+        before = dst.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(bigdata.os, "replace", fail)
+        with pytest.raises(OSError, match="simulated"):
+            write_dataset(np.arange(5000.0), dst)
+        assert dst.read_bytes() == before
+        assert os.listdir(tmp_path) == ["d.rpv"]
+
+    def test_failed_write_keeps_existing_file(self, tmp_path):
+        # a file-size limit makes the record write fail part way, as a full
+        # disk would; the old dataset must survive it byte for byte
+        dst = tmp_path / "d.rpv"
+        write_dataset(np.arange(20.0), dst)
+        before = dst.read_bytes()
+        script = (
+            "import resource, signal, sys\n"
+            "import numpy as np\n"
+            "from randpivot import write_dataset\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.RLIM_INFINITY))\n"
+            "try:\n"
+            "    write_dataset(np.arange(100000.0), sys.argv[1])\n"
+            "except OSError:\n"
+            "    sys.exit(3)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script, str(dst)],
+                             capture_output=True, text=True)
+        assert out.returncode == 3, out.stderr
+        assert dst.read_bytes() == before
+        assert os.listdir(tmp_path) == ["d.rpv"]
+
+    def test_write_does_not_copy_the_records(self, tmp_path):
+        values = np.arange(1 << 20, dtype=np.float64)  # 8 MiB
+        tracemalloc.start()
+        try:
+            write_dataset(values, tmp_path / "d.rpv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes // 2  # one copy would be values.nbytes
+        assert (tmp_path / "d.rpv").read_bytes()[HEADER_SIZE:] == values.tobytes()
 
     def test_parse_error_carries_row(self, tmp_path):
         csv = tmp_path / "bad.csv"

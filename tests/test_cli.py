@@ -113,6 +113,28 @@ class TestExitCodes:
     def test_loglog_domain_error_is_1(self):
         run_cli("sizing", "--n", "2", "--policy", "loglog", expect=1)
 
+    def test_bad_env_seed_is_usage_error(self, sample_csv):
+        env = {**os.environ, "RANDPIVOT_SEED": "abc", "COLUMNS": "80"}
+        cmd = [sys.executable, "-m", "randpivot.cli", "ci-mean", "--data",
+               str(sample_csv), "--no-timestamp"]
+        out = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert out.returncode == 2, out.stdout
+        assert out.stdout == ""
+        assert "RANDPIVOT_SEED" in out.stderr and "'abc'" in out.stderr
+        # the variable is read only when --seed is absent
+        out = subprocess.run(cmd + ["--seed", "7"], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["seed"] == 7
+
+    def test_band_malformed_is_2_out_of_range_is_1(self):
+        base = ("proportion", "--dist", "normal:0,1", "--n", "5", "--outer", "2",
+                "--inner", "3", "--no-timestamp", "--band")
+        for band in ("0.9", "0.9,0.95,0.99", "a,b"):
+            assert "--band" in run_cli(*base, band, expect=2).stderr
+        for band in ("0.96,0.94", "5,9"):
+            out = run_cli(*base, band, expect=1)
+            assert out.stdout == "" and "band" in out.stderr
+
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self, sample_csv):

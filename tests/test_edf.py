@@ -4,11 +4,40 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randpivot import (DegenerateWeights, MissingF, WeightVector, ZeroScale,
                        ci_df, ci_edf, critical_z, dkw_bound, draw_weights,
                        edf_pivot, edf_point, enumerate_weight_vectors, stream,
                        weight_stats)
+
+
+@st.composite
+def edf_inputs(draw):
+    """(data, weights, evaluation point, alpha, sided); the point is often a
+    data value, so F_n and F_mn take values strictly inside (0, 1)."""
+    n = draw(st.integers(2, 30))
+    m = draw(st.integers(1, 60))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=n) if draw(st.booleans()) else rng.poisson(1.0, size=n) * 1.0
+    w = draw_weights(n, m, rng)
+    at = float(draw(st.sampled_from([rng.choice(x), rng.normal()])))
+    sided = draw(st.sampled_from(["two", "upper", "lower"]))
+    alpha = draw(st.floats(1e-4, 0.5 if sided != "two" else 0.9999))
+    return x, w, at, alpha, sided
+
+
+def _check_clamped(ci, raw):
+    """ci is raw clamped into [0, 1], with the raw endpoints kept in meta."""
+    assert 0.0 <= ci.lower <= ci.upper <= 1.0
+    assert (ci.center, ci.half_width) == (raw.center, raw.half_width)
+    assert (ci.lower, ci.upper) == (max(0.0, raw.lower), min(1.0, raw.upper))
+    if (ci.lower, ci.upper) == (raw.lower, raw.upper):
+        assert ci == raw and "clamped" not in ci.meta
+    else:
+        assert ci.meta == {**raw.meta, "clamped": True, "raw_lower": raw.lower,
+                           "raw_upper": raw.upper}
 
 
 def _w(counts):
@@ -107,6 +136,32 @@ class TestEdfPivot:
             assert edf_pivot("hat1", x, w, q) == want  # bitwise
             checked += 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(edf_inputs(), st.floats(0.0, 1.0))
+    def test_all_four_equal_inline_fsum_formula(self, case, f_x):
+        x, w, at, _, _ = case
+        ind = (x <= at).astype(np.float64)
+        f_n = float(ind.sum()) / w.n
+        f_mn = float((w.counts * ind).sum()) / w.m
+        dev = w.counts / w.m - 1.0 / w.n
+        ws = weight_stats(w)
+        for s in ("hat1", "hat2", "hathat1", "hathat2"):
+            f = f_n if s in ("hat1", "hat2") else f_mn
+            if ws.degenerate:
+                with pytest.raises(DegenerateWeights):
+                    edf_pivot(s, x, w, at, f_x=f_x)
+                continue
+            if f * (1.0 - f) == 0.0:
+                with pytest.raises(ZeroScale):
+                    edf_pivot(s, x, w, at, f_x=f_x)
+                continue
+            if s in ("hat1", "hathat1"):
+                num = math.fsum(dev * ind)
+            else:
+                num = math.fsum(np.abs(dev) * (ind - f_x))
+            want = num / (math.sqrt(f * (1.0 - f)) * math.sqrt(ws.sum_sq_dev))
+            assert edf_pivot(s, x, w, at, f_x=f_x) == want, s  # bitwise
+
     def test_enumeration_mean_of_f_mn_is_f_n(self):
         # fixed data: E_w F_{m,n}(x) == F_n(x), by exact enumeration (n <= 5)
         x = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
@@ -172,6 +227,22 @@ class TestCiEdf:
                                         n=n, m=m)
                 assert ci == old
 
+    @settings(max_examples=200, deadline=None)
+    @given(edf_inputs())
+    def test_clamp_invariants(self, case):
+        from randpivot.intervals import _assemble
+        x, w, at, alpha, sided = case
+        try:
+            ci = ci_edf(x, w, at, alpha, sided)
+        except (DegenerateWeights, ZeroScale):
+            return
+        p, ws = edf_point(x, w, at), weight_stats(w)
+        z = critical_z(alpha / 2.0 if sided == "two" else alpha)
+        half = z * math.sqrt(p.s2_mn) * math.sqrt(ws.sum_sq_dev)
+        raw = _assemble("edf_value", alpha, p.f_mn, half, sided,
+                        {"n": w.n, "m": w.m, "pivot": "hathat1", "x": at})
+        _check_clamped(ci, raw)
+
     def test_zero_scale_at_extremes(self):
         w = _w([2, 0])
         with pytest.raises(ZeroScale):
@@ -198,6 +269,29 @@ class TestCiDf:
         w = _w([2, 0])
         with pytest.raises(ZeroScale):
             ci_df([1.0, 2.0], w, 1.5, 0.05)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edf_inputs())
+    def test_equals_route_through_edf_point(self, case):
+        # center f_hat, half width z * sqrt(s2_mn) * sqrt(ssq) / sum|d|,
+        # then clamped into [0, 1]
+        from randpivot.intervals import _assemble
+        x, w, at, alpha, sided = case
+        ws = weight_stats(w)
+        if ws.degenerate:
+            with pytest.raises(DegenerateWeights):
+                ci_df(x, w, at, alpha, sided)
+            return
+        p = edf_point(x, w, at)
+        if p.s2_mn == 0.0:
+            with pytest.raises(ZeroScale):
+                ci_df(x, w, at, alpha, sided)
+            return
+        z = critical_z(alpha / 2.0 if sided == "two" else alpha)
+        half = z * math.sqrt(p.s2_mn) * math.sqrt(ws.sum_sq_dev) / ws.sum_abs_dev
+        raw = _assemble("df_value", alpha, p.f_hat, half, sided,
+                        {"n": w.n, "m": w.m, "pivot": "hathat2", "x": at})
+        _check_clamped(ci_df(x, w, at, alpha, sided), raw)
 
     def test_alpha_near_one_collapses_to_f_hat(self):
         rng = stream(37)

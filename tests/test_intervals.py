@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randpivot import (DegenerateWeights, DomainError, Fixed, LogLog,
                        PowerDelta, WeightVector, ZeroScale, ci_mu, ci_xbar,
                        critical_z, draw_weights, parse_policy,
                        randomized_stats, stream, subsample_size, weight_stats)
+from randpivot.edf import ci_df, ci_edf
 from randpivot.pivots import RandomizedStats
 from randpivot.weights import WeightStats
 
@@ -192,6 +195,51 @@ class TestCiXbar:
             ci = ci_xbar(randomized_stats(x, w), weight_stats(w), 0.05)
             hits += ci.contains(float(x.mean()))
         assert abs(hits / reps - 0.95) < 0.04
+
+
+@st.composite
+def interval_inputs(draw):
+    """(data, weights, evaluation point, alpha) with alpha in (0, 1/2)."""
+    n = draw(st.integers(2, 30))
+    m = draw(st.integers(1, 60))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    x = draw(st.sampled_from([rng.normal, rng.exponential, rng.poisson]))(size=n) * 1.0
+    w = draw_weights(n, m, rng)
+    at = float(draw(st.sampled_from([rng.choice(x), rng.normal()])))
+    alpha = draw(st.floats(1e-4, 0.4999))
+    return x, w, at, alpha
+
+
+def _mirror_routes(x, w, at):
+    """Each interval entry point as a function of (alpha, sided)."""
+    return {
+        "ci_mu g1": lambda a, s: ci_mu(x, w, a, "g1", s),
+        "ci_mu g2": lambda a, s: ci_mu(x, w, a, "g2", s),
+        "ci_xbar": lambda a, s: ci_xbar(randomized_stats(x, w), weight_stats(w), a, s),
+        "ci_edf": lambda a, s: ci_edf(x, w, at, a, s),
+        "ci_df": lambda a, s: ci_df(x, w, at, a, s),
+    }
+
+
+class TestSidednessMirroring:
+    @settings(max_examples=200, deadline=None)
+    @given(interval_inputs())
+    def test_one_sided_at_alpha_shares_an_endpoint_with_two_sided_at_2alpha(self, case):
+        # z for "upper"/"lower" at alpha is z_{2 alpha / 2} of "two" at 2 alpha
+        x, w, at, alpha = case
+        for name, route in _mirror_routes(x, w, at).items():
+            try:
+                two = route(2.0 * alpha, "two")
+            except (DegenerateWeights, ZeroScale):
+                continue
+            edf = name in ("ci_edf", "ci_df")
+            upper, lower = route(alpha, "upper"), route(alpha, "lower")
+            for one in (upper, lower):
+                assert (one.center, one.half_width) == (two.center, two.half_width), name
+            assert upper.lower == two.lower, name
+            assert upper.upper == (1.0 if edf else math.inf), name
+            assert lower.upper == two.upper, name
+            assert lower.lower == (0.0 if edf else -math.inf), name
 
 
 class TestSubsampleSize:

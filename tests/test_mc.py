@@ -65,6 +65,26 @@ class TestGenSample:
         assert abs(x.mean()) < 0.01
         assert abs(x.std() - 1.0) < 0.02
 
+    def test_draws_match_numpy_generators(self):
+        # the sampler of each family is one numpy call on the stream
+        direct = {
+            "binomial:5,0.3": lambda g: g.binomial(5, 0.3, 9).astype(np.float64),
+            "poisson:1.5": lambda g: g.poisson(1.5, 9).astype(np.float64),
+            "lognormal:0.2,0.7": lambda g: g.lognormal(0.2, 0.7, 9),
+            "exponential:2": lambda g: g.exponential(0.5, 9),
+            "normal:1,3": lambda g: g.normal(1.0, 3.0, 9),
+            "beta:2,5": lambda g: g.beta(2.0, 5.0, 9),
+            "uniform:-1,4": lambda g: g.uniform(-1.0, 4.0, 9),
+        }
+        for text, draw in direct.items():
+            got = gen_sample(parse_dist(text), 9, stream(12))
+            assert got.tobytes() == draw(stream(12)).tobytes(), text
+        mean = math.exp(0.2 + 0.5 * 0.7 ** 2)
+        sd = mean * math.sqrt(math.expm1(0.7 ** 2))
+        want = (stream(12).lognormal(0.2, 0.7, 9) - mean) / sd
+        got = gen_sample(parse_dist("lognormal_std:0.2,0.7"), 9, stream(12))
+        assert got.tobytes() == want.tobytes()
+
     def test_poisson_and_uniform_means(self):
         x = gen_sample(DistributionSpec("poisson", (1.0,)), 10**6, stream(5))
         assert abs(x.mean() - 1.0) < 4e-3
@@ -134,6 +154,16 @@ class TestProportionStudy:
                                   inner_reps=50, band=(0.0, 1.0), seed=22)
         assert report.proportion == 1.0
         assert report.classical_proportion == 1.0
+
+    @pytest.mark.parametrize("band", [(0.96, 0.94), (5.0, 9.0), (-0.1, 0.5), (0.5, 1.5)])
+    def test_band_outside_unit_interval_or_reversed_rejected(self, band):
+        with pytest.raises(ValueError, match="band"):
+            proportion_study(NORMAL, 10, PivotKind.G1, outer_reps=2, inner_reps=5, band=band)
+
+    def test_point_band_accepted(self):
+        report = proportion_study(NORMAL, 10, PivotKind.G1, outer_reps=2, inner_reps=5,
+                                  band=(0.5, 0.5))
+        assert report.band == (0.5, 0.5)
 
     def test_proportion_normal_n30_exact_t_comparator(self):
         # G1 with the normal cutoff vs the exact-size t interval; the G1
