@@ -6,18 +6,18 @@ Binary layout (documented in the README, bit-exact):
 
 Because the randomized mean and variance need only the records whose
 weight is nonzero, a confidence interval for the full-data mean touches
-m draws' worth of distinct records instead of all n.  The reader is
-instrumented (records, pages, bytes, read calls) so that frugality is
-checkable.  It plans its reads with one vectorized pass over the sorted
-indices: a new read starts at a gap of a whole 4 KiB page (512 records)
-or more, or at the next aligned RANGE_LIMIT block, so sparse samples cost
-about one small read per record and dense ones merge into reads of at
-most 1 MiB.
+m draws' worth of distinct records instead of all n.  The reader maps the
+file one aligned WINDOW (4 MiB) at a time, only the windows that hold a
+sampled record, and gathers the records with one numpy fancy index per
+window, so a fetch costs about its records and never maps the whole file.
+It is instrumented (records, pages, bytes, windows mapped) so that
+frugality is checkable.
 """
 from __future__ import annotations
 
 import csv
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -44,14 +44,16 @@ MAGIC = b"RPV1"
 VERSION = 1
 HEADER_SIZE = 16
 RECORD_SIZE = 8
-PAGE_SIZE = 4096  # bytes; records less than a page apart share a read
-RANGE_LIMIT = 1 << 20  # bytes; no read crosses an aligned block of this size
+PAGE_SIZE = 4096  # bytes; the unit in which a fetch is counted
+WINDOW = 1 << 22  # bytes mapped at a time, at offsets aligned to this size
 MIN_RECORDS = 16
+_FINITE_CHUNK = 1 << 16  # values scanned per step of the finiteness check
 
 
 @dataclass
 class ReadStats:
-    """I/O instrumentation for one fetch."""
+    """I/O instrumentation for one fetch: records gathered, the bytes of the
+    pages they lie on, windows mapped and distinct pages touched."""
 
     records_read: int = 0
     bytes_read: int = 0
@@ -96,7 +98,8 @@ class SubsampleReport:
 
     @property
     def file_fraction(self) -> float:
-        """Bytes read over the n * 8 record bytes of the file."""
+        """Bytes of the pages touched over the n * 8 record bytes of the
+        file; above 1 for a file of a few pages, whose last page is partial."""
         return self.bytes_read / (RECORD_SIZE * self.n)
 
     @property
@@ -140,48 +143,56 @@ class DatasetHandle:
         """Fetch the records at sorted distinct indices.
 
         Returns the values in the given (ascending) order plus I/O stats.
-        The reads are planned in one vectorized pass: a new read starts
-        where the next index is a whole 4 KiB page (512 records) or more
-        past the previous one, or lies in the next aligned RANGE_LIMIT
-        block.  Each read covers its records' full span, so a read is
-        never longer than RANGE_LIMIT, and the plan adapts to density:
-        a sparse sample costs about one 8-byte read per record, a dense
-        one a few reads per MiB.  On the 6e7-record, 458 MiB file of the
-        benchmark's dense query (m ~ 6.8e5) this trades bytes for read
-        calls: about 100,000 reads of 0.71 of the file under the previous
-        rule (coalescing only within 4 KiB of each read's first record)
-        become about 2,460 reads of 0.98 of it.
+        The indices are grouped by the aligned WINDOW of the file their
+        record lies in.  Each window that holds one is mapped read-only,
+        gathered from through np.frombuffer, and unmapped before the next,
+        so no more than WINDOW bytes of the file are mapped at once.  A
+        whole-file map would leave every page faulted in, together with
+        the kernel's fault-around neighbours, counted in the process's
+        peak resident set.  Before mapping, the open file's size is checked:
+        a file that no longer holds the last index raises
+        DatasetFormatError.  Only shrinking the file in place while a fetch
+        runs can still fault (SIGBUS); write_dataset replaces a file by
+        rename, which never does that to an open one.
+
+        The stats count what the page cache serves: ``read_calls`` is the
+        number of windows mapped, ``pages_touched`` the distinct 4 KiB
+        pages that hold a fetched record, and ``bytes_read`` is
+        pages_touched * PAGE_SIZE.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return np.empty(0, dtype=np.float64), ReadStats()
-        gaps = np.diff(indices)
-        if (gaps <= 0).any():
+        if (np.diff(indices) <= 0).any():
             raise ValueError("indices must be strictly increasing")
         if indices[0] < 0 or indices[-1] >= self.count:
             raise ValueError("index out of range")
 
-        blocks = indices // (RANGE_LIMIT // RECORD_SIZE)
-        breaks = (gaps >= PAGE_SIZE // RECORD_SIZE) | (np.diff(blocks) != 0)
-        bounds = np.concatenate(([0], np.flatnonzero(breaks) + 1, [indices.size]))
-        firsts = indices[bounds[:-1]]
-        spans = indices[bounds[1:] - 1] - firsts + 1
-        offsets = indices - np.repeat(firsts, np.diff(bounds))  # within each range
-        pages = (HEADER_SIZE + indices * RECORD_SIZE) // PAGE_SIZE
+        offsets = HEADER_SIZE + indices * RECORD_SIZE
+        windows = offsets // WINDOW
+        cuts = np.flatnonzero(np.diff(windows)) + 1
+        bounds = np.concatenate(([0], cuts, [indices.size])).tolist()
+        slots = (offsets - windows * WINDOW) // RECORD_SIZE  # records never straddle
+        pages = offsets // PAGE_SIZE
 
         values = np.empty(indices.size, dtype=np.float64)
-        buf = np.empty(int(spans.max()), dtype="<f8")
-        with open(self.path, "rb", buffering=0) as f:
-            for lo, hi, first, span in zip(bounds[:-1].tolist(), bounds[1:].tolist(),
-                                           firsts.tolist(), spans.tolist()):
-                f.seek(HEADER_SIZE + first * RECORD_SIZE)
-                if f.readinto(buf[:span]) != span * RECORD_SIZE:
-                    raise DatasetFormatError(f"{self.path}: truncated read")
-                values[lo:hi] = buf[offsets[lo:hi]]
+        with open(self.path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if int(offsets[-1]) + RECORD_SIZE > size:
+                raise DatasetFormatError(f"{self.path}: truncated to {size} bytes")
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                start = int(windows[lo]) * WINDOW
+                length = min(WINDOW, size - start)
+                with mmap.mmap(f.fileno(), length, access=mmap.ACCESS_READ,
+                               offset=start) as window:
+                    records = np.frombuffer(window, dtype="<f8", count=length // RECORD_SIZE)
+                    values[lo:hi] = records[slots[lo:hi]]
+                    del records  # the map cannot close while a view exports it
+        touched = int(np.count_nonzero(np.diff(pages))) + 1
         stats = ReadStats(records_read=int(indices.size),
-                          bytes_read=int(spans.sum()) * RECORD_SIZE,
-                          read_calls=int(spans.size),
-                          pages_touched=int(np.count_nonzero(np.diff(pages))) + 1)
+                          bytes_read=touched * PAGE_SIZE,
+                          read_calls=len(bounds) - 1,
+                          pages_touched=touched)
         return values, stats
 
 
@@ -283,12 +294,15 @@ def draw_index_sample(n: int, m: int, rng: np.random.Generator) -> IndexSample:
 
 def _check_finite(values: np.ndarray, indices: np.ndarray | None = None) -> None:
     """Raise NonFiniteValue at the first NaN or infinity, naming its record
-    (the position in values, or indices[position] when given)."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        j = int(bad[0])
-        raise NonFiniteValue(j if indices is None else int(indices[j]),
-                             repr(float(values[j])))
+    (the position in values, or indices[position] when given).  Scans in
+    chunks, so the temporary mask stays small however long values is."""
+    flat = values.reshape(-1)
+    for start in range(0, flat.size, _FINITE_CHUNK):
+        finite = np.isfinite(flat[start:start + _FINITE_CHUNK])
+        if not finite.all():
+            j = start + int(np.argmin(finite))
+            raise NonFiniteValue(j if indices is None else int(indices[j]),
+                                 repr(float(flat[j])))
 
 
 def _query(h: DatasetHandle, policy: SizingPolicy, rng: np.random.Generator,

@@ -42,6 +42,16 @@ def _band(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="root seed (default: env RANDPIVOT_SEED or 0)")
@@ -50,7 +60,7 @@ def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the timestamp field from the report")
     if threads:
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker processes for replications (default: 1)")
 
 
@@ -261,8 +271,6 @@ def _run(args: argparse.Namespace) -> dict[str, Any]:
         if args.stat == "mean":
             ci, report = bigdata.bigdata_ci_mean(h, args.alpha, policy, rng, sided=args.sided)
         else:
-            if args.x is None:
-                raise RandPivotError("--x is required for --stat edf")
             ci, report = bigdata.bigdata_ci_edf(h, args.x, args.alpha, policy, rng,
                                                 sided=args.sided, dkw_eps=args.dkw_eps)
         payload = _ci_payload(ci, {"seed": seed})
@@ -304,8 +312,6 @@ def _run(args: argparse.Namespace) -> dict[str, Any]:
     if cmd == "bound":
         p_s2 = args.p_s2
         if p_s2 is None:
-            if args.sigma2 is None or args.mu4 is None:
-                raise RandPivotError("give --p-s2, or both --sigma2 and --mu4")
             p_s2 = bounds.chebyshev_p_s2(args.n, args.eps1, args.sigma2, args.mu4)
         b = bounds.BoundInputs(n=args.n, m=args.m, delta=args.delta, eps=args.eps,
                                eps1=args.eps1, eps2=args.eps2, rho3=args.rho3,
@@ -330,9 +336,18 @@ def _run(args: argparse.Namespace) -> dict[str, Any]:
     raise AssertionError(f"unhandled command {cmd!r}")
 
 
+def _check_usage(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Option combinations argparse cannot express; each is a usage error."""
+    if args.command == "ci-bigdata" and args.stat == "edf" and args.x is None:
+        parser.error("--x is required for --stat edf")
+    if args.command == "bound" and args.p_s2 is None and (args.sigma2 is None or args.mu4 is None):
+        parser.error("give --p-s2, or both --sigma2 and --mu4")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_usage(parser, args)
     if args.seed is None:
         args.seed = _env_seed(parser)
     try:

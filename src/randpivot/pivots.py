@@ -34,6 +34,10 @@ __all__ = [
     "pivot",
 ]
 
+_EXACT_MIN_TERMS = 640  # below this many terms math.fsum is faster (measured)
+_EXACT_CHUNK = 1 << 16  # terms per bincount pass: every bucket stays below 2^43
+_EXP_BIAS = 1074  # np.frexp exponents of finite doubles lie in [-1073, 1024]
+
 
 class PivotKind(enum.Enum):
     T1 = "t1"
@@ -91,14 +95,58 @@ class RandomizedStats:
         return self._ratio_mean
 
 
+def _exact_sum(a) -> float:
+    """math.fsum(a), bitwise, vectorized: the exact sum rounded once.
+
+    Each term is m * 2^(e-53) with m = frexp mantissa * 2^53, an integer
+    below 2^53, split into halves hi * 2^26 + lo of 27 and 26 bits.  Per
+    chunk, np.bincount sums the halves per exponent; every partial sum is
+    an integer below 2^43, so exact.  The int64 chunk totals (exact up to
+    2^36 terms) are combined in Python integers and rounded once by int/int
+    true division, which is correctly rounded, like fsum.  Short input,
+    non-finite terms, a zero sum (whose sign follows fsum's own rule) and
+    sums that could overflow go to math.fsum, so the result and any
+    exception are fsum's own.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    if a.size < _EXACT_MIN_TERMS:
+        return math.fsum(a)
+    buckets = 2 * _EXP_BIAS + 1
+    hi = np.zeros(buckets, dtype=np.int64)
+    lo = np.zeros(buckets, dtype=np.int64)
+    for start in range(0, a.size, _EXACT_CHUNK):
+        mant, exp = np.frexp(a[start:start + _EXACT_CHUNK])
+        mant = np.ldexp(mant, 53)
+        top = np.trunc(np.ldexp(mant, -26))
+        exp += _EXP_BIAS
+        h = np.bincount(exp, top, buckets)
+        if not np.isfinite(h).all():
+            return math.fsum(a)
+        hi += h.astype(np.int64)
+        lo += np.bincount(exp, mant - np.ldexp(top, 26), buckets).astype(np.int64)
+    used = np.flatnonzero(hi | lo)
+    # |sum| < size * 2^(top exponent) <= 2^1022 rules out fsum's
+    # intermediate overflow
+    if used.size == 0 or used[-1] - _EXP_BIAS + a.size.bit_length() > 1022:
+        return math.fsum(a)
+    base = int(used[0])
+    total = 0
+    for e, h, l in zip(used.tolist(), hi[used].tolist(), lo[used].tolist()):
+        total += ((h << 26) + l) << (e - base)
+    if total == 0:
+        return math.fsum(a)
+    shift = base - _EXP_BIAS - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
 def sample_stats(x) -> SampleStats:
     """Mean and divisor-n variance of a sample with at least two points."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     if n < 2:
         raise TooFewObservations(f"need at least 2 observations, got {n}")
-    mean = math.fsum(x) / n
-    var = math.fsum((x - mean) ** 2) / n
+    mean = _exact_sum(x) / n
+    var = _exact_sum((x - mean) ** 2) / n
     return SampleStats(n=n, mean=mean, var_biased=var)
 
 
@@ -111,8 +159,8 @@ def randomized_stats_from_nonzero(values_nz: np.ndarray, counts_nz: np.ndarray,
     """
     values_nz = np.asarray(values_nz, dtype=np.float64)
     counts_nz = np.asarray(counts_nz, dtype=np.float64)
-    rmean = math.fsum(counts_nz * values_nz) / m
-    rvar = math.fsum(counts_nz * (values_nz - rmean) ** 2) / m
+    rmean = _exact_sum(counts_nz * values_nz) / m
+    rvar = _exact_sum(counts_nz * (values_nz - rmean) ** 2) / m
     return rmean, rvar
 
 
@@ -123,8 +171,8 @@ def _ratio_estimate(x, w: WeightVector) -> float | None:
     if x.size != w.n:
         raise ValueError(f"data length {x.size} != weight length {w.n}")
     abs_dev = np.abs(w.counts / w.m - 1.0 / w.n)
-    sabs = math.fsum(abs_dev)
-    return math.fsum(abs_dev * x) / sabs if sabs > 0.0 else None
+    sabs = _exact_sum(abs_dev)
+    return _exact_sum(abs_dev * x) / sabs if sabs > 0.0 else None
 
 
 def randomized_stats(x, w: WeightVector) -> RandomizedStats:
@@ -150,9 +198,9 @@ def _studentized(w: WeightVector, wstats: WeightStats, data: np.ndarray,
     when a center is given, over sqrt(scale2) * sqrt(sum d_i^2)."""
     dev = w.counts / w.m - 1.0 / w.n
     if center is None:
-        num = math.fsum(dev * data)
+        num = _exact_sum(dev * data)
     else:
-        num = math.fsum(np.abs(dev) * (data - center))
+        num = _exact_sum(np.abs(dev) * (data - center))
     return num / (math.sqrt(scale2) * math.sqrt(wstats.sum_sq_dev))
 
 

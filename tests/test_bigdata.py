@@ -1,10 +1,13 @@
 """Tests for the binary dataset format, sparse subsampling, and big-data CIs."""
+import contextlib
 import math
+import mmap
 import os
 import struct
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,25 +20,32 @@ from randpivot import (DatasetFormatError, DatasetTooSmall, NonFiniteValue,
                        open_dataset, randomized_stats, read_csv_column, stream,
                        weight_stats, write_dataset)
 from randpivot import bigdata
-from randpivot.bigdata import (HEADER_SIZE, MAGIC, PAGE_SIZE, RANGE_LIMIT, RECORD_SIZE,
-                               VERSION)
+from randpivot.bigdata import (HEADER_SIZE, MAGIC, MIN_RECORDS, PAGE_SIZE, RECORD_SIZE,
+                               VERSION, WINDOW)
 from randpivot.intervals import Fixed, PowerDelta
+from randpivot.pivots import _EXACT_MIN_TERMS, randomized_stats_from_nonzero
 
 
-def planned_ranges(indices):
-    """The reader's range rule, one index at a time: (first, last) per read."""
-    ranges = []
-    for i in indices:
-        if (ranges and i - ranges[-1][1] < PAGE_SIZE // RECORD_SIZE
-                and i * RECORD_SIZE // RANGE_LIMIT == ranges[-1][0] * RECORD_SIZE // RANGE_LIMIT):
-            ranges[-1][1] = i
-        else:
-            ranges.append([i, i])
-    return ranges
+def windows_of(indices):
+    """The aligned WINDOWs that hold the records, one index at a time."""
+    return len({(HEADER_SIZE + i * RECORD_SIZE) // WINDOW for i in indices})
 
 
 def pages_of(indices):
     return len({(HEADER_SIZE + i * RECORD_SIZE) // PAGE_SIZE for i in indices})
+
+
+@contextlib.contextmanager
+def recorded_mappings():
+    """Wrap mmap.mmap for the reader; collect (offset, length) per mapping."""
+    real, maps = mmap.mmap, []
+
+    def wrapped(fileno, length, **kwargs):
+        maps.append((kwargs["offset"], length))
+        return real(fileno, length, **kwargs)
+
+    with mock.patch.object(bigdata.mmap, "mmap", wrapped):
+        yield maps
 
 
 class TestBinaryFormat:
@@ -136,6 +146,21 @@ class TestBinaryFormat:
         assert peak < values.nbytes // 2  # one copy would be values.nbytes
         assert (tmp_path / "d.rpv").read_bytes()[HEADER_SIZE:] == values.tobytes()
 
+    def test_finite_check_scans_in_chunks(self):
+        values = np.arange(1 << 20, dtype=np.float64)  # 8 MiB
+        tracemalloc.start()
+        try:
+            bigdata._check_finite(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes // 8  # a whole mask would be nbytes / 8
+        values[-1] = math.nan
+        values[700_001] = -math.inf  # the first bad record, past many chunks
+        with pytest.raises(NonFiniteValue) as err:
+            bigdata._check_finite(values)
+        assert (err.value.row, err.value.content) == (700_001, "-inf")
+
     def test_parse_error_carries_row(self, tmp_path):
         csv = tmp_path / "bad.csv"
         csv.write_text("1.0\nhello\n")
@@ -214,6 +239,23 @@ class TestBigdataCiMean:
         assert report.bytes_read >= report.records_read * RECORD_SIZE
         assert report.rate_bound > 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(MIN_RECORDS, 5 * _EXACT_MIN_TERMS),
+           m=st.integers(1, 8 * _EXACT_MIN_TERMS),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-6, 1.0, 1e8]))
+    def test_dense_equals_sparse_on_random_data(self, tmp_path_factory, n, m, seed, scale):
+        # the distinct-record count lands on both sides of the exact-sum
+        # threshold, so both summation routes are compared
+        data = stream(seed).normal(3.0, 1.0, size=n) * scale
+        h = write_dataset(data, tmp_path_factory.getbasetemp() / "dense_sparse.rpv")
+        dense = randomized_stats(data, draw_weights(n, m, stream(seed, 1)))
+        sample = draw_index_sample(n, m, stream(seed, 1))
+        values, _ = h.read_records(sample.indices)
+        assert (values == data[sample.indices]).all()
+        assert (dense.rmean, dense.rvar) == randomized_stats_from_nonzero(
+            values, sample.counts, m)
+
     def test_constant_dataset_zero_scale(self, tmp_path):
         h = write_dataset(np.full(100, 7.0), tmp_path / "c.rpv")
         with pytest.raises(ZeroScale):
@@ -232,20 +274,22 @@ class TestReadPattern:
         idx = np.array([0, 1, 2, 600, 601, 4000])
         values, stats = h.read_records(idx)
         assert values.tolist() == [0.0, 1.0, 2.0, 600.0, 601.0, 4000.0]
-        # 0..2 coalesce (one read), 600..601 coalesce, 4000 alone
-        assert stats.read_calls == 3
-        assert stats.records_read == 6
-        assert stats.bytes_read == (3 * 8) + (2 * 8) + 8
-
-    def test_wide_gap_splits_reads(self, tmp_path):
-        h = write_dataset(np.arange(2000.0), tmp_path / "d.rpv")
-        per_window = 4096 // RECORD_SIZE
-        idx = np.array([0, per_window - 1])   # still one window
-        _, stats = h.read_records(idx)
+        # bytes 16..39 on page 0, 4816..4831 on page 1, 32016 on page 7;
+        # the 32,784-byte file is one window
         assert stats.read_calls == 1
-        idx = np.array([0, per_window])       # crosses the window
-        _, stats = h.read_records(idx)
+        assert stats.records_read == 6
+        assert stats.pages_touched == 3
+        assert stats.bytes_read == 3 * PAGE_SIZE
+
+    def test_wide_gap_splits_reads(self, ranged_file):
+        h = open_dataset(ranged_file)
+        last_in_first = (WINDOW - HEADER_SIZE) // RECORD_SIZE - 1  # byte WINDOW - 8
+        _, stats = h.read_records(np.array([0, last_in_first]))
+        assert stats.read_calls == 1
+        _, stats = h.read_records(np.array([0, last_in_first + 1]))
         assert stats.read_calls == 2
+        _, stats = h.read_records(np.array([last_in_first + 1]))
+        assert stats.read_calls == 1
 
     def test_requires_sorted_unique(self, tmp_path):
         h = write_dataset(np.arange(100.0), tmp_path / "d.rpv")
@@ -282,8 +326,8 @@ class TestBigdataCiEdf:
         assert ci.half_width == pytest.approx(want, rel=0.15)
 
 
-# Long enough for reads to meet RANGE_LIMIT block boundaries twice.
-RANGED_N = 2 * RANGE_LIMIT // RECORD_SIZE + 40_000
+# Long enough for fetches to cross WINDOW boundaries twice.
+RANGED_N = 2 * WINDOW // RECORD_SIZE + 40_000
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +335,11 @@ def ranged_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("ranged") / "d.rpv"
     write_dataset(stream(2718).normal(size=RANGED_N), path)
     return path
+
+
+@pytest.fixture(scope="module")
+def ranged_values(ranged_file):
+    return np.fromfile(ranged_file, dtype="<f8", offset=HEADER_SIZE)
 
 
 def index_sets():
@@ -304,25 +353,36 @@ def index_sets():
 class TestRangedReads:
     @settings(max_examples=150, deadline=None)
     @given(index_sets())
-    def test_values_and_counts_follow_the_range_rule(self, ranged_file, indices):
+    def test_values_and_counts_follow_the_range_rule(self, ranged_file, ranged_values,
+                                                     indices):
         h = open_dataset(ranged_file)
-        values, stats = h.read_records(np.array(indices, dtype=np.int64))
-        direct = np.fromfile(ranged_file, dtype="<f8", offset=HEADER_SIZE)
-        assert (values == direct[indices]).all()
-        ranges = planned_ranges(indices)
-        spans = [last - first + 1 for first, last in ranges]
-        assert stats.read_calls == len(ranges)
-        assert stats.bytes_read == RECORD_SIZE * sum(spans)
-        assert max(spans) * RECORD_SIZE <= RANGE_LIMIT
-        assert stats.records_read == len(indices)
+        with recorded_mappings() as maps:
+            values, stats = h.read_records(np.array(indices, dtype=np.int64))
+        assert (values == ranged_values[indices]).all()
+        assert stats.read_calls == windows_of(indices) == len(maps)
         assert stats.pages_touched == pages_of(indices)
+        assert stats.bytes_read == PAGE_SIZE * pages_of(indices)
+        assert stats.records_read == len(indices)
+        size = ranged_file.stat().st_size
+        assert [offset for offset, _ in maps] == sorted(
+            {(HEADER_SIZE + i * RECORD_SIZE) // WINDOW * WINDOW for i in indices})
+        for offset, length in maps:
+            assert offset % mmap.ALLOCATIONGRANULARITY == 0 and offset % PAGE_SIZE == 0
+            assert 0 < length <= WINDOW
+            assert offset + length <= size
 
-    def test_dense_sample_reads_whole_blocks(self, ranged_file):
+    def test_dense_sample_reads_whole_blocks(self, ranged_file, ranged_values):
         h = open_dataset(ranged_file)
         indices = np.arange(0, RANGED_N, 3)
-        values, stats = h.read_records(indices)
-        assert stats.read_calls == math.ceil(RANGED_N * RECORD_SIZE / RANGE_LIMIT)
-        assert (values == np.fromfile(ranged_file, dtype="<f8", offset=HEADER_SIZE)[indices]).all()
+        with recorded_mappings() as maps:
+            values, stats = h.read_records(indices)
+        file_bytes = HEADER_SIZE + RANGED_N * RECORD_SIZE
+        assert stats.read_calls == len(maps) == math.ceil(file_bytes / WINDOW)
+        assert [length for _, length in maps] == [WINDOW, WINDOW, file_bytes - 2 * WINDOW]
+        # every page holds a record of a stride-3 sample
+        assert stats.pages_touched == math.ceil(file_bytes / PAGE_SIZE)
+        assert stats.bytes_read == PAGE_SIZE * stats.pages_touched
+        assert (values == ranged_values[indices]).all()
 
     def test_truncated_after_open(self, tmp_path):
         path = tmp_path / "t.rpv"
@@ -341,10 +401,10 @@ class TestReport:
         # 2000 records: 16 + 16000 bytes over 4 pages
         h = write_dataset(np.arange(2000.0), tmp_path / "d.rpv")
         _, stats = h.read_records(np.array([0, 1, 509, 510, 1500, 1999]))
-        # pages of the records: 0, 0, 0, 1, 2, 3; reads [0, 510] and [1500, 1999]
+        # pages of the records: 0, 0, 0, 1, 2, 3; all in window 0
         assert stats.pages_touched == 4
-        assert stats.read_calls == 2
-        assert stats.bytes_read == (511 + 500) * RECORD_SIZE
+        assert stats.read_calls == 1
+        assert stats.bytes_read == 4 * PAGE_SIZE
 
     @pytest.mark.parametrize("stat", ["mean", "edf"])
     def test_report_fields_match_hand_counts(self, tmp_path, stat):
@@ -355,12 +415,11 @@ class TestReport:
         else:
             _, report = bigdata_ci_edf(h, 0.0, 0.05, Fixed(m), stream(4, 4))
         indices = draw_index_sample(n, m, stream(4, 4)).indices.tolist()
-        ranges = planned_ranges(indices)
-        nbytes = RECORD_SIZE * sum(last - first + 1 for first, last in ranges)
+        nbytes = PAGE_SIZE * pages_of(indices)
         file_pages = 98  # ceil((16 + 8 * 50000) / 4096)
         d = report.to_dict()
         assert d["pages_touched"] == pages_of(indices)
-        assert d["read_calls"] == len(ranges)
+        assert d["read_calls"] == windows_of(indices)
         assert d["bytes_read"] == nbytes
         assert d["file_fraction"] == nbytes / (RECORD_SIZE * n)
         assert d["predicted_page_fraction"] == pytest.approx(

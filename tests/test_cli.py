@@ -136,6 +136,29 @@ class TestExitCodes:
             assert out.stdout == "" and "band" in out.stderr
 
 
+    def test_bigdata_edf_without_x_is_2(self, tmp_path):
+        data = tmp_path / "d.rpv"
+        data.write_bytes(b"")  # never opened: the usage check comes first
+        out = run_cli("ci-bigdata", "--data", str(data), "--stat", "edf",
+                      "--no-timestamp", expect=2)
+        assert out.stdout == "" and "--x is required for --stat edf" in out.stderr
+
+    def test_bound_without_variance_input_is_2(self):
+        base = ("bound", "--n", "100", "--m", "100", "--delta", "0.5", "--eps", "0.1",
+                "--eps1", "0.01", "--eps2", "0.05", "--rho3", "2", "--no-timestamp")
+        for extra in ((), ("--sigma2", "1"), ("--mu4", "3")):
+            out = run_cli(*base, *extra, expect=2)
+            assert out.stdout == "" and "--p-s2" in out.stderr
+        # both fallback inputs pass the usage check; this bound's hypothesis fails
+        assert "delta" in run_cli(*base, "--sigma2", "1", "--mu4", "3", expect=1).stderr
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_must_be_positive(self, threads):
+        out = run_cli("coverage", "--dist", "normal:0,1", "--n", "5", "--reps", "10",
+                      "--threads", threads, "--no-timestamp", expect=2)
+        assert out.stdout == "" and "--threads" in out.stderr
+
+
 class TestDeterminism:
     def test_same_seed_same_bytes(self, sample_csv):
         args = ("ci-mean", "--data", str(sample_csv), "--seed", "11", "--no-timestamp")

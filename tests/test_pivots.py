@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randpivot import (DegenerateWeights, MissingMu, PivotKind,
                        TooFewObservations, WeightVector, ZeroScale,
                        draw_weights, enumerate_weight_vectors, pivot,
                        randomized_stats, sample_stats, stream)
+from randpivot.pivots import _EXACT_CHUNK, _EXACT_MIN_TERMS, _exact_sum
 
 
 def _w(counts, m=None):
@@ -200,3 +203,69 @@ class TestDistributionalProperties:
         sm_big, sv_big = spreads(10000, 62)
         assert 6.0 < sm_small / sm_big < 16.0
         assert 6.0 < sv_small / sv_big < 16.0
+
+
+def summed(f, a):
+    """f(a) as ("ok", hex value) or (exception type, message): bitwise,
+    with the sign of zero, and with fsum's exceptions."""
+    try:
+        return "ok", f(a).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+SUM_SIZES = st.one_of(
+    st.sampled_from([0, 1, _EXACT_MIN_TERMS - 1, _EXACT_MIN_TERMS, _EXACT_MIN_TERMS + 1,
+                     _EXACT_CHUNK - 1, _EXACT_CHUNK, _EXACT_CHUNK + 1, 2 * _EXACT_CHUNK + 3]),
+    st.integers(0, 4 * _EXACT_MIN_TERMS))
+
+
+def summands(kind, size, rng):
+    """size terms of one hard kind for an exact sum."""
+    x = rng.standard_normal(size)
+    if kind == "scales":  # magnitudes across 10^-5 .. 10^5
+        return x * 10.0 ** rng.integers(-5, 6, size)
+    if kind == "wide":  # every binade from the subnormals up to 2^1000
+        return np.ldexp(x, rng.integers(-1074, 1000, size))
+    if kind == "subnormal":
+        return rng.integers(-(1 << 20), 1 << 20, size) * 5e-324
+    if kind == "cancel":  # pairs that cancel, with a tiny residue
+        half = x[: size // 2] * 1e12
+        out = np.concatenate([half, -half, x[: size % 2] * 1e-12])
+        return rng.permutation(out)
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0], size)
+    if kind == "huge":  # sums past the float range, or near it
+        return rng.choice([1.0, -1.0], size) * 1.7e308 * rng.uniform(0.5, 1.0, size)
+    return x
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(SUM_SIZES,
+           st.sampled_from(["normal", "scales", "wide", "subnormal", "cancel", "zeros", "huge"]),
+           st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.floats(), st.integers(0, 10**6)), max_size=4))
+    def test_bitwise_fsum(self, size, kind, seed, specials):
+        a = summands(kind, size, np.random.default_rng(seed))
+        if a.size:  # splice in arbitrary floats: infinities, NaN, extremes
+            a = a.copy()
+            for value, at in specials:
+                a[at % a.size] = value
+        assert summed(_exact_sum, a) == summed(math.fsum, a)
+
+    def test_named_cases(self):
+        n = 2 * _EXACT_MIN_TERMS
+        cases = [
+            np.full(n, -0.0),                                  # fsum's zero sign
+            np.concatenate([np.full(n, 1.5), np.full(n, -1.5)]),  # exact zero
+            np.full(n, 1e308),                                 # intermediate overflow
+            np.concatenate([[1e308, 1e308], np.full(n, -1e308)]),
+            np.concatenate([[np.inf, -np.inf], np.ones(n)]),   # ValueError
+            np.concatenate([[np.nan], np.ones(n)]),
+            np.concatenate([[np.inf], np.ones(n)]),
+            np.full(n, 5e-324),
+            np.concatenate([[2.0**-1074, 1.0, 2.0**53], np.full(n, 2.0**-60)]),  # ties
+        ]
+        for a in cases:
+            assert summed(_exact_sum, a) == summed(math.fsum, a)
