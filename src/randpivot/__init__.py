@@ -1,9 +1,9 @@
 """randpivot: inference from multinomial-weight randomized pivots.
 
 Small samples: G-type pivots give confidence intervals for the population
-mean whose normal approximation carries an O(1/n) error when the weight
-total equals the sample size, against O(1/sqrt(n)) for the classical
-Student t.  Big data: T-type pivots give intervals for the full-data mean
+mean; given the weights, their normal-approximation error is bounded in
+probability at the rate 1/n when the weight total equals the sample size
+(arXiv:1404.5671).  Big data: T-type pivots give intervals for the full-data mean
 (and EDF values) computable from a small sub-sample of records.
 """
 from .bigdata import (DatasetHandle, IndexSample, SubsampleReport,
@@ -14,9 +14,9 @@ from .bounds import (BoundInputs, BoundResult, chebyshev_p_s2, hypothesis_margin
 from .edf import EdfPoint, ci_df, ci_edf, dkw_bound, edf_pivot, edf_point
 from .errors import (BadMoments, BadParams, DatasetFormatError,
                      DatasetTooSmall, DegenerateWeights, DomainError,
-                     EpsOutOfRange, HypothesisViolated, MissingF, MissingMu,
-                     NonFiniteValue, ParseError, RandPivotError,
-                     TooFewObservations, ZeroScale)
+                     EpsOutOfRange, HypothesisViolated, MissingColumn,
+                     MissingF, MissingMu, NonFiniteValue, ParseError,
+                     RandPivotError, TooFewObservations, ZeroScale)
 from .intervals import (ConfidenceInterval, Fixed, LogLog, PowerDelta,
                         SizingPolicy, ci_mu, ci_xbar, critical_z,
                         parse_policy, subsample_size)

@@ -52,6 +52,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _column_arg(text: str) -> str | int:
+    try:
+        index = int(text)
+    except ValueError:
+        return text
+    if index < 0:
+        raise argparse.ArgumentTypeError(f"a column index is 0-based, got {index}")
+    return index
+
+
 def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="root seed (default: env RANDPIVOT_SEED or 0)")
@@ -80,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="convert a CSV column to the binary dataset format")
     p.add_argument("--csv", required=True, help="source CSV file")
-    p.add_argument("--column", default="0", help="column name or 0-based index (default: 0)")
+    p.add_argument("--column", type=_column_arg, default="0",
+                   help="column name or 0-based index (default: 0)")
     p.add_argument("--out", required=True, help="destination dataset file")
     p.add_argument("--header", action="store_true", help="skip a header row")
     p.add_argument("--delimiter", default=",", help="field delimiter (default: ,)")
@@ -88,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ci-mean", help="interval for the population mean from in-memory data")
     p.add_argument("--data", required=True, help="CSV file with the sample")
-    p.add_argument("--column", default="0", help="column name or 0-based index (default: 0)")
+    p.add_argument("--column", type=_column_arg, default="0",
+                   help="column name or 0-based index (default: 0)")
     p.add_argument("--header", action="store_true", help="skip a header row")
     p.add_argument("--alpha", type=float, default=0.05, help="1 - level (default: 0.05)")
     p.add_argument("--variant", choices=("g1", "g2"), default="g1",
@@ -101,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ci-edf", help="pointwise interval for F_n(x) or F(x) from in-memory data")
     p.add_argument("--data", required=True, help="CSV file with the sample")
-    p.add_argument("--column", default="0", help="column name or 0-based index (default: 0)")
+    p.add_argument("--column", type=_column_arg, default="0",
+                   help="column name or 0-based index (default: 0)")
     p.add_argument("--header", action="store_true", help="skip a header row")
     p.add_argument("--x", type=float, required=True, help="evaluation point")
     p.add_argument("--target", choices=("edf", "df"), default="edf",
@@ -204,13 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _column_arg(text: str) -> str | int:
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
 def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
     if not args.no_timestamp:
         payload = {**payload, "timestamp": datetime.now(timezone.utc).isoformat()}
@@ -230,9 +236,7 @@ def _ci_payload(ci: intervals.ConfidenceInterval, extra: dict[str, Any] | None =
 
 
 def _load_sample(args: argparse.Namespace) -> np.ndarray:
-    column = _column_arg(args.column)
-    header = args.header or isinstance(column, str)
-    return bigdata.read_csv_column(args.data, column, header=header)
+    return bigdata.read_csv_column(args.data, args.column, header=args.header)
 
 
 def _run(args: argparse.Namespace) -> dict[str, Any]:
@@ -240,10 +244,8 @@ def _run(args: argparse.Namespace) -> dict[str, Any]:
     cmd = args.command
 
     if cmd == "ingest":
-        column = _column_arg(args.column)
-        header = args.header or isinstance(column, str)
-        h = bigdata.ingest_csv(args.csv, column, args.out,
-                               header=header, delimiter=args.delimiter)
+        h = bigdata.ingest_csv(args.csv, args.column, args.out,
+                               header=args.header, delimiter=args.delimiter)
         return {"schema_version": mc.SCHEMA_VERSION, "kind": "ingest",
                 "path": str(h.path), "count": h.count}
 

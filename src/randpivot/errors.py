@@ -67,6 +67,16 @@ class ParseError(RandPivotError):
         self.content = content
 
 
+class MissingColumn(ParseError):
+    """The header row has no column of the requested name."""
+
+    def __init__(self, row: int, name: str):
+        super().__init__(row, f"no column named {name!r}")
+
+    def __str__(self) -> str:
+        return f"row {self.row}: {self.content}"
+
+
 class NonFiniteValue(RandPivotError):
     """A CSV cell or a dataset record is NaN or infinite.
 

@@ -37,6 +37,7 @@ __all__ = [
 _EXACT_MIN_TERMS = 640  # below this many terms math.fsum is faster (measured)
 _EXACT_CHUNK = 1 << 16  # terms per bincount pass: every bucket stays below 2^43
 _EXP_BIAS = 1074  # np.frexp exponents of finite doubles lie in [-1073, 1024]
+_FSUM_NEGATIVE_ZERO = math.copysign(1.0, math.fsum([-0.0, -0.0])) < 0.0
 
 
 class PivotKind(enum.Enum):
@@ -104,9 +105,11 @@ def _exact_sum(a) -> float:
     an integer below 2^43, so exact.  The int64 chunk totals (exact up to
     2^36 terms) are combined in Python integers and rounded once by int/int
     true division, which is correctly rounded, like fsum.  Short input,
-    non-finite terms, a zero sum (whose sign follows fsum's own rule) and
-    sums that could overflow go to math.fsum, so the result and any
-    exception are fsum's own.
+    non-finite terms and sums that could overflow go to math.fsum, so the
+    result and any exception are fsum's own.  An exact zero takes fsum's
+    sign without a walk over the terms: -0.0 only for terms that are all
+    -0.0, and only where this interpreter's fsum keeps that sign (3.11's
+    returns 0.0).
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if a.size < _EXACT_MIN_TERMS:
@@ -125,16 +128,18 @@ def _exact_sum(a) -> float:
         hi += h.astype(np.int64)
         lo += np.bincount(exp, mant - np.ldexp(top, 26), buckets).astype(np.int64)
     used = np.flatnonzero(hi | lo)
+    if used.size == 0:  # every term is a zero
+        return -0.0 if _FSUM_NEGATIVE_ZERO and np.signbit(a).all() else 0.0
     # |sum| < size * 2^(top exponent) <= 2^1022 rules out fsum's
     # intermediate overflow
-    if used.size == 0 or used[-1] - _EXP_BIAS + a.size.bit_length() > 1022:
+    if used[-1] - _EXP_BIAS + a.size.bit_length() > 1022:
         return math.fsum(a)
     base = int(used[0])
     total = 0
     for e, h, l in zip(used.tolist(), hi[used].tolist(), lo[used].tolist()):
         total += ((h << 26) + l) << (e - base)
-    if total == 0:
-        return math.fsum(a)
+    if total == 0:  # nonzero terms that cancel: fsum's zero is +0.0
+        return 0.0
     shift = base - _EXP_BIAS - 53
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 

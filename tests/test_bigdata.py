@@ -1,5 +1,6 @@
 """Tests for the binary dataset format, sparse subsampling, and big-data CIs."""
 import contextlib
+import csv
 import math
 import mmap
 import os
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randpivot import (DatasetFormatError, DatasetTooSmall, NonFiniteValue,
-                       ParseError, ZeroScale, bigdata_ci_edf, bigdata_ci_mean,
-                       ci_xbar, draw_index_sample, draw_weights, ingest_csv,
-                       open_dataset, randomized_stats, read_csv_column, stream,
-                       weight_stats, write_dataset)
+from randpivot import (DatasetFormatError, DatasetTooSmall, MissingColumn,
+                       NonFiniteValue, ParseError, RandPivotError, ZeroScale,
+                       bigdata_ci_edf, bigdata_ci_mean, ci_xbar, draw_index_sample,
+                       draw_weights, ingest_csv, open_dataset, randomized_stats,
+                       read_csv_column, stream, weight_stats, write_dataset)
 from randpivot import bigdata
 from randpivot.bigdata import (HEADER_SIZE, MAGIC, MIN_RECORDS, PAGE_SIZE, RECORD_SIZE,
                                VERSION, WINDOW)
@@ -175,6 +176,197 @@ class TestBinaryFormat:
         assert vals.tolist() == [10.5, 20.5]
         vals = read_csv_column(csv, 1, header=True, delimiter=";")
         assert vals.tolist() == [10.5, 20.5]
+
+
+def reference_read_csv_column(src, column, header=False, delimiter=","):
+    """The row-at-a-time parse that read_csv_column replaced, frozen as the
+    oracle: csv.reader, then strip, float() and isfinite per row."""
+    values = []
+    with open(src, newline="") as f:
+        reader = csv.reader(f, delimiter=delimiter)
+        col_idx = column if isinstance(column, int) else None
+        first = True
+        for row_no, row in enumerate(reader):
+            if not row:
+                continue
+            if first:
+                first = False
+                if isinstance(column, str):
+                    try:
+                        col_idx = row.index(column)
+                    except ValueError:
+                        raise ParseError(row_no, f"no column named {column!r}") from None
+                    continue
+                if header:
+                    continue
+            cell = row[col_idx].strip() if col_idx < len(row) else ""
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(row_no, cell) from None
+            if not math.isfinite(v):
+                raise NonFiniteValue(row_no, cell)
+            values.append(v)
+    return np.array(values, dtype=np.float64)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NUMBER_CELLS = st.one_of(
+    FINITE.map(repr),
+    FINITE.map(lambda v: "%.6g" % v),
+    st.integers(-10**20, 10**20).map(str),
+    st.tuples(st.sampled_from(["", " ", "\t"]), FINITE.map(repr),
+              st.sampled_from(["", " ", "\t"])).map("".join),
+)
+ODD_CELLS = st.one_of(
+    st.sampled_from(["nan", "-inf", "Infinity", "1e500", "-1e400", " NaN "]),
+    st.sampled_from([
+        "", " ", "\t", "1_000", '"1.5"', '"2,5"', '"2;5"', '"3\n4"', '"\n5\n"', '"6\r"',
+        'x"y', "abc", "1.5.2", "\uff11", "\u0661", "0x10", "+.5", "5.", "1E5", " 7 ",
+        "\u00a08", "1 2", "#9",
+    ]),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """(text, column, header, delimiter): numeric columns with blank lines,
+    mixed line ends and an optional header, into which a few odd cells
+    (quotes, bad tokens, non-finite values) and ragged rows are spliced,
+    and whose rows may be quoted from some row on; the column is an index
+    or a name."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    ncols = draw(st.integers(1, 3))
+    full = st.lists(NUMBER_CELLS, min_size=ncols, max_size=ncols)
+    size = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.one_of(st.builds(list), full, full),
+                         min_size=size, max_size=size + 20))
+    spot = st.integers(0, 10**4)
+    for at, width in draw(st.lists(st.tuples(spot, st.integers(0, ncols + 1)), max_size=2)):
+        i = at % len(rows)
+        rows[i] = (rows[i] + ["1"] * ncols)[:width]
+    for at, pos, cell in draw(st.lists(st.tuples(spot, spot, ODD_CELLS), max_size=3)):
+        row = rows[at % len(rows)]
+        if row:
+            row[pos % len(row)] = cell
+        else:
+            row.append(cell)
+    quoting = draw(st.one_of(st.none(), st.tuples(
+        spot, st.sampled_from(['"%s"', '"\n%s"', '" %s\r\n"']))))
+    if quoting:  # quote every cell from some row on; a quote may hold line ends
+        at, form = quoting
+        for row in rows[at % len(rows):]:
+            row[:] = [form % cell for cell in row]
+    names = ["a", "b", "c"][:ncols]
+    header = draw(st.booleans())
+    if header:
+        rows = [[] for _ in range(draw(st.integers(0, 2)))] + [names] + rows
+    lines = [delimiter.join(r) for r in rows]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:-1]  # no final line end (or a \r\n cut to \r)
+    column = draw(st.one_of(st.integers(0, ncols), st.sampled_from(names + ["zz"])))
+    return text, column, header, delimiter
+
+
+class TestCsvReader:
+    """read_csv_column and ingest_csv against the frozen row-at-a-time parse."""
+
+    @pytest.mark.filterwarnings("error")  # numpy's reader must never see a block without cells
+    @settings(max_examples=200, deadline=None)
+    @given(csv_files(), st.data())
+    def test_matches_reference_parse(self, tmp_path_factory, case, data):
+        text, column, header, delimiter = case
+        block = data.draw(st.integers(1, max(1, len(text) // 3)), label="block")
+        chunk = data.draw(st.integers(1, 8), label="records per exact chunk")
+        base = tmp_path_factory.mktemp("diff")
+        src, dst = base / "in.csv", base / "out.rpv"
+        with open(src, "w", newline="") as f:
+            f.write(text)
+        args = (column, header, delimiter)
+        with mock.patch.object(bigdata, "_BLOCK", block), \
+                mock.patch.object(bigdata, "_EXACT_CHUNK", chunk):  # many of each per file
+            try:
+                want = reference_read_csv_column(src, *args)
+            except RandPivotError as exc:
+                for parse in (lambda: read_csv_column(src, *args),
+                              lambda: ingest_csv(src, column, dst, header, delimiter)):
+                    with pytest.raises(RandPivotError) as err:
+                        parse()
+                    assert isinstance(err.value, type(exc))
+                    assert (err.value.row, err.value.content) == (exc.row, exc.content)
+                assert sorted(os.listdir(base)) == ["in.csv"]
+                return
+            got = read_csv_column(src, *args)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            h = ingest_csv(src, column, dst, header, delimiter)
+        assert h.count == want.size
+        write_dataset(want, base / "want.rpv")
+        assert dst.read_bytes() == (base / "want.rpv").read_bytes()
+        assert sorted(os.listdir(base)) == ["in.csv", "out.rpv", "want.rpv"]
+
+    @pytest.mark.parametrize("bad, error", [("oops", ParseError), ("inf", NonFiniteValue)])
+    def test_bad_row_past_the_first_block_keeps_dst(self, tmp_path, bad, error):
+        rows = list(map(repr, stream(5).normal(size=3 * bigdata._BLOCK // 10).tolist()))
+        at = len(rows) - 7  # a few blocks in
+        rows[at] = bad
+        src, dst = tmp_path / "in.csv", tmp_path / "d.rpv"
+        src.write_text("\n".join(rows) + "\n")
+        write_dataset(np.arange(20.0), dst)
+        before = dst.read_bytes()
+        with pytest.raises(error) as err:
+            ingest_csv(src, 0, dst)
+        assert (err.value.row, err.value.content) == (at, bad)
+        assert dst.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["d.rpv", "in.csv"]
+
+    def test_ingest_memory_is_bounded_by_the_block(self, tmp_path):
+        values = stream(6).lognormal(size=200_000)
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join(map(repr, values.tolist())) + "\n")
+        tracemalloc.start()
+        try:
+            h = ingest_csv(src, 0, tmp_path / "d.rpv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes // 2  # the parsed column alone is values.nbytes
+        assert h.count == values.size
+        assert (tmp_path / "d.rpv").read_bytes()[HEADER_SIZE:] == values.tobytes()
+
+    def test_negative_column_is_rejected(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("1,2\n3,4\n")
+        for column in (-1, -3):
+            with pytest.raises(ValueError, match="column index"):
+                read_csv_column(src, column)
+            with pytest.raises(ValueError, match="column index"):
+                ingest_csv(src, column, tmp_path / "d.rpv")
+        assert sorted(os.listdir(tmp_path)) == ["in.csv"]
+
+    def test_missing_column_message(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("\na,b\n1,2\n")
+        with pytest.raises(ParseError) as err:
+            read_csv_column(src, "c")
+        assert isinstance(err.value, MissingColumn)
+        assert str(err.value) == "row 1: no column named 'c'"
+        assert (err.value.row, err.value.content) == (1, "no column named 'c'")
+
+    def test_field_limit_error_is_kept(self, tmp_path):
+        # a field longer than the csv module's limit fails as it always did,
+        # though numpy's reader would accept it
+        src = tmp_path / "in.csv"
+        src.write_text("1\n" + " " * 80 + "2\n3\n")
+        old = csv.field_size_limit(64)
+        try:
+            with pytest.raises(csv.Error, match="field limit"):
+                read_csv_column(src, 0)
+        finally:
+            csv.field_size_limit(old)
 
 
 class TestIndexSample:

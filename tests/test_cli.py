@@ -152,6 +152,24 @@ class TestExitCodes:
         # both fallback inputs pass the usage check; this bound's hypothesis fails
         assert "delta" in run_cli(*base, "--sigma2", "1", "--mu4", "3", expect=1).stderr
 
+    @pytest.mark.parametrize("column", ["-1", "-3"])
+    def test_negative_column_is_2(self, tmp_path, sample_csv, column):
+        out = tmp_path / "d.rpv"
+        for argv in (("ingest", "--csv", str(sample_csv), "--out", str(out)),
+                     ("ci-mean", "--data", str(sample_csv)),
+                     ("ci-edf", "--data", str(sample_csv), "--x", "2")):
+            res = run_cli(*argv, "--column", column, "--no-timestamp", expect=2)
+            assert res.stdout == "" and "--column" in res.stderr and "0-based" in res.stderr
+        assert not out.exists()
+
+    def test_missing_column_is_1_with_its_own_message(self, tmp_path):
+        data = tmp_path / "named.csv"
+        data.write_text("a,b\n1,2\n3,4\n")
+        out = run_cli("ci-mean", "--data", str(data), "--column", "c", "--no-timestamp",
+                      expect=1)
+        assert out.stdout == ""
+        assert out.stderr == "randpivot: error: row 0: no column named 'c'\n"
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_must_be_positive(self, threads):
         out = run_cli("coverage", "--dist", "normal:0,1", "--n", "5", "--reps", "10",

@@ -1,6 +1,7 @@
 """Tests for sample statistics, randomized statistics, and the four pivots."""
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -258,7 +259,10 @@ class TestExactSum:
         n = 2 * _EXACT_MIN_TERMS
         cases = [
             np.full(n, -0.0),                                  # fsum's zero sign
+            np.concatenate([np.full(n, -0.0), [0.0]]),         # mixed zero signs
+            np.concatenate([[0.0], np.full(n, -0.0)]),
             np.concatenate([np.full(n, 1.5), np.full(n, -1.5)]),  # exact zero
+            np.concatenate([np.full(n, -1.5), np.full(n, -0.0), np.full(n, 1.5)]),
             np.full(n, 1e308),                                 # intermediate overflow
             np.concatenate([[1e308, 1e308], np.full(n, -1e308)]),
             np.concatenate([[np.inf, -np.inf], np.ones(n)]),   # ValueError
@@ -269,3 +273,13 @@ class TestExactSum:
         ]
         for a in cases:
             assert summed(_exact_sum, a) == summed(math.fsum, a)
+
+    @pytest.mark.parametrize("a", [
+        np.full(2 * _EXACT_MIN_TERMS, -0.0),
+        np.full(2 * _EXACT_MIN_TERMS, 3.0) - 3.0,
+        np.concatenate([np.full(_EXACT_MIN_TERMS, 1e-300), np.full(_EXACT_MIN_TERMS, -1e-300)]),
+    ])
+    def test_zero_sum_does_not_fall_back_to_fsum(self, a):
+        want = summed(math.fsum, a)
+        with mock.patch.object(math, "fsum", side_effect=AssertionError("walked")):
+            assert summed(_exact_sum, a) == want
