@@ -8,22 +8,23 @@ byte-for-byte reproducible for a fixed --seed regardless of --threads
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 from datetime import datetime, timezone
-from typing import Any
-
-import numpy as np
+from typing import Any, Callable
 
 from . import bigdata, bounds, edf, intervals, mc
 from .errors import RandPivotError
-from .intervals import parse_policy, subsample_size
+from .intervals import ConfidenceInterval, parse_policy, subsample_size
 from .pivots import PivotKind
 from .rng import stream
 from .weights import draw_weights
 
 __all__ = ["main", "build_parser"]
+
+Payload = dict[str, Any]
 
 
 def _env_seed(parser: argparse.ArgumentParser) -> int:
@@ -62,22 +63,67 @@ def _column_arg(text: str) -> str | int:
     return index
 
 
-def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help="root seed (default: env RANDPIVOT_SEED or 0)")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="output format (default: json)")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the timestamp field from the report")
-    if threads:
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="worker processes for replications (default: 1)")
+def _delimiter(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be a single character, got {text!r}")
+    return text
 
 
 def _resolve_m(text: str, n: int) -> int:
     if text.strip().lower() == "equal-n":
         return n
     return subsample_size(n, parse_policy(text))
+
+
+Option = Callable[[argparse.ArgumentParser], Any]
+
+
+def _option(flag: str, **spec: Any) -> Option:
+    """A helper that adds one declared option to a command's parser."""
+    return lambda p: p.add_argument(flag, **spec)
+
+
+def _add(p: argparse.ArgumentParser, *options: Option) -> None:
+    for option in options:
+        option(p)
+
+
+# Options that several commands share, each declared once.
+_column = _option("--column", type=_column_arg, default="0",
+                  help="column name or 0-based index (default: 0)")
+_header = _option("--header", action="store_true", help="skip a header row")
+_SAMPLE = (_option("--data", required=True, help="CSV file with the sample"), _column, _header)
+_m = _option("--m", default="equal-n",
+             help="weight total: equal-n, an integer, or a sizing policy (default: equal-n)")
+_alpha = _option("--alpha", type=float, default=0.05, help="1 - level (default: 0.05)")
+_sided = _option("--sided", choices=intervals.SIDES, default="two",
+                 help="interval sidedness (default: two)")
+_n = _option("--n", type=int, required=True, help="sample size")
+_SIZES = (_n, _option("--m", type=int, required=True, help="weight total"))
+_STUDY = (_option("--dist", required=True, help="distribution spec, e.g. normal:0,1"), _n, _m,
+          _option("--pivot", choices=("t1", "t2", "g1", "g2"), default="g1",
+                  help="pivot kind (default: g1)"))
+_COVERAGE_EVENT = (
+    _option("--alpha", type=float, default=0.05, help="nominal error (default: 0.05)"),
+    _option("--sided", choices=intervals.SIDES, default="upper",
+            help="coverage sidedness (default: upper)"),
+    _option("--classical-cutoff", choices=("normal", "student-t"), default="normal",
+            help="cutoff for the classical t comparator (default: normal)"))
+_COMMON = (_option("--seed", type=int, default=None,
+                   help="root seed (default: env RANDPIVOT_SEED or 0)"),
+           _option("--format", choices=("json", "csv"), default="json",
+                   help="output format (default: json)"),
+           _option("--no-timestamp", action="store_true",
+                   help="omit the timestamp field from the report"))
+_threads = _option("--threads", type=_positive_int, default=1,
+                   help="worker processes for replications (default: 1)")
+
+
+def _finish(p: argparse.ArgumentParser, run: Callable[[argparse.Namespace], Payload],
+            *extra: Option) -> None:
+    """Add the options every command ends with, then extra, and the command's handler."""
+    _add(p, *_COMMON, *extra)
+    p.set_defaults(run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,102 +136,63 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="convert a CSV column to the binary dataset format")
     p.add_argument("--csv", required=True, help="source CSV file")
-    p.add_argument("--column", type=_column_arg, default="0",
-                   help="column name or 0-based index (default: 0)")
+    _column(p)
     p.add_argument("--out", required=True, help="destination dataset file")
-    p.add_argument("--header", action="store_true", help="skip a header row")
-    p.add_argument("--delimiter", default=",", help="field delimiter (default: ,)")
-    _add_common(p)
+    _header(p)
+    p.add_argument("--delimiter", type=_delimiter, default=",",
+                   help="field delimiter (default: ,)")
+    _finish(p, _ingest)
 
     p = sub.add_parser("ci-mean", help="interval for the population mean from in-memory data")
-    p.add_argument("--data", required=True, help="CSV file with the sample")
-    p.add_argument("--column", type=_column_arg, default="0",
-                   help="column name or 0-based index (default: 0)")
-    p.add_argument("--header", action="store_true", help="skip a header row")
-    p.add_argument("--alpha", type=float, default=0.05, help="1 - level (default: 0.05)")
+    _add(p, *_SAMPLE, _alpha)
     p.add_argument("--variant", choices=("g1", "g2"), default="g1",
                    help="scale by S_n (g1) or the sub-sample s.d. (g2) (default: g1)")
-    p.add_argument("--m", default="equal-n",
-                   help="weight total: equal-n, an integer, or a sizing policy (default: equal-n)")
-    p.add_argument("--sided", choices=intervals.SIDES, default="two",
-                   help="interval sidedness (default: two)")
-    _add_common(p)
+    _add(p, _m, _sided)
+    _finish(p, _ci_mean)
 
     p = sub.add_parser("ci-edf", help="pointwise interval for F_n(x) or F(x) from in-memory data")
-    p.add_argument("--data", required=True, help="CSV file with the sample")
-    p.add_argument("--column", type=_column_arg, default="0",
-                   help="column name or 0-based index (default: 0)")
-    p.add_argument("--header", action="store_true", help="skip a header row")
+    _add(p, *_SAMPLE)
     p.add_argument("--x", type=float, required=True, help="evaluation point")
     p.add_argument("--target", choices=("edf", "df"), default="edf",
                    help="cover F_n(x) (edf) or F(x) (df) (default: edf)")
-    p.add_argument("--alpha", type=float, default=0.05, help="1 - level (default: 0.05)")
-    p.add_argument("--m", default="equal-n",
-                   help="weight total: equal-n, an integer, or a sizing policy (default: equal-n)")
-    p.add_argument("--sided", choices=intervals.SIDES, default="two",
-                   help="interval sidedness (default: two)")
-    _add_common(p)
+    _add(p, _alpha, _m, _sided)
+    _finish(p, _ci_edf)
 
     p = sub.add_parser("ci-bigdata", help="interval for the full-data mean or EDF of a binary dataset")
     p.add_argument("--data", required=True, help="binary dataset file")
     p.add_argument("--stat", choices=("mean", "edf"), default="mean",
                    help="target statistic (default: mean)")
     p.add_argument("--x", type=float, default=None, help="evaluation point (stat=edf)")
-    p.add_argument("--alpha", type=float, default=0.05, help="1 - level (default: 0.05)")
+    _alpha(p)
     p.add_argument("--policy", default="power-delta:0.25",
                    help="sizing policy power-delta:D, loglog, or fixed:M (default: power-delta:0.25)")
-    p.add_argument("--sided", choices=intervals.SIDES, default="two",
-                   help="interval sidedness (default: two)")
+    _sided(p)
     p.add_argument("--dkw-eps", type=float, default=None,
                    help="report the uniform EDF bound at this eps (stat=edf)")
-    _add_common(p)
+    _finish(p, _ci_bigdata)
 
     p = sub.add_parser("coverage", help="empirical coverage of a pivot over seeded replications")
-    p.add_argument("--dist", required=True, help="distribution spec, e.g. normal:0,1")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--m", default="equal-n",
-                   help="weight total: equal-n, an integer, or a sizing policy (default: equal-n)")
-    p.add_argument("--pivot", choices=("t1", "t2", "g1", "g2"), default="g1",
-                   help="pivot kind (default: g1)")
+    _add(p, *_STUDY)
     p.add_argument("--reps", type=int, default=1000, help="replications (default: 1000)")
-    p.add_argument("--alpha", type=float, default=0.05, help="nominal error (default: 0.05)")
-    p.add_argument("--sided", choices=intervals.SIDES, default="upper",
-                   help="coverage sidedness (default: upper)")
-    p.add_argument("--classical-cutoff", choices=("normal", "student-t"), default="normal",
-                   help="cutoff for the classical t comparator (default: normal)")
-    _add_common(p, threads=True)
+    _add(p, *_COVERAGE_EVENT)
+    _finish(p, _coverage, _threads)
 
     p = sub.add_parser("proportion", help="proportion of inner coverage estimates inside a band")
-    p.add_argument("--dist", required=True, help="distribution spec, e.g. normal:0,1")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--m", default="equal-n",
-                   help="weight total: equal-n, an integer, or a sizing policy (default: equal-n)")
-    p.add_argument("--pivot", choices=("t1", "t2", "g1", "g2"), default="g1",
-                   help="pivot kind (default: g1)")
+    _add(p, *_STUDY)
     p.add_argument("--outer", type=int, default=500, help="outer replications (default: 500)")
     p.add_argument("--inner", type=int, default=500, help="inner replications (default: 500)")
     p.add_argument("--band", type=_band, default="0.94,0.96",
                    help="coverage band lo,hi (default: 0.94,0.96)")
-    p.add_argument("--alpha", type=float, default=0.05, help="nominal error (default: 0.05)")
-    p.add_argument("--sided", choices=intervals.SIDES, default="upper",
-                   help="coverage sidedness (default: upper)")
-    p.add_argument("--classical-cutoff", choices=("normal", "student-t"), default="normal",
-                   help="cutoff for the classical t comparator (default: normal)")
-    _add_common(p, threads=True)
+    _add(p, *_COVERAGE_EVENT)
+    _finish(p, _proportion, _threads)
 
     p = sub.add_parser("kdist", help="sup distance between a pivot's ECDF and the standard normal")
-    p.add_argument("--dist", required=True, help="distribution spec, e.g. normal:0,1")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--m", default="equal-n",
-                   help="weight total: equal-n, an integer, or a sizing policy (default: equal-n)")
-    p.add_argument("--pivot", choices=("t1", "t2", "g1", "g2"), default="g1",
-                   help="pivot kind (default: g1)")
+    _add(p, *_STUDY)
     p.add_argument("--reps", type=int, default=100000, help="replications (default: 100000)")
-    _add_common(p, threads=True)
+    _finish(p, _kdist, _threads)
 
     p = sub.add_parser("bound", help="evaluate the explicit normal-approximation error bound")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--m", type=int, required=True, help="weight total")
+    _add(p, *_SIZES)
     p.add_argument("--delta", type=float, required=True, help="exceedance level delta")
     p.add_argument("--eps", type=float, required=True, help="slack eps (must be < 1)")
     p.add_argument("--eps1", type=float, required=True, help="variance slack eps1")
@@ -200,24 +207,112 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"universal constant (default: {bounds.DEFAULT_C_BE})")
     p.add_argument("--plus-eps2", action="store_true",
                    help="use +eps2 in the margin numerator instead of the default -eps2")
-    _add_common(p)
+    _finish(p, _bound)
 
     p = sub.add_parser("rate", help="asymptotic error rate of the pivot CLTs")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--m", type=int, required=True, help="weight total")
+    _add(p, *_SIZES)
     p.add_argument("--kind", choices=("a", "b", "c", "d"), required=True, help="rate kind")
-    _add_common(p)
+    _finish(p, _rate)
 
     p = sub.add_parser("sizing", help="sub-sample size from a sizing policy")
     p.add_argument("--n", type=int, required=True, help="data size")
-    p.add_argument("--policy", required=True,
-                   help="power-delta:D, loglog, or fixed:M")
-    _add_common(p)
+    p.add_argument("--policy", required=True, help="power-delta:D, loglog, or fixed:M")
+    _finish(p, _sizing)
 
     return parser
 
 
-def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
+# Command handlers: each returns its report, and main adds the envelope.
+
+def _ingest(args: argparse.Namespace) -> Payload:
+    h = bigdata.ingest_csv(args.csv, args.column, args.out,
+                           header=args.header, delimiter=args.delimiter)
+    return {"kind": "ingest", "path": str(h.path), "count": h.count}
+
+
+def _sample_ci(args: argparse.Namespace, interval: Callable[..., ConfidenceInterval]) -> Payload:
+    """interval(x, w) of the CSV sample x and weights w drawn for it."""
+    x = bigdata.read_csv_column(args.data, args.column, header=args.header)
+    w = draw_weights(x.size, _resolve_m(args.m, x.size), stream(args.seed))
+    return {"kind": "ci", **interval(x, w).to_dict(), "seed": args.seed}
+
+
+def _ci_mean(args: argparse.Namespace) -> Payload:
+    return _sample_ci(args, lambda x, w: intervals.ci_mu(
+        x, w, args.alpha, variant=args.variant, sided=args.sided))
+
+
+def _ci_edf(args: argparse.Namespace) -> Payload:
+    fn = edf.ci_edf if args.target == "edf" else edf.ci_df
+    return _sample_ci(args, lambda x, w: fn(x, w, args.x, args.alpha, sided=args.sided))
+
+
+def _ci_bigdata(args: argparse.Namespace) -> Payload:
+    h = bigdata.open_dataset(args.data)
+    policy, rng = parse_policy(args.policy), stream(args.seed)
+    if args.stat == "mean":
+        ci, report = bigdata.bigdata_ci_mean(h, args.alpha, policy, rng, sided=args.sided)
+    else:
+        ci, report = bigdata.bigdata_ci_edf(h, args.x, args.alpha, policy, rng,
+                                            sided=args.sided, dkw_eps=args.dkw_eps)
+    return {"kind": "ci", **ci.to_dict(), "seed": args.seed,
+            **{f"report_{k}": v for k, v in report.to_dict().items()}}
+
+
+def _study_inputs(args: argparse.Namespace) -> tuple[mc.DistributionSpec, int, PivotKind]:
+    """The distribution, weight total and pivot kind of a study command."""
+    return mc.parse_dist(args.dist), _resolve_m(args.m, args.n), PivotKind(args.pivot)
+
+
+def _shared_keywords(args: argparse.Namespace) -> dict[str, Any]:
+    """The keywords coverage_study and proportion_study both take."""
+    return dict(alpha=args.alpha, sided=args.sided, seed=args.seed, threads=args.threads,
+                classical_cutoff=args.classical_cutoff.replace("-", "_"))
+
+
+def _coverage(args: argparse.Namespace) -> Payload:
+    d, m, kind = _study_inputs(args)
+    return mc.coverage_study(d, args.n, m, kind, args.reps, **_shared_keywords(args)).to_dict()
+
+
+def _proportion(args: argparse.Namespace) -> Payload:
+    d, m, kind = _study_inputs(args)
+    return mc.proportion_study(d, args.n, kind, outer_reps=args.outer, inner_reps=args.inner,
+                               band=args.band, m=m, **_shared_keywords(args)).to_dict()
+
+
+def _kdist(args: argparse.Namespace) -> Payload:
+    d, m, kind = _study_inputs(args)
+    dist = mc.kolmogorov_distance(kind, d, args.n, m, args.reps,
+                                  seed=args.seed, threads=args.threads)
+    return {"kind": "kdist", "dist": d.label(), "n": args.n, "m": m, "pivot": args.pivot,
+            "reps": args.reps, "distance": dist, "seed": args.seed}
+
+
+def _bound(args: argparse.Namespace) -> Payload:
+    p_s2 = (args.p_s2 if args.p_s2 is not None
+            else bounds.chebyshev_p_s2(args.n, args.eps1, args.sigma2, args.mu4))
+    b = bounds.BoundInputs(n=args.n, m=args.m, delta=args.delta, eps=args.eps,
+                           eps1=args.eps1, eps2=args.eps2, rho3=args.rho3,
+                           p_s2_dev=p_s2, c_be=args.c_be)
+    res = bounds.error_bound(b, plus_eps2=args.plus_eps2)
+    return {"kind": "bound", "n": args.n, "m": args.m, "raw": res.raw, "capped": res.capped,
+            "pi1": res.pi1, "pi2": res.pi2, "margin": res.margin,
+            "p_s2_dev": p_s2, "plus_eps2": args.plus_eps2,
+            "eps2_meets_continuity": b.eps2_meets_continuity}
+
+
+def _rate(args: argparse.Namespace) -> Payload:
+    return {"kind": "rate", "n": args.n, "m": args.m, "rate_kind": args.kind.upper(),
+            "rate": bounds.rate(args.n, args.m, args.kind)}
+
+
+def _sizing(args: argparse.Namespace) -> Payload:
+    return {"kind": "sizing", "n": args.n, "policy": args.policy,
+            "m": subsample_size(args.n, parse_policy(args.policy))}
+
+
+def _emit(payload: Payload, args: argparse.Namespace) -> None:
     if not args.no_timestamp:
         payload = {**payload, "timestamp": datetime.now(timezone.utc).isoformat()}
     if args.format == "json":
@@ -226,116 +321,6 @@ def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
         keys = sorted(payload.keys())
         print(",".join(keys))
         print(",".join(str(payload[k]) for k in keys))
-
-
-def _ci_payload(ci: intervals.ConfidenceInterval, extra: dict[str, Any] | None = None) -> dict[str, Any]:
-    payload = {"schema_version": mc.SCHEMA_VERSION, "kind": "ci", **ci.to_dict()}
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def _load_sample(args: argparse.Namespace) -> np.ndarray:
-    return bigdata.read_csv_column(args.data, args.column, header=args.header)
-
-
-def _run(args: argparse.Namespace) -> dict[str, Any]:
-    seed = args.seed
-    cmd = args.command
-
-    if cmd == "ingest":
-        h = bigdata.ingest_csv(args.csv, args.column, args.out,
-                               header=args.header, delimiter=args.delimiter)
-        return {"schema_version": mc.SCHEMA_VERSION, "kind": "ingest",
-                "path": str(h.path), "count": h.count}
-
-    if cmd == "ci-mean":
-        x = _load_sample(args)
-        n = x.size
-        m = _resolve_m(args.m, n)
-        w = draw_weights(n, m, stream(seed))
-        ci = intervals.ci_mu(x, w, args.alpha, variant=args.variant, sided=args.sided)
-        return _ci_payload(ci, {"seed": seed})
-
-    if cmd == "ci-edf":
-        x = _load_sample(args)
-        n = x.size
-        m = _resolve_m(args.m, n)
-        w = draw_weights(n, m, stream(seed))
-        fn = edf.ci_edf if args.target == "edf" else edf.ci_df
-        ci = fn(x, w, args.x, args.alpha, sided=args.sided)
-        return _ci_payload(ci, {"seed": seed})
-
-    if cmd == "ci-bigdata":
-        h = bigdata.open_dataset(args.data)
-        policy = parse_policy(args.policy)
-        rng = stream(seed)
-        if args.stat == "mean":
-            ci, report = bigdata.bigdata_ci_mean(h, args.alpha, policy, rng, sided=args.sided)
-        else:
-            ci, report = bigdata.bigdata_ci_edf(h, args.x, args.alpha, policy, rng,
-                                                sided=args.sided, dkw_eps=args.dkw_eps)
-        payload = _ci_payload(ci, {"seed": seed})
-        payload.update({f"report_{k}": v for k, v in report.to_dict().items()})
-        return payload
-
-    if cmd == "coverage":
-        d = mc.parse_dist(args.dist)
-        m = _resolve_m(args.m, args.n)
-        report = mc.coverage_study(
-            d, args.n, m, PivotKind(args.pivot), args.reps, args.alpha,
-            sided=args.sided, seed=seed,
-            classical_cutoff=args.classical_cutoff.replace("-", "_"),
-            threads=args.threads,
-        )
-        return report.to_dict()
-
-    if cmd == "proportion":
-        d = mc.parse_dist(args.dist)
-        m = _resolve_m(args.m, args.n)
-        report = mc.proportion_study(
-            d, args.n, PivotKind(args.pivot), outer_reps=args.outer,
-            inner_reps=args.inner, band=args.band, alpha=args.alpha, seed=seed,
-            m=m, sided=args.sided,
-            classical_cutoff=args.classical_cutoff.replace("-", "_"),
-            threads=args.threads,
-        )
-        return report.to_dict()
-
-    if cmd == "kdist":
-        d = mc.parse_dist(args.dist)
-        m = _resolve_m(args.m, args.n)
-        dist = mc.kolmogorov_distance(PivotKind(args.pivot), d, args.n, m,
-                                      args.reps, seed=seed, threads=args.threads)
-        return {"schema_version": mc.SCHEMA_VERSION, "kind": "kdist",
-                "dist": d.label(), "n": args.n, "m": m, "pivot": args.pivot,
-                "reps": args.reps, "distance": dist, "seed": seed}
-
-    if cmd == "bound":
-        p_s2 = args.p_s2
-        if p_s2 is None:
-            p_s2 = bounds.chebyshev_p_s2(args.n, args.eps1, args.sigma2, args.mu4)
-        b = bounds.BoundInputs(n=args.n, m=args.m, delta=args.delta, eps=args.eps,
-                               eps1=args.eps1, eps2=args.eps2, rho3=args.rho3,
-                               p_s2_dev=p_s2, c_be=args.c_be)
-        res = bounds.error_bound(b, plus_eps2=args.plus_eps2)
-        return {"schema_version": mc.SCHEMA_VERSION, "kind": "bound",
-                "n": args.n, "m": args.m, "raw": res.raw, "capped": res.capped,
-                "pi1": res.pi1, "pi2": res.pi2, "margin": res.margin,
-                "p_s2_dev": p_s2, "plus_eps2": args.plus_eps2,
-                "eps2_meets_continuity": b.eps2_meets_continuity}
-
-    if cmd == "rate":
-        r = bounds.rate(args.n, args.m, args.kind)
-        return {"schema_version": mc.SCHEMA_VERSION, "kind": "rate",
-                "n": args.n, "m": args.m, "rate_kind": args.kind.upper(), "rate": r}
-
-    if cmd == "sizing":
-        m = subsample_size(args.n, parse_policy(args.policy))
-        return {"schema_version": mc.SCHEMA_VERSION, "kind": "sizing",
-                "n": args.n, "policy": args.policy, "m": m}
-
-    raise AssertionError(f"unhandled command {cmd!r}")
 
 
 def _check_usage(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -353,8 +338,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is None:
         args.seed = _env_seed(parser)
     try:
-        payload = _run(args)
-    except (RandPivotError, OSError, ValueError, OverflowError) as exc:
+        payload = {"schema_version": mc.SCHEMA_VERSION, **args.run(args)}
+    except (RandPivotError, OSError, ValueError, OverflowError, csv.Error) as exc:
         print(f"randpivot: error: {exc}", file=sys.stderr)
         return 1
     _emit(payload, args)

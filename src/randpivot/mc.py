@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 import numpy as np
 
 from ._normal import norm_cdf
-from .errors import BadParams, RandPivotError
+from .errors import BadParams, RandPivotError, TooFewObservations
 from .intervals import _z_for
 from .pivots import PivotKind
 from .rng import stream
@@ -247,6 +247,14 @@ def _batch_classical(x: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
     return t, valid
 
 
+def _check_sizes(n: int, m: int) -> None:
+    """The sample size and weight total every study needs, checked before any draw."""
+    if n < 2:
+        raise TooFewObservations(f"need at least 2 observations, got n={n}")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+
+
 def _evaluate_rows(draw, d: DistributionSpec, n: int, m: int, kind: PivotKind,
                    rows: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Pivot and classical t values of `rows` rows, redrawing invalid rows.
@@ -333,6 +341,7 @@ def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
     ratio_mean -/+ z * unit and G = (ratio_mean - mu) / unit, so the
     population mean is covered exactly when G meets the cutoff.
     """
+    _check_sizes(n, m)
     if reps < 1:
         raise ValueError("reps must be positive")
     pivot_kind = PivotKind(pivot_kind)
@@ -387,12 +396,13 @@ def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
     those estimates inside the band, for the pivot and for the classical
     Student t comparator on the same data.
     """
+    m = n if m is None else m
+    _check_sizes(n, m)
     if outer_reps < 1 or inner_reps < 1:
         raise ValueError("outer_reps and inner_reps must be positive")
     if not 0.0 <= band[0] <= band[1] <= 1.0:
         raise ValueError(f"band must satisfy 0 <= lo <= hi <= 1, got {tuple(band)}")
     pivot_kind = PivotKind(pivot_kind)
-    m = n if m is None else m
     z, cutoff = _cutoffs(alpha, sided, classical_cutoff, n)
     parts = _run_chunks(_proportion_chunk, outer_reps, threads, d, n, m, pivot_kind,
                         z, cutoff, sided, tuple(band), seed, inner_reps)
@@ -414,6 +424,7 @@ def kolmogorov_distance(pivot_kind: PivotKind, d: DistributionSpec, n: int,
                         m: int, reps: int, seed: int = 0,
                         threads: int = 1) -> float:
     """Sup over a fixed 512-point grid of |ECDF(pivot values) - Phi|."""
+    _check_sizes(n, m)
     if reps < 1:
         raise ValueError("reps must be positive")
     pivot_kind = PivotKind(pivot_kind)

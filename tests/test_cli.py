@@ -15,6 +15,7 @@ def run_cli(*args, expect=0):
     out = subprocess.run([sys.executable, "-m", "randpivot.cli", *args],
                          capture_output=True, text=True, env=env)
     assert out.returncode == expect, (args, out.stdout, out.stderr)
+    assert "Traceback" not in out.stderr, (args, out.stderr)
     return out
 
 
@@ -119,7 +120,7 @@ class TestExitCodes:
                str(sample_csv), "--no-timestamp"]
         out = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert out.returncode == 2, out.stdout
-        assert out.stdout == ""
+        assert out.stdout == "" and "Traceback" not in out.stderr
         assert "RANDPIVOT_SEED" in out.stderr and "'abc'" in out.stderr
         # the variable is read only when --seed is absent
         out = subprocess.run(cmd + ["--seed", "7"], capture_output=True, text=True, env=env)
@@ -169,6 +170,40 @@ class TestExitCodes:
                       expect=1)
         assert out.stdout == ""
         assert out.stderr == "randpivot: error: row 0: no column named 'c'\n"
+
+    def test_field_past_csv_limit_is_1(self, tmp_path):
+        # csv.field_size_limit() is 131,072 characters by default
+        data = tmp_path / "wide.csv"
+        data.write_text("1.5\n" + "7" * 200_000 + "\n2.5\n")
+        out = tmp_path / "d.rpv"
+        out.write_bytes(b"an existing dataset")
+        for argv in (("ingest", "--csv", str(data), "--out", str(out)),
+                     ("ci-mean", "--data", str(data))):
+            res = run_cli(*argv, "--no-timestamp", expect=1)
+            assert res.stdout == ""
+            assert res.stderr.startswith("randpivot: error: field larger than field limit")
+            assert res.stderr.count("\n") == 1
+        assert out.read_bytes() == b"an existing dataset"
+        assert sorted(os.listdir(tmp_path)) == ["d.rpv", "wide.csv"]
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_must_be_one_character(self, tmp_path, sample_csv, delimiter):
+        out = tmp_path / "d.rpv"
+        res = run_cli("ingest", "--csv", str(sample_csv), "--out", str(out),
+                      "--delimiter", delimiter, "--no-timestamp", expect=2)
+        assert res.stdout == "" and "--delimiter" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("coverage", "--n", "0", "--reps", "10"),
+        ("kdist", "--n", "-3", "--reps", "10"),
+        ("kdist", "--n", "1", "--reps", "10"),
+        ("proportion", "--n", "1", "--outer", "2", "--inner", "3"),
+    ])
+    def test_study_needs_two_observations(self, argv):
+        res = run_cli(*argv, "--dist", "normal:0,1", "--no-timestamp", expect=1)
+        assert res.stdout == ""
+        assert res.stderr == f"randpivot: error: need at least 2 observations, got n={argv[2]}\n"
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_must_be_positive(self, threads):

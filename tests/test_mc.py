@@ -6,10 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import randpivot.mc as mc
 from randpivot import (BadParams, DegenerateWeights, DistributionSpec, PivotKind,
-                       RandPivotError, ZeroScale, ci_mu, coverage_study,
+                       RandPivotError, TooFewObservations, ZeroScale, ci_mu, coverage_study,
                        critical_z, draw_weights, gen_sample, kolmogorov_distance,
                        parse_dist, pivot, proportion_study, stream,
                        student_t_cutoff)
@@ -357,3 +359,82 @@ class TestStudyInputs:
             with pytest.raises(RandPivotError):
                 study()
             assert len(calls) == mc.MAX_REDRAWS
+
+    @pytest.mark.parametrize("n,m,error", [(1, 1, TooFewObservations), (0, 3, TooFewObservations),
+                                           (-3, 3, TooFewObservations), (5, 0, ValueError),
+                                           (5, -2, ValueError)])
+    def test_sizes_checked_before_any_draw(self, n, m, error, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mc, "stream", lambda *key: calls.append(key))
+        studies = [
+            lambda: coverage_study(NORMAL, n, m, PivotKind.G1, reps=5, alpha=0.05),
+            lambda: kolmogorov_distance(PivotKind.G1, NORMAL, n, m, reps=5),
+            lambda: proportion_study(NORMAL, n, PivotKind.G1, outer_reps=2, inner_reps=3, m=m),
+        ]
+        for study in studies:
+            with pytest.raises(error, match=f"got n={n}" if error is TooFewObservations
+                               else f"got {m}"):
+                study()
+        assert calls == []
+
+    def test_proportion_default_m_is_checked_as_n(self):
+        with pytest.raises(TooFewObservations):
+            proportion_study(NORMAL, 1, PivotKind.T1, outer_reps=2, inner_reps=3)
+
+
+FAMILIES = ["normal:0,1", "exponential:1", "lognormal_std:0,1", "poisson:3",
+            "binomial:10,0.5", "beta:2,3", "uniform:0,1"]
+
+
+def _outcome(study):
+    """A study's report, or the type of the error it raised.
+
+    The message is left out: coverage and kdist count the failing rows of
+    the first failing block, and the blocks follow the split into chunks.
+    """
+    try:
+        return study()
+    except RandPivotError as exc:
+        return type(exc)
+
+
+class TestThreadIndependence:
+    """threads=2 gives the report threads=1 gives, for drawn configurations.
+
+    n = 2 with T2 or G2 always exhausts the redraw budget, so the type of
+    the error a study raises is compared too.
+    """
+
+    config = dict(spec=st.sampled_from(FAMILIES), n=st.integers(2, 30),
+                  kind=st.sampled_from(list(PivotKind)), seed=st.integers(0, 2**32 - 1))
+
+    @settings(max_examples=10, deadline=None)
+    @given(reps=st.integers(2, 40), **config)
+    @example(spec="normal:0,1", n=2, kind=PivotKind.T2, reps=5, seed=0)
+    def test_coverage(self, spec, n, kind, reps, seed):
+        d = parse_dist(spec)
+        outcomes = [_outcome(lambda: coverage_study(d, n, n, kind, reps, 0.05, seed=seed,
+                                                    threads=threads))
+                    for threads in (1, 2)]
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=10, deadline=None)
+    @given(outer=st.integers(2, 6), inner=st.integers(2, 30), **config)
+    @example(spec="normal:0,1", n=2, kind=PivotKind.G2, outer=3, inner=4, seed=0)
+    def test_proportion(self, spec, n, kind, outer, inner, seed):
+        d = parse_dist(spec)
+        outcomes = [_outcome(lambda: proportion_study(d, n, kind, outer_reps=outer,
+                                                      inner_reps=inner, seed=seed,
+                                                      threads=threads))
+                    for threads in (1, 2)]
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=10, deadline=None)
+    @given(reps=st.integers(2, 40), **config)
+    @example(spec="normal:0,1", n=2, kind=PivotKind.T2, reps=5, seed=0)
+    def test_kdist(self, spec, n, kind, reps, seed):
+        d = parse_dist(spec)
+        outcomes = [_outcome(lambda: kolmogorov_distance(kind, d, n, n, reps, seed=seed,
+                                                         threads=threads))
+                    for threads in (1, 2)]
+        assert outcomes[0] == outcomes[1]
