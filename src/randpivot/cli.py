@@ -260,7 +260,12 @@ def _ci_bigdata(args: argparse.Namespace) -> Payload:
 
 
 def _study_inputs(args: argparse.Namespace) -> tuple[mc.DistributionSpec, int, PivotKind]:
-    """The distribution, weight total and pivot kind of a study command."""
+    """The distribution, weight total and pivot kind of a study command.
+
+    n is checked first, so a sizing policy never sees n < 2 and every
+    study command reports it as the study itself would.
+    """
+    mc._check_n(args.n)
     return mc.parse_dist(args.dist), _resolve_m(args.m, args.n), PivotKind(args.pivot)
 
 

@@ -1,18 +1,22 @@
 """Deterministic Monte Carlo studies: coverage, band proportions, KS distance.
 
 All three studies run on one row engine.  A row is one (sample, weights)
-pair; a block of rows is evaluated by one call each of the vectorized
-pivot kernel and the classical Student t kernel (divisor n-1, whose exact
-cutoffs t_{alpha,n-1} are exact-size under normal data).  Rows with
-degenerate weights or a vanishing scale are redrawn by one helper, at
-most MAX_REDRAWS draws per row, and counted.
+pair; a block of rows is evaluated by one kernel call, which gives each
+row's pivot value and its classical Student t value (divisor n-1, whose
+exact cutoffs t_{alpha,n-1} are exact-size under normal data) from one
+pass of row sums and centered sums of squares.  Rows with degenerate
+weights or a vanishing scale are redrawn by one helper, at most
+MAX_REDRAWS draws per row, and counted.
 
 Draws come from counter-based streams keyed by (seed, indices), so a
 report never depends on how rows are grouped into blocks or processes.
 coverage_study and kolmogorov_distance key replication r at attempt a by
 stream(seed, r, a), the draws a single-sample pivot or ci_mu call on
-gen_sample then draw_weights would see; proportion_study keys outer
-replication o by (seed, o) and its redraws by (seed, o, a).
+gen_sample then draw_weights would see.  The keys of a block's rows are
+derived in one vectorized pass and one generator is rewound to each, so
+the draws are stream(seed, r, a)'s without a generator built per row.
+proportion_study keys outer replication o by (seed, o) and its redraws
+by (seed, o, a).
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from ._normal import norm_cdf
 from .errors import BadParams, RandPivotError, TooFewObservations
 from .intervals import _z_for
 from .pivots import PivotKind
-from .rng import stream
+from .rng import _row_streams, stream
 from .weights import draw_indices
 
 __all__ = [
@@ -216,54 +220,74 @@ def _counts_matrix(idx: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, minlength=rows * n).reshape(rows, n).astype(np.float64)
 
 
-def _batch_values(kind: PivotKind, x: np.ndarray, w: np.ndarray, m: int,
-                  mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pivot values over rows; also a validity mask."""
+def _row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row means, divisor-n variances S_n^2 and divisor-(n-1) s.d.s.
+
+    One pass of row sums and one of centered sums of squares serve all
+    three.  They follow the operations of numpy's own mean, var and std,
+    so each equals x.mean(axis=1), x.var(axis=1) and x.std(axis=1, ddof=1)
+    bitwise.
+    """
     n = x.shape[1]
+    mean = np.add.reduce(x, axis=1, keepdims=True) / n
+    sq = x - mean
+    np.square(sq, out=sq)
+    css = np.add.reduce(sq, axis=1)
+    return mean[:, 0], css / n, np.sqrt(css / (n - 1))
+
+
+def _batch_values(kind: PivotKind, x: np.ndarray, w: np.ndarray, m: int,
+                  mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pivot values and classical t values over rows, and one validity mask.
+
+    A row is valid when both its pivot scale and its classical s.d. are
+    positive.
+    """
+    n = x.shape[1]
+    mean, var, s1 = _row_moments(x)
     dev = w / m - 1.0 / n
     ssq = np.einsum("ij,ij->i", dev, dev)
     if kind.uses_subsample_scale:
         rmean = (w * x).sum(axis=1) / m
         scale2 = (w * (x - rmean[:, None]) ** 2).sum(axis=1) / m
     else:
-        scale2 = x.var(axis=1)
+        scale2 = var
     if kind.needs_mu:
         num = (np.abs(dev) * (x - mu)).sum(axis=1)
     else:
         num = (dev * x).sum(axis=1)
     denom2 = scale2 * ssq
-    valid = denom2 > 0.0
+    valid = (denom2 > 0.0) & (s1 > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = num / np.sqrt(denom2)
-    return vals, valid
+        tvals = (mean - mu) / (s1 / math.sqrt(n))
+    return vals, tvals, valid
 
 
-def _batch_classical(x: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    n = x.shape[1]
-    s1 = x.std(axis=1, ddof=1)
-    valid = s1 > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (x.mean(axis=1) - mu) / (s1 / math.sqrt(n))
-    return t, valid
+def _check_n(n: int) -> None:
+    """The sample size every study needs."""
+    if n < 2:
+        raise TooFewObservations(f"need at least 2 observations, got n={n}")
 
 
 def _check_sizes(n: int, m: int) -> None:
     """The sample size and weight total every study needs, checked before any draw."""
-    if n < 2:
-        raise TooFewObservations(f"need at least 2 observations, got n={n}")
+    _check_n(n)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
 
 
 def _evaluate_rows(draw, d: DistributionSpec, n: int, m: int, kind: PivotKind,
-                   rows: int) -> tuple[np.ndarray, np.ndarray, int]:
+                   rows: int, name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray, int]:
     """Pivot and classical t values of `rows` rows, redrawing invalid rows.
 
     draw(attempt, which) returns the (sample, counts) matrices of the rows
     numbered `which` at that attempt.  A row whose weights are degenerate
     or whose pivot or classical scale vanishes is drawn again, at most
     MAX_REDRAWS draws in all.  Returns both value arrays and the number
-    of redraws.
+    of redraws.  If rows stay invalid, the error names the first of them
+    by name(row): rows are keyed by their index, so that row and its name
+    do not depend on how rows are split into blocks or chunks.
     """
     mu = d.true_mean
     vals, tvals = np.empty(rows), np.empty(rows)
@@ -271,26 +295,25 @@ def _evaluate_rows(draw, d: DistributionSpec, n: int, m: int, kind: PivotKind,
     redraws = 0
     for attempt in range(MAX_REDRAWS):
         x, w = draw(attempt, which)
-        vals[which], ok = _batch_values(kind, x, w, m, mu)
-        tvals[which], ok_t = _batch_classical(x, mu)
-        which = which[~(ok & ok_t)]
+        vals[which], tvals[which], ok = _batch_values(kind, x, w, m, mu)
+        which = which[~ok]
         if which.size == 0:
             return vals, tvals, redraws
         redraws += which.size
     raise RandPivotError(
-        f"{which.size} of {rows} rows had {MAX_REDRAWS} consecutive degenerate "
-        f"draws; the configuration {d.label()}, n={n}, m={m} looks unusable"
+        f"{name(int(which[0]))} had {MAX_REDRAWS} consecutive degenerate draws; "
+        f"the configuration {d.label()}, n={n}, m={m} looks unusable"
     )
 
 
 def _draw_replications(d: DistributionSpec, n: int, m: int, seed: int, first: int,
                        attempt: int, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Replication r = first + i draws its sample, then its m resampled
-    # indices (as draw_weights would), from stream(seed, r, attempt).
+    # indices (as draw_weights would), from the state stream(seed, r,
+    # attempt) starts in: one generator rewound to each row's key.
     x = np.empty((which.size, n))
     idx = np.empty((which.size, m), dtype=np.int64)
-    for row, i in enumerate(which):
-        rng = stream(seed, first + i, attempt)
+    for row, rng in enumerate(_row_streams(seed, first + which, attempt)):
         x[row] = gen_sample(d, n, rng)
         idx[row] = draw_indices(n, m, rng)
     return x, _counts_matrix(idx, n)
@@ -305,16 +328,22 @@ def _replication_chunk(args) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """_evaluate_rows results of replications [start, stop), block by block."""
     (d, n, m, kind, seed, start, stop) = args
     step = max(1, _BLOCK_ELEMENTS // max(n, m))
-    return [_evaluate_rows(partial(_draw_replications, d, n, m, seed, lo), d, n, m,
-                           kind, min(lo + step, stop) - lo)
+    return [_evaluate_rows(partial(_draw_replications, d, n, m, seed, lo), d, n, m, kind,
+                           min(lo + step, stop) - lo, lambda i: f"replication {lo + i}")
             for lo in range(start, stop, step)]
 
 
 def _run_chunks(worker, total: int, threads: int, *args) -> list:
-    """worker((*args, start, stop)) over about four ranges per thread of range(total)."""
-    step = math.ceil(total / max(1, min(max(threads, 1) * 4, total)))
+    """worker((*args, start, stop)) over about four ranges per thread of range(total).
+
+    In-process (threads <= 1) the whole range is one call, so every fixed
+    cost of a call or a block of rows is paid once, not per range.
+    """
+    if threads <= 1:
+        return [worker((*args, 0, total))]
+    step = math.ceil(total / max(1, min(threads * 4, total)))
     argses = [(*args, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if threads <= 1 or len(argses) <= 1:
+    if len(argses) <= 1:
         return [worker(a) for a in argses]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, argses))
@@ -373,7 +402,8 @@ def _proportion_chunk(args) -> tuple[int, int, int]:
     in_band = t_in_band = redraws = 0
     for o in range(start, stop):
         draw = partial(_draw_outer, d, n, m, seed, o)
-        vals, tvals, rd = _evaluate_rows(draw, d, n, m, kind, inner)
+        vals, tvals, rd = _evaluate_rows(
+            draw, d, n, m, kind, inner, lambda i: f"inner replication {i} of outer replication {o}")
         redraws += rd
         cov = float(_covered(vals, z, sided).mean())
         t_cov = float(_covered(tvals, cutoff, sided).mean())

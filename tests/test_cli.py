@@ -205,6 +205,19 @@ class TestExitCodes:
         assert res.stdout == ""
         assert res.stderr == f"randpivot: error: need at least 2 observations, got n={argv[2]}\n"
 
+    @pytest.mark.parametrize("m", ["equal-n", "10"])
+    @pytest.mark.parametrize("argv", [
+        ("coverage", "--reps", "10"),
+        ("kdist", "--reps", "10"),
+        ("proportion", "--outer", "2", "--inner", "3"),
+    ])
+    def test_n_checked_before_m_is_sized(self, argv, m):
+        # a sizing policy (here a fixed m) must not report n < 2 its own way
+        res = run_cli(*argv, "--n", "1", "--m", m, "--dist", "normal:0,1", "--no-timestamp",
+                      expect=1)
+        assert res.stdout == ""
+        assert res.stderr == "randpivot: error: need at least 2 observations, got n=1\n"
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_must_be_positive(self, threads):
         out = run_cli("coverage", "--dist", "normal:0,1", "--n", "5", "--reps", "10",

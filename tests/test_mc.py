@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randpivot.mc as mc
+import randpivot.rng as rng_mod
 from randpivot import (BadParams, DegenerateWeights, DistributionSpec, PivotKind,
-                       RandPivotError, TooFewObservations, ZeroScale, ci_mu, coverage_study,
-                       critical_z, draw_weights, gen_sample, kolmogorov_distance,
-                       parse_dist, pivot, proportion_study, stream,
+                       RandPivotError, TooFewObservations, WeightVector, ZeroScale, ci_mu,
+                       coverage_study, critical_z, draw_weights, gen_sample,
+                       kolmogorov_distance, parse_dist, pivot, proportion_study, stream,
                        student_t_cutoff)
 from randpivot._normal import norm_cdf
 from randpivot.mc import to_csv, to_json
@@ -325,6 +327,95 @@ class TestRowEngineMatchesSingleSampleApi:
         assert coverage_study(d, 5, 5, PivotKind.T2, 300, 0.05, seed=3) == want
         assert kolmogorov_distance(PivotKind.T2, d, 5, 5, 300, seed=3) == want_kd
 
+    def test_exhausted_budget_names_first_replication(self, monkeypatch):
+        # n = m = 2 with T2 never gives a valid row; the error names the
+        # lowest replication whatever the threads and the block size
+        msg = ("{} had 100 consecutive degenerate draws; the configuration "
+               "normal(0,1), n=2, m=2 looks unusable")
+        for threads, block in [(1, mc._BLOCK_ELEMENTS), (2, mc._BLOCK_ELEMENTS), (1, 5)]:
+            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
+            with pytest.raises(RandPivotError) as exc:
+                coverage_study(NORMAL, 2, 2, PivotKind.T2, 7, 0.05, threads=threads)
+            assert str(exc.value) == msg.format("replication 0")
+            with pytest.raises(RandPivotError) as exc:
+                proportion_study(NORMAL, 2, PivotKind.T2, outer_reps=3, inner_reps=4,
+                                 threads=threads)
+            assert str(exc.value) == msg.format("inner replication 0 of outer replication 0")
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def _row_matrix(draw, rows, n):
+    """rows x n values on a 1/8 grid in [-1000, 1000], some rows constant."""
+    x = np.array(draw(st.lists(st.integers(-8000, 8000), min_size=rows * n,
+                               max_size=rows * n)), dtype=np.float64).reshape(rows, n) / 8.0
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=rows)):
+        x[i] = x[i, 0]
+    return x
+
+
+class TestRowKernelAgreesWithSingleSample:
+    """The block kernel against per-row numpy statistics and pivot().
+
+    Means, S_n^2, classical s.d.s, classical t values and the validity
+    mask must be bitwise those of per-row x.mean(), x.var() and
+    x.std(ddof=1).  Pivot values are sums in numpy's order against
+    pivot()'s exact sums, so they agree within the rounding error bound
+    of a sum of about n + m terms: |batch - exact| <= 16 (n + m) eps
+    (1 + |exact| + sum |d_i| |x_i - c| / (S sqrt(sum d_i^2))), with c = mu
+    for G-pivots and 0 for T-pivots.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), n=st.integers(2, 30),
+           m=st.integers(1, 40), mu=st.integers(-80, 80).map(lambda k: k / 8.0))
+    def test_kernel_matches_per_row(self, data, rows, n, m, mu):
+        x = _row_matrix(data.draw, rows, n)
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows * m,
+                                          max_size=rows * m))).reshape(rows, m)
+        counts = mc._counts_matrix(idx, n)
+        mean, var, s1 = mc._row_moments(x)
+        for i in range(rows):
+            assert mean[i].tobytes() == x[i].mean().tobytes()
+            assert var[i].tobytes() == x[i].var().tobytes()
+            assert s1[i].tobytes() == x[i].std(ddof=1).tobytes()
+        for kind in PivotKind:
+            vals, tvals, valid = mc._batch_values(kind, x, counts, m, mu)
+            for i in range(rows):
+                w = WeightVector(counts[i].astype(np.int64), m, n)
+                s1_row = x[i].std(ddof=1)
+                if kind.uses_subsample_scale:
+                    c = counts[i]
+                    scale2 = (c * (x[i] - (c * x[i]).sum() / m) ** 2).sum() / m
+                else:
+                    scale2 = x[i].var()
+                nondegenerate = bool((w.counts != m / n).any())
+                assert valid[i] == (nondegenerate and scale2 > 0.0 and s1_row > 0.0)
+                if s1_row > 0.0:
+                    t = (x[i].mean() - mu) / (s1_row / math.sqrt(n))
+                    assert tvals[i].tobytes() == np.float64(t).tobytes()
+                if not valid[i]:
+                    continue
+                try:
+                    exact = pivot(kind, x[i], w, mu=mu if kind.needs_mu else None)
+                except (DegenerateWeights, ZeroScale):
+                    continue
+                dev = counts[i] / m - 1.0 / n
+                center = mu if kind.needs_mu else 0.0
+                cond = (np.abs(dev) * np.abs(x[i] - center)).sum() / math.sqrt(
+                    scale2 * (dev * dev).sum())
+                tol = 16 * (n + m) * EPS * (1.0 + abs(exact) + cond)
+                assert abs(vals[i] - exact) <= tol, (kind, i, vals[i], exact, tol)
+
+    def test_zero_classical_scale_invalid_under_positive_subsample_scale(self):
+        # x = (0.1, 0.1) has s.d. 0, but with weights (2, 1) the rounded
+        # sub-sample mean misses 0.1, so S_{m,n}^2 is a tiny positive number
+        x, counts = np.array([[0.1, 0.1]]), np.array([[2.0, 1.0]])
+        assert (counts * (x - (counts * x).sum() / 3) ** 2).sum() > 0.0
+        for kind in (PivotKind.T2, PivotKind.G2):
+            assert not mc._batch_values(kind, x, counts, 3, 0.0)[2][0]
+
 
 class TestStudyInputs:
     @pytest.mark.parametrize("kind", list(PivotKind))
@@ -341,13 +432,21 @@ class TestStudyInputs:
     def test_one_redraw_budget(self, kind, monkeypatch):
         # n = m = 2: weights (1,1) are degenerate and (2,0), (0,2) leave a
         # one-point sub-sample, so every draw has zero sub-sample scale.
-        # Each study gives up after MAX_REDRAWS draws of its one row.
+        # Each study gives up after MAX_REDRAWS draws of its one row.  A
+        # draw is one row key derived by the row engine (coverage, kdist)
+        # or one stream built (proportion's outer replications).
         calls = []
+        row_keys = rng_mod._row_keys
+
+        def counting_keys(seed, rows, *tail):
+            calls.extend((seed, r, *tail) for r in np.asarray(rows).tolist())
+            return row_keys(seed, rows, *tail)
 
         def counting_stream(*key):
             calls.append(key)
             return stream(*key)
 
+        monkeypatch.setattr(rng_mod, "_row_keys", counting_keys)
         monkeypatch.setattr(mc, "stream", counting_stream)
         studies = [
             lambda: coverage_study(NORMAL, 2, 2, kind, reps=1, alpha=0.05),
@@ -358,7 +457,7 @@ class TestStudyInputs:
             calls.clear()
             with pytest.raises(RandPivotError):
                 study()
-            assert len(calls) == mc.MAX_REDRAWS
+            assert len(calls) == len(set(calls)) == mc.MAX_REDRAWS
 
     @pytest.mark.parametrize("n,m,error", [(1, 1, TooFewObservations), (0, 3, TooFewObservations),
                                            (-3, 3, TooFewObservations), (5, 0, ValueError),
@@ -366,6 +465,7 @@ class TestStudyInputs:
     def test_sizes_checked_before_any_draw(self, n, m, error, monkeypatch):
         calls = []
         monkeypatch.setattr(mc, "stream", lambda *key: calls.append(key))
+        monkeypatch.setattr(rng_mod, "_row_keys", lambda *key: calls.append(key))
         studies = [
             lambda: coverage_study(NORMAL, n, m, PivotKind.G1, reps=5, alpha=0.05),
             lambda: kolmogorov_distance(PivotKind.G1, NORMAL, n, m, reps=5),
@@ -387,22 +487,22 @@ FAMILIES = ["normal:0,1", "exponential:1", "lognormal_std:0,1", "poisson:3",
 
 
 def _outcome(study):
-    """A study's report, or the type of the error it raised.
+    """A study's report, or the type and message of the error it raised.
 
-    The message is left out: coverage and kdist count the failing rows of
-    the first failing block, and the blocks follow the split into chunks.
+    The message names the first replication that stayed invalid, which
+    does not depend on the split into chunks and blocks.
     """
     try:
         return study()
     except RandPivotError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 class TestThreadIndependence:
     """threads=2 gives the report threads=1 gives, for drawn configurations.
 
-    n = 2 with T2 or G2 always exhausts the redraw budget, so the type of
-    the error a study raises is compared too.
+    n = 2 with T2 or G2 always exhausts the redraw budget, so the error a
+    study raises is compared too, message included.
     """
 
     config = dict(spec=st.sampled_from(FAMILIES), n=st.integers(2, 30),
@@ -438,3 +538,51 @@ class TestThreadIndependence:
                                                          threads=threads))
                     for threads in (1, 2)]
         assert outcomes[0] == outcomes[1]
+
+
+RECORDED = Path(__file__).parent / "golden" / "schema1_reports.json"
+GRID_SPECS = ["normal:0,1", "exponential:1", "lognormal:0,1", "lognormal_std:0,1",
+              "poisson:1", "binomial:10,0.1", "beta:5,1", "uniform:0,1"]
+
+
+def _grid_reports(ns, threads):
+    """The grid's coverage, kdist and proportion results, keyed by cell.
+
+    n = 3 on the discrete families redraws many rows (binomial:10,0.1
+    with a sub-sample scale most of all), so the grid covers the redraw
+    keying too.
+    """
+    out = {}
+    for spec in GRID_SPECS:
+        d = parse_dist(spec)
+        for n in ns:
+            for kind in PivotKind:
+                out[f"{spec} n={n} {kind.value}"] = {
+                    "coverage": coverage_study(d, n, n, kind, 60, 0.05, sided="two", seed=61,
+                                               classical_cutoff="student_t",
+                                               threads=threads).to_dict(),
+                    "kdist": kolmogorov_distance(kind, d, n, n, 60, seed=62, threads=threads),
+                    "proportion": proportion_study(d, n, kind, outer_reps=3, inner_reps=40,
+                                                   seed=63, threads=threads).to_dict(),
+                }
+    return out
+
+
+class TestRecordedReports:
+    """Reports on a fixed grid equal those recorded at SCHEMA_VERSION 1.
+
+    The record is json.dumps(_grid_reports((3, 20), 1), indent=1,
+    sort_keys=True), written by the engine that built one stream(seed, r,
+    a) per row.  A change to the keys, the draws or the kernel arithmetic
+    shows here; the record changes only with SCHEMA_VERSION.
+    """
+
+    def test_threads_1(self):
+        recorded = json.loads(RECORDED.read_text())
+        assert mc.SCHEMA_VERSION == 1
+        assert _grid_reports((3, 20), 1) == recorded
+
+    def test_threads_2(self):
+        recorded = json.loads(RECORDED.read_text())
+        got = _grid_reports((3,), 2)
+        assert got == {cell: recorded[cell] for cell in got}
