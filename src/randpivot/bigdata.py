@@ -21,7 +21,7 @@ import math
 import mmap
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -120,20 +120,11 @@ class SubsampleReport:
         return -math.expm1(self.m * math.log1p(-1.0 / pages))
 
     def to_dict(self) -> dict[str, Any]:
-        d = {
-            "n": self.n, "m": self.m, "policy": self.policy,
-            "distinct_records": self.distinct_records,
-            "records_read": self.records_read,
-            "bytes_read": self.bytes_read,
-            "read_calls": self.read_calls,
-            "pages_touched": self.pages_touched,
-            "file_fraction": self.file_fraction,
-            "predicted_page_fraction": self.predicted_page_fraction,
-            "rate_bound": self.rate_bound,
-        }
-        if self.dkw is not None:
-            d["dkw"] = self.dkw
-        return d
+        fields = asdict(self)
+        if self.dkw is None:
+            del fields["dkw"]
+        return {**fields, "file_fraction": self.file_fraction,
+                "predicted_page_fraction": self.predicted_page_fraction}
 
 
 class DatasetHandle:
@@ -363,9 +354,10 @@ def _line_ends(text: str) -> int:
 def _fast_values(block: str, col: int, delimiter: str) -> np.ndarray | None:
     """The column of a quote-free block through numpy's C reader, or None
     when the block needs the exact parse: the reader rejects it, a value is
-    not finite, or a line is longer than the csv module's field limit (it
-    would make csv.reader raise)."""
-    if block.isspace() or _long_line(block, csv.field_size_limit()):
+    not finite, or the block is longer than the csv module's field limit.
+    A block is about _BLOCK characters, so only a long line makes it that
+    long, and the exact parse raises for it as csv.reader does."""
+    if block.isspace() or len(block) > csv.field_size_limit():
         return None  # no cell, where loadtxt would warn; or a csv error to raise
     try:
         values = np.loadtxt(io.StringIO(block, newline=""), dtype=np.float64,
@@ -374,18 +366,6 @@ def _fast_values(block: str, col: int, delimiter: str) -> np.ndarray | None:
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
-
-
-def _long_line(text: str, limit: int) -> bool:
-    """Whether some line of text holds more than limit characters."""
-    start = 0
-    while len(text) - start > limit:
-        end = max(text.rfind("\n", start, start + limit + 1),
-                  text.rfind("\r", start, start + limit + 1))
-        if end < 0:
-            return True
-        start = end + 1
-    return False
 
 
 def _exact_values(records: Iterable[tuple[int, list[str]]], col: int | None,
@@ -455,10 +435,8 @@ def _query(h: DatasetHandle, policy: SizingPolicy, rng: np.random.Generator,
     _check_finite(values, sample.indices)
     ci = interval(sample, values, stats_from_nonzero(sample.counts, sample.n, sample.m))
     report = SubsampleReport(
-        n=sample.n, m=sample.m, policy=str(policy),
-        distinct_records=sample.distinct, records_read=stats.records_read,
-        bytes_read=stats.bytes_read, read_calls=stats.read_calls,
-        pages_touched=stats.pages_touched, rate_bound=rate(sample.n, sample.m, "D"),
+        n=sample.n, m=sample.m, policy=str(policy), distinct_records=sample.distinct,
+        **asdict(stats), rate_bound=rate(sample.n, sample.m, "D"),
         dkw=None if dkw_eps is None else dkw_bound(sample.n, dkw_eps),
     )
     return ci, report

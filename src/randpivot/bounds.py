@@ -71,6 +71,8 @@ class BoundInputs:
             raise ValueError("rho3 and c_be must be positive")
         if not 0.0 <= self.p_s2_dev <= 1.0:
             raise ValueError("p_s2_dev must be a probability")
+        if not all(map(math.isfinite, (self.eps, self.eps1, self.eps2, self.rho3, self.c_be))):
+            raise ValueError("eps, eps1, eps2, rho3 and c_be must be finite")
         if self.strict and not self.eps2_meets_continuity:
             raise ValueError(
                 f"eps2={self.eps2} does not dominate the continuity modulus "
@@ -158,6 +160,8 @@ def chebyshev_p_s2(n: int, eps1: float, sigma2: float, mu4: float) -> float:
 
     Uses Var(S_n^2) ~= (mu4 - sigma^4)/n and caps the result at 1.
     """
+    if not all(map(math.isfinite, (eps1, sigma2, mu4))):
+        raise ValueError("eps1, sigma2 and mu4 must be finite")
     if eps1 <= 0.0:
         raise ValueError("eps1 must be positive")
     if n < 1:

@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Any, Callable
 
@@ -233,6 +234,7 @@ def _ingest(args: argparse.Namespace) -> Payload:
 def _sample_ci(args: argparse.Namespace, interval: Callable[..., ConfidenceInterval]) -> Payload:
     """interval(x, w) of the CSV sample x and weights w drawn for it."""
     x = bigdata.read_csv_column(args.data, args.column, header=args.header)
+    mc._check_n(x.size)
     w = draw_weights(x.size, _resolve_m(args.m, x.size), stream(args.seed))
     return {"kind": "ci", **interval(x, w).to_dict(), "seed": args.seed}
 
@@ -301,8 +303,7 @@ def _bound(args: argparse.Namespace) -> Payload:
                            eps1=args.eps1, eps2=args.eps2, rho3=args.rho3,
                            p_s2_dev=p_s2, c_be=args.c_be)
     res = bounds.error_bound(b, plus_eps2=args.plus_eps2)
-    return {"kind": "bound", "n": args.n, "m": args.m, "raw": res.raw, "capped": res.capped,
-            "pi1": res.pi1, "pi2": res.pi2, "margin": res.margin,
+    return {"kind": "bound", "n": args.n, "m": args.m, **asdict(res), "capped": res.capped,
             "p_s2_dev": p_s2, "plus_eps2": args.plus_eps2,
             "eps2_meets_continuity": b.eps2_meets_continuity}
 

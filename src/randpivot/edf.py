@@ -136,6 +136,6 @@ def dkw_bound(n: int, eps: float) -> float:
     """min(1, 2 exp(-2 n eps^2)): the uniform EDF deviation bound."""
     if n < 1:
         raise ValueError("n must be positive")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     return min(1.0, 2.0 * math.exp(-2.0 * n * eps * eps))

@@ -17,7 +17,7 @@ finite endpoint only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -60,16 +60,9 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "target": self.target,
-            "level": self.level,
-            "lower": self.lower,
-            "upper": self.upper,
-            "center": self.center,
-            "half_width": self.half_width,
-            "sided": self.sided,
-            **{f"meta_{k}": v for k, v in sorted(self.meta.items())},
-        }
+        fields = asdict(self)
+        meta = fields.pop("meta")
+        return {**fields, **{f"meta_{k}": v for k, v in sorted(meta.items())}}
 
 
 @dataclass(frozen=True)

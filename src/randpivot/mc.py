@@ -20,17 +20,16 @@ by (seed, o, a).
 """
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from ._normal import norm_cdf
-from .errors import BadParams, RandPivotError, TooFewObservations
+from .errors import BadParams, RandPivotError, TooFewObservations, ZeroScale
 from .intervals import _z_for
 from .pivots import PivotKind
 from .rng import _row_streams, stream
@@ -40,7 +39,6 @@ __all__ = [
     "SCHEMA_VERSION", "DistributionSpec", "parse_dist", "gen_sample",
     "CoverageReport", "ProportionReport", "coverage_study",
     "proportion_study", "kolmogorov_distance", "student_t_cutoff",
-    "to_json", "to_csv",
 ]
 
 SCHEMA_VERSION = 1
@@ -97,7 +95,7 @@ class DistributionSpec:
         row = _FAMILIES[fam]
         if len(p) != row.arity:
             raise BadParams(f"{fam} takes {row.arity} parameters, got {len(p)}")
-        if not row.valid(p):
+        if not all(map(math.isfinite, p)) or not row.valid(p):
             raise BadParams(f"bad parameters {p} for family {fam}")
 
     @property
@@ -152,15 +150,8 @@ class CoverageReport:
         return math.sqrt(self.coverage * (1.0 - self.coverage) / self.reps)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION, "kind": "coverage",
-            "dist": self.dist, "n": self.n, "m": self.m, "pivot": self.pivot,
-            "reps": self.reps, "alpha": self.alpha, "sided": self.sided,
-            "coverage": self.coverage, "stderr": self.stderr,
-            "classical_coverage": self.classical_coverage,
-            "classical_cutoff": self.classical_cutoff,
-            "degenerate_count": self.degenerate_count, "seed": self.seed,
-        }
+        return {"schema_version": SCHEMA_VERSION, "kind": "coverage", **asdict(self),
+                "stderr": self.stderr}
 
 
 @dataclass(frozen=True)
@@ -181,17 +172,10 @@ class ProportionReport:
     seed: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION, "kind": "proportion",
-            "dist": self.dist, "n": self.n, "m": self.m, "pivot": self.pivot,
-            "outer_reps": self.outer_reps, "inner_reps": self.inner_reps,
-            "alpha": self.alpha, "sided": self.sided,
-            "band_low": self.band[0], "band_high": self.band[1],
-            "proportion": self.proportion,
-            "classical_proportion": self.classical_proportion,
-            "classical_cutoff": self.classical_cutoff,
-            "degenerate_count": self.degenerate_count, "seed": self.seed,
-        }
+        fields = asdict(self)
+        low, high = fields.pop("band")
+        return {"schema_version": SCHEMA_VERSION, "kind": "proportion", **fields,
+                "band_low": low, "band_high": high}
 
 
 def _cutoffs(alpha: float, sided: str, classical_cutoff: str, n: int) -> tuple[float, float]:
@@ -270,11 +254,19 @@ def _check_n(n: int) -> None:
         raise TooFewObservations(f"need at least 2 observations, got n={n}")
 
 
-def _check_sizes(n: int, m: int) -> None:
-    """The sample size and weight total every study needs, checked before any draw."""
+def _check_study(d: DistributionSpec, n: int, m: int, kind: PivotKind) -> None:
+    """Refuse, before any draw, the sizes no study takes and the
+    configurations whose every row is invalid, which would otherwise spend
+    the whole redraw budget before failing."""
     _check_n(n)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    if d.family == "binomial" and d.params[1] in (0.0, 1.0):
+        raise ZeroScale(f"{d.label()} is constant: every sample's scale is zero")
+    if kind.uses_subsample_scale and (m == 1 or n == m == 2):
+        # one index, or two on two points, leaves no sub-sample spread or
+        # leaves every weight at m/n
+        raise ZeroScale(f"{kind.value} scale is zero for every draw at n={n}, m={m}")
 
 
 def _evaluate_rows(draw, d: DistributionSpec, n: int, m: int, kind: PivotKind,
@@ -370,10 +362,10 @@ def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
     ratio_mean -/+ z * unit and G = (ratio_mean - mu) / unit, so the
     population mean is covered exactly when G meets the cutoff.
     """
-    _check_sizes(n, m)
+    pivot_kind = PivotKind(pivot_kind)
+    _check_study(d, n, m, pivot_kind)
     if reps < 1:
         raise ValueError("reps must be positive")
-    pivot_kind = PivotKind(pivot_kind)
     z, cutoff = _cutoffs(alpha, sided, classical_cutoff, n)
     vals, tvals, redraws = _replications(d, n, m, pivot_kind, reps, seed, threads)
     hits = int(_covered(vals, z, sided).sum())
@@ -427,12 +419,12 @@ def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
     Student t comparator on the same data.
     """
     m = n if m is None else m
-    _check_sizes(n, m)
+    pivot_kind = PivotKind(pivot_kind)
+    _check_study(d, n, m, pivot_kind)
     if outer_reps < 1 or inner_reps < 1:
         raise ValueError("outer_reps and inner_reps must be positive")
     if not 0.0 <= band[0] <= band[1] <= 1.0:
         raise ValueError(f"band must satisfy 0 <= lo <= hi <= 1, got {tuple(band)}")
-    pivot_kind = PivotKind(pivot_kind)
     z, cutoff = _cutoffs(alpha, sided, classical_cutoff, n)
     parts = _run_chunks(_proportion_chunk, outer_reps, threads, d, n, m, pivot_kind,
                         z, cutoff, sided, tuple(band), seed, inner_reps)
@@ -454,32 +446,11 @@ def kolmogorov_distance(pivot_kind: PivotKind, d: DistributionSpec, n: int,
                         m: int, reps: int, seed: int = 0,
                         threads: int = 1) -> float:
     """Sup over a fixed 512-point grid of |ECDF(pivot values) - Phi|."""
-    _check_sizes(n, m)
+    pivot_kind = PivotKind(pivot_kind)
+    _check_study(d, n, m, pivot_kind)
     if reps < 1:
         raise ValueError("reps must be positive")
-    pivot_kind = PivotKind(pivot_kind)
     values = np.sort(_replications(d, n, m, pivot_kind, reps, seed, threads)[0])
     ecdf = np.searchsorted(values, KDIST_GRID, side="right") / reps
     phi = np.array([norm_cdf(t) for t in KDIST_GRID])
     return float(np.max(np.abs(ecdf - phi)))
-
-
-def to_json(report, timestamp: str | None = None) -> str:
-    """Serialize one report (any dataclass with to_dict) to JSON."""
-    payload = report.to_dict()
-    if timestamp is not None:
-        payload["timestamp"] = timestamp
-    return json.dumps(payload, sort_keys=True)
-
-
-def to_csv(reports: Iterable) -> str:
-    """Serialize reports of one kind to CSV, one row per report."""
-    reports = list(reports)
-    if not reports:
-        return ""
-    rows = [r.to_dict() for r in reports]
-    fields = list(rows[0].keys())
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(str(row[f]) for f in fields))
-    return "\n".join(lines) + "\n"

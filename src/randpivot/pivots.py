@@ -138,8 +138,6 @@ def _exact_sum(a) -> float:
     total = 0
     for e, h, l in zip(used.tolist(), hi[used].tolist(), lo[used].tolist()):
         total += ((h << 26) + l) << (e - base)
-    if total == 0:  # nonzero terms that cancel: fsum's zero is +0.0
-        return 0.0
     shift = base - _EXP_BIAS - 53
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 

@@ -101,31 +101,25 @@ def _row_keys(seed: int, rows: np.ndarray, *tail: int) -> np.ndarray:
     The hash runs on uint32 arrays with one column per row, so its
     wrap-around arithmetic is numpy's silent array overflow, and the three
     hashmix calls that mix one pool word into the others are one
-    broadcast op.  Few rows, and row indices outside [0, 2^32) (not one
-    entropy word), go through SeedSequence itself.
+    broadcast op.  Few rows, row indices outside [0, 2^32) (not one
+    entropy word), and keys of more than four entropy words (a seed of
+    2^64 or more, or a long tail) go through SeedSequence itself.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    if rows.size < _VECTOR_MIN_ROWS or np.any(rows >> 32):
+    entropy = _words(seed) + [None] + [w for t in tail for w in _words(t)]
+    if rows.size < _VECTOR_MIN_ROWS or len(entropy) > _POOL or np.any(rows >> 32):
         return np.array([SeedSequence(entropy=(int(seed), int(r), *map(int, tail)))
                          .generate_state(2, np.uint64) for r in rows],
                         dtype=np.uint64).reshape(-1, 2)
     index = rows.astype(np.uint32)
-    entropy = _words(seed) + [None] + [w for t in tail for w in _words(t)]
     pool = np.zeros((_POOL, rows.size), dtype=np.uint32)
-    for i, word in enumerate(entropy[:_POOL]):
+    for i, word in enumerate(entropy):
         pool[i] = index if word is None else word
     pool = _hashmix(pool, _FILL)
     for s, consts in enumerate(_SPREAD):
         mixed = _mix(pool, _hashmix(pool[s], consts))
         mixed[s] = pool[s]
         pool = mixed
-    if len(entropy) > _POOL:
-        # each further entropy word is mixed into all four pool words
-        consts = _hash_constants(_INIT_A, _MULT_A, _POOL * len(entropy))
-        for j, word in enumerate(entropy[_POOL:], start=_POOL):
-            calls = slice(j * _POOL, (j + 1) * _POOL)
-            pool = _mix(pool, _hashmix(index if word is None else np.uint32(word),
-                                       tuple(_column(c[calls]) for c in consts)))
     state = _hashmix(pool, _OUTPUT)
     # generate_state(2, np.uint64) reads the 32-bit words as little-endian pairs
     return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)

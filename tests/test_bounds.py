@@ -81,6 +81,13 @@ class TestBoundInputs:
         with pytest.raises(ValueError):
             BoundInputs(n=10, m=10, **{**BASE, "p_s2_dev": 1.5})
 
+    @pytest.mark.parametrize("field", ["delta", "eps", "eps1", "eps2", "rho3", "p_s2_dev",
+                                       "c_be"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            BoundInputs(n=10, m=10, **{**BASE, field: value})
+
     def test_continuity_flag_recorded_not_enforced(self):
         # eps = 1 needs eps2 > 2*Phi(1/2) - 1 ~= 0.3829; 0.05 fails the
         # condition but stays constructible (only strict=True rejects)
@@ -159,6 +166,13 @@ class TestChebyshevPS2:
     def test_bad_moments(self):
         with pytest.raises(BadMoments):
             chebyshev_p_s2(100, 0.5, sigma2=2.0, mu4=1.0)
+
+    @pytest.mark.parametrize("eps1,sigma2,mu4", [(math.nan, 1.0, 3.0), (0.5, math.nan, 3.0),
+                                                 (0.5, 1.0, math.nan), (0.5, math.nan, math.nan),
+                                                 (math.inf, 1.0, 3.0), (0.5, 1.0, math.inf)])
+    def test_non_finite_rejected(self, eps1, sigma2, mu4):
+        with pytest.raises(ValueError, match="finite"):
+            chebyshev_p_s2(100, eps1, sigma2=sigma2, mu4=mu4)
 
 
 class TestRate:

@@ -1,4 +1,7 @@
 """End-to-end CLI tests via subprocess: outputs, exit codes, determinism."""
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,11 +10,16 @@ from pathlib import Path
 
 import pytest
 
+from randpivot.bigdata import write_dataset
+from randpivot.cli import main
+
 GOLDEN = Path(__file__).parent / "golden" / "cli_help.txt"
+GOLDEN_OUTPUTS = Path(__file__).parent / "golden" / "cli_outputs.json"
 
 
 def run_cli(*args, expect=0):
-    env = {**os.environ, "COLUMNS": "80"}
+    # a numpy warning in the child is an error, as it is in-process
+    env = {**os.environ, "COLUMNS": "80", "PYTHONWARNINGS": "error::RuntimeWarning"}
     out = subprocess.run([sys.executable, "-m", "randpivot.cli", *args],
                          capture_output=True, text=True, env=env)
     assert out.returncode == expect, (args, out.stdout, out.stderr)
@@ -218,6 +226,55 @@ class TestExitCodes:
         assert res.stdout == ""
         assert res.stderr == "randpivot: error: need at least 2 observations, got n=1\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (("kdist", "--dist", "normal:0,1", "--n", "2", "--pivot", "g2", "--reps", "20000"),
+         "g2 scale is zero for every draw at n=2, m=2"),
+        (("coverage", "--dist", "normal:0,1", "--n", "2", "--m", "2", "--pivot", "t2",
+          "--reps", "2000"), "t2 scale is zero for every draw at n=2, m=2"),
+        (("proportion", "--dist", "binomial:5,0", "--n", "10", "--outer", "20"),
+         "binomial(5,0) is constant: every sample's scale is zero"),
+        (("coverage", "--dist", "binomial:5,1", "--n", "10", "--reps", "2000"),
+         "binomial(5,1) is constant: every sample's scale is zero"),
+        (("coverage", "--dist", "normal:nan,1", "--n", "20", "--reps", "2000"),
+         "bad parameters (nan, 1.0) for family normal"),
+        (("kdist", "--dist", "normal:inf,1", "--n", "20", "--reps", "2000"),
+         "bad parameters (inf, 1.0) for family normal"),
+    ])
+    def test_unusable_study_is_1_before_any_draw(self, argv, message):
+        res = run_cli(*argv, "--no-timestamp", expect=1)
+        assert res.stdout == ""
+        assert res.stderr == f"randpivot: error: {message}\n"
+
+    @pytest.mark.parametrize("m", ["equal-n", "10"])
+    @pytest.mark.parametrize("command", [("ci-mean",), ("ci-edf", "--x", "1")])
+    def test_one_value_sample_needs_two_observations(self, tmp_path, command, m):
+        # the same message whichever way --m sizes the weights
+        data = tmp_path / "one.csv"
+        data.write_text("3.5\n")
+        res = run_cli(*command, "--data", str(data), "--m", m, "--no-timestamp", expect=1)
+        assert res.stdout == ""
+        assert res.stderr == "randpivot: error: need at least 2 observations, got n=1\n"
+
+    @pytest.mark.parametrize("extra", [("--eps", "nan", "--p-s2", "0.01"),
+                                       ("--rho3", "inf", "--p-s2", "0.01"),
+                                       ("--c-be", "inf", "--p-s2", "0.01"),
+                                       ("--sigma2", "nan", "--mu4", "nan")])
+    def test_bound_non_finite_input_is_1(self, extra):
+        res = run_cli("bound", "--n", "100", "--m", "100", "--delta", "0.5", "--eps", "0.1",
+                      "--eps1", "0.01", "--eps2", "0.05", "--rho3", "2", *extra,
+                      "--no-timestamp", expect=1)
+        assert res.stdout == ""
+        assert res.stderr.startswith("randpivot: error: ") and res.stderr.count("\n") == 1
+        assert "finite" in res.stderr
+
+    def test_bigdata_non_finite_dkw_eps_is_1(self, tmp_path):
+        data = tmp_path / "d.rpv"
+        write_dataset([0.1 * i for i in range(200)], data)
+        res = run_cli("ci-bigdata", "--data", str(data), "--stat", "edf", "--x", "3",
+                      "--dkw-eps", "nan", "--no-timestamp", expect=1)
+        assert res.stdout == ""
+        assert res.stderr == "randpivot: error: eps must be positive and finite\n"
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_must_be_positive(self, threads):
         out = run_cli("coverage", "--dist", "normal:0,1", "--n", "5", "--reps", "10",
@@ -278,3 +335,89 @@ class TestGoldenHelp:
                        "(default: power-delta:0.25)", "(default: 0.56)",
                        "(default: env RANDPIVOT_SEED or 0)"):
             assert needle in text, needle
+
+
+# One command line per row, run in both formats with --no-timestamp.  {dir}
+# is the directory holding the inputs _golden_inputs writes; the ingest rows
+# come first, since the ci-bigdata rows read the dataset they write.
+GOLDEN_GRID = [
+    "ingest --csv {dir}/big.csv --out {dir}/big.rpv",
+    "ingest --csv {dir}/semi.csv --column b --delimiter ; --out {dir}/semi.rpv",
+    "ci-mean --data {dir}/sample.csv --seed 7",
+    "ci-mean --data {dir}/sample.csv --variant g2 --m 15 --sided upper --alpha 0.1 --seed 3",
+    "ci-mean --data {dir}/sample.csv --m power-delta:0.25 --sided lower --seed 4",
+    "ci-mean --data {dir}/named.csv --column 1 --header --seed 5",
+    "ci-edf --data {dir}/sample.csv --x 2.5 --seed 7",
+    "ci-edf --data {dir}/sample.csv --x 2.5 --target df --seed 8",
+    "ci-edf --data {dir}/sample.csv --x 2.5 --target df --m loglog --sided upper --seed 9",
+    "ci-edf --data {dir}/sample.csv --x 0.6 --seed 2",
+    "ci-edf --data {dir}/named.csv --column b --x 2.5 --seed 10",
+    "ci-bigdata --data {dir}/big.rpv --seed 7",
+    "ci-bigdata --data {dir}/big.rpv --policy loglog --sided upper --seed 8",
+    "ci-bigdata --data {dir}/big.rpv --stat edf --x 3.0 --dkw-eps 0.02 --seed 9",
+    "ci-bigdata --data {dir}/big.rpv --stat edf --x 3.0 --policy fixed:300 --seed 10",
+    "coverage --dist normal:0,1 --n 20 --reps 200 --seed 1",
+    "coverage --dist exponential:1 --n 15 --pivot t2 --m loglog --sided two"
+    " --classical-cutoff student-t --alpha 0.1 --reps 200 --threads 2 --seed 2",
+    "coverage --dist poisson:1 --n 5 --pivot g2 --reps 200 --threads 2 --seed 3",
+    "proportion --dist normal:0,1 --n 10 --outer 10 --inner 40 --seed 4",
+    "proportion --dist lognormal:0,1 --n 10 --pivot t1 --band 0.9,0.99 --sided lower"
+    " --classical-cutoff student-t --outer 10 --inner 40 --threads 2 --seed 5",
+    "kdist --dist normal:0,1 --n 20 --reps 1000 --seed 6",
+    "kdist --dist beta:2,3 --n 20 --pivot g2 --m 30 --reps 1000 --threads 2 --seed 7",
+    "bound --n 100 --m 100 --delta 0.5 --eps 0.1 --eps1 0.01 --eps2 0.05 --rho3 2 --p-s2 0.01",
+    "bound --n 10000 --m 10000 --delta 0.5 --eps 0.9 --eps1 0.3 --eps2 0.05 --rho3 2"
+    " --sigma2 1 --mu4 3 --plus-eps2 --c-be 0.5",
+    "rate --n 1000000 --m 31623 --kind d",
+    "rate --n 1000 --m 100 --kind a",
+    "sizing --n 1000000 --policy power-delta:0.25",
+    "sizing --n 1000000 --policy loglog",
+]
+
+
+def _golden_inputs(d: Path) -> None:
+    """The grid's input files; their values come from formulas, not from a stream."""
+    d.mkdir(parents=True, exist_ok=True)
+    sample = [0.5 + (i * 37 % 29) * 0.173 for i in range(30)]
+    (d / "sample.csv").write_text("".join(f"{v!r}\n" for v in sample))
+    (d / "named.csv").write_text("a,b\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(sample)))
+    (d / "semi.csv").write_text("a;b\n" + "".join(f"{i}; {v!r}\n" for i, v in enumerate(sample)))
+    (d / "big.csv").write_text("".join(f"{(i * 7919 % 10007) / 1000.0!r}\n"
+                                       for i in range(5000)))
+
+
+def _golden_outputs(d: Path) -> dict[str, dict]:
+    """Exit code and stdout of every grid row in both formats, run in-process
+    through main, with d written as {dir}; an ingest row also records the
+    SHA-256 of the dataset it wrote."""
+    _golden_inputs(d)
+    out = {}
+    for row in GOLDEN_GRID:
+        argv = row.format(dir=d).split()
+        for fmt in ("json", "csv"):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main([*argv, "--format", fmt, "--no-timestamp"])
+            record = {"exit": code, "stdout": stdout.getvalue().replace(str(d), "{dir}")}
+            if argv[0] == "ingest":
+                dataset = Path(argv[argv.index("--out") + 1])
+                record["dataset_sha256"] = hashlib.sha256(dataset.read_bytes()).hexdigest()
+            out[f"{row} --format {fmt}"] = record
+    return out
+
+
+class TestGoldenOutputs:
+    """Every command's report equals the one recorded in cli_outputs.json.
+
+    The record is json.dumps(_golden_outputs(d), indent=1), written at
+    SCHEMA_VERSION 1.  A change to any report field, value or format shows
+    here; the record changes only with SCHEMA_VERSION.
+    """
+
+    def test_outputs_match_record(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("RANDPIVOT_SEED", raising=False)
+        recorded = json.loads(GOLDEN_OUTPUTS.read_text())
+        got = _golden_outputs(tmp_path / "inputs")
+        assert list(got) == list(recorded)
+        for key, record in recorded.items():
+            assert got[key] == record, key

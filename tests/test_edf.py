@@ -323,6 +323,11 @@ class TestDkw:
     def test_cap(self):
         assert dkw_bound(10, 1e-9) == 1.0
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dkw_bound(100, eps)
+
     def test_matches_formula_generally(self):
         for eps in (1e-4, 1e-3, 0.002, 0.01, 0.1):
             want = min(1.0, 2.0 * math.exp(-2.0 * eps * eps * 10**6))

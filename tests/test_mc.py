@@ -18,7 +18,6 @@ from randpivot import (BadParams, DegenerateWeights, DistributionSpec, PivotKind
                        kolmogorov_distance, parse_dist, pivot, proportion_study, stream,
                        student_t_cutoff)
 from randpivot._normal import norm_cdf
-from randpivot.mc import to_csv, to_json
 
 NORMAL = DistributionSpec("normal", (0.0, 1.0))
 
@@ -46,6 +45,13 @@ class TestDistributionSpec:
             DistributionSpec("nosuch", (1.0,))
         with pytest.raises(BadParams):
             DistributionSpec("uniform", (3.0, 1.0))
+
+    @pytest.mark.parametrize("text", ["normal:inf,1", "normal:nan,1", "normal:0,inf",
+                                      "poisson:inf", "exponential:nan", "uniform:-inf,0",
+                                      "binomial:10,nan", "beta:inf,2", "lognormal:0,inf"])
+    def test_non_finite_params_rejected(self, text):
+        with pytest.raises(BadParams, match="bad parameters"):
+            parse_dist(text)
 
 
 class TestGenSample:
@@ -233,29 +239,15 @@ class TestKolmogorovDistance:
 
 
 class TestSerialization:
-    def test_json_roundtrip_and_stability(self):
-        report = coverage_study(NORMAL, 10, 10, PivotKind.G1, reps=50, seed=30,
-                                alpha=0.05)
-        s = to_json(report)
-        payload = json.loads(s)
-        assert payload["schema_version"] == 1
-        assert payload["kind"] == "coverage"
-        assert payload["coverage"] == report.coverage
-        assert "stderr" in payload and "seed" in payload
-        assert to_json(report) == s  # stable
-
-    def test_csv_one_row_per_report(self):
-        r1 = coverage_study(NORMAL, 10, 10, PivotKind.G1, reps=50, seed=31, alpha=0.05)
-        r2 = coverage_study(NORMAL, 12, 12, PivotKind.G1, reps=50, seed=32, alpha=0.05)
-        text = to_csv([r1, r2])
-        lines = text.strip().split("\n")
-        assert len(lines) == 3
-        assert lines[0].startswith("schema_version,kind,dist")
-
     def test_stderr_formula(self):
         report = coverage_study(NORMAL, 10, 10, PivotKind.G1, reps=100, seed=33, alpha=0.05)
         p = report.coverage
         assert report.stderr == pytest.approx(math.sqrt(p * (1 - p) / 100), rel=1e-12)
+        payload = report.to_dict()
+        assert payload["schema_version"] == 1 and payload["kind"] == "coverage"
+        assert payload["coverage"] == p and payload["stderr"] == report.stderr
+        assert payload["seed"] == 33
+        assert report.to_dict() == payload  # stable
 
 
 def _replay(d, n, kind, reps, seed, alpha=0.05):
@@ -328,19 +320,32 @@ class TestRowEngineMatchesSingleSampleApi:
         assert kolmogorov_distance(PivotKind.T2, d, 5, 5, 300, seed=3) == want_kd
 
     def test_exhausted_budget_names_first_replication(self, monkeypatch):
-        # n = m = 2 with T2 never gives a valid row; the error names the
-        # lowest replication whatever the threads and the block size
+        # with a kernel that finds no row valid, the error names the lowest
+        # replication whatever the threads and the block size
+        _never_valid(monkeypatch)
         msg = ("{} had 100 consecutive degenerate draws; the configuration "
-               "normal(0,1), n=2, m=2 looks unusable")
+               "normal(0,1), n=5, m=5 looks unusable")
         for threads, block in [(1, mc._BLOCK_ELEMENTS), (2, mc._BLOCK_ELEMENTS), (1, 5)]:
             monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
             with pytest.raises(RandPivotError) as exc:
-                coverage_study(NORMAL, 2, 2, PivotKind.T2, 7, 0.05, threads=threads)
+                coverage_study(NORMAL, 5, 5, PivotKind.T2, 7, 0.05, threads=threads)
             assert str(exc.value) == msg.format("replication 0")
             with pytest.raises(RandPivotError) as exc:
-                proportion_study(NORMAL, 2, PivotKind.T2, outer_reps=3, inner_reps=4,
+                proportion_study(NORMAL, 5, PivotKind.T2, outer_reps=3, inner_reps=4,
                                  threads=threads)
             assert str(exc.value) == msg.format("inner replication 0 of outer replication 0")
+
+
+def _never_valid(monkeypatch):
+    """Make the row kernel report every row invalid, so every study exhausts
+    its redraw budget.  Forked workers inherit the patch."""
+    batch_values = mc._batch_values
+
+    def never_valid(*args):
+        vals, tvals, valid = batch_values(*args)
+        return vals, tvals, np.zeros_like(valid)
+
+    monkeypatch.setattr(mc, "_batch_values", never_valid)
 
 
 EPS = np.finfo(np.float64).eps
@@ -430,11 +435,11 @@ class TestStudyInputs:
 
     @pytest.mark.parametrize("kind", [PivotKind.T2, PivotKind.G2])
     def test_one_redraw_budget(self, kind, monkeypatch):
-        # n = m = 2: weights (1,1) are degenerate and (2,0), (0,2) leave a
-        # one-point sub-sample, so every draw has zero sub-sample scale.
-        # Each study gives up after MAX_REDRAWS draws of its one row.  A
-        # draw is one row key derived by the row engine (coverage, kdist)
-        # or one stream built (proportion's outer replications).
+        # With a kernel that finds no row valid, each study gives up after
+        # MAX_REDRAWS draws of its one row.  A draw is one row key derived
+        # by the row engine (coverage, kdist) or one stream built
+        # (proportion's outer replications).
+        _never_valid(monkeypatch)
         calls = []
         row_keys = rng_mod._row_keys
 
@@ -449,9 +454,9 @@ class TestStudyInputs:
         monkeypatch.setattr(rng_mod, "_row_keys", counting_keys)
         monkeypatch.setattr(mc, "stream", counting_stream)
         studies = [
-            lambda: coverage_study(NORMAL, 2, 2, kind, reps=1, alpha=0.05),
-            lambda: kolmogorov_distance(kind, NORMAL, 2, 2, reps=1),
-            lambda: proportion_study(NORMAL, 2, kind, outer_reps=1, inner_reps=1),
+            lambda: coverage_study(NORMAL, 5, 5, kind, reps=1, alpha=0.05),
+            lambda: kolmogorov_distance(kind, NORMAL, 5, 5, reps=1),
+            lambda: proportion_study(NORMAL, 5, kind, outer_reps=1, inner_reps=1),
         ]
         for study in studies:
             calls.clear()
@@ -481,6 +486,39 @@ class TestStudyInputs:
         with pytest.raises(TooFewObservations):
             proportion_study(NORMAL, 1, PivotKind.T1, outer_reps=2, inner_reps=3)
 
+    @pytest.mark.parametrize("spec,n,m,kind,match", [
+        ("binomial:10,0", 10, 10, PivotKind.T1, "constant"),
+        ("binomial:3,1", 10, 10, PivotKind.G1, "constant"),
+        ("binomial:3,1", 10, 10, PivotKind.G2, "constant"),
+        ("normal:0,1", 5, 1, PivotKind.T2, "t2 scale is zero for every draw at n=5, m=1"),
+        ("normal:0,1", 5, 1, PivotKind.G2, "g2 scale is zero for every draw at n=5, m=1"),
+        ("normal:0,1", 2, 2, PivotKind.T2, "t2 scale is zero for every draw at n=2, m=2"),
+        ("normal:0,1", 2, 2, PivotKind.G2, "g2 scale is zero for every draw at n=2, m=2"),
+    ])
+    def test_unusable_configuration_refused_before_any_draw(self, spec, n, m, kind, match,
+                                                            monkeypatch):
+        calls = []
+        monkeypatch.setattr(mc, "stream", lambda *key: calls.append(key))
+        monkeypatch.setattr(rng_mod, "_row_keys", lambda *key: calls.append(key))
+        d = parse_dist(spec)
+        studies = [
+            lambda: coverage_study(d, n, m, kind, reps=5, alpha=0.05),
+            lambda: kolmogorov_distance(kind, d, n, m, reps=5),
+            lambda: proportion_study(d, n, kind, outer_reps=2, inner_reps=3, m=m),
+        ]
+        for study in studies:
+            with pytest.raises(ZeroScale, match=match):
+                study()
+        assert calls == []
+
+    @pytest.mark.parametrize("n,m,kind", [(5, 1, PivotKind.T1), (5, 1, PivotKind.G1),
+                                          (2, 3, PivotKind.T2), (3, 2, PivotKind.G2),
+                                          (2, 2, PivotKind.G1)])
+    def test_usable_neighbours_still_run(self, n, m, kind):
+        # each of these configurations gives valid rows with positive probability
+        report = coverage_study(NORMAL, n, m, kind, reps=20, alpha=0.05, seed=5)
+        assert 0.0 <= report.coverage <= 1.0
+
 
 FAMILIES = ["normal:0,1", "exponential:1", "lognormal_std:0,1", "poisson:3",
             "binomial:10,0.5", "beta:2,3", "uniform:0,1"]
@@ -501,8 +539,8 @@ def _outcome(study):
 class TestThreadIndependence:
     """threads=2 gives the report threads=1 gives, for drawn configurations.
 
-    n = 2 with T2 or G2 always exhausts the redraw budget, so the error a
-    study raises is compared too, message included.
+    n = 2 with T2 or G2 is refused before any draw, so the error a study
+    raises is compared too, message included.
     """
 
     config = dict(spec=st.sampled_from(FAMILIES), n=st.integers(2, 30),
