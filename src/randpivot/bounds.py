@@ -166,6 +166,8 @@ def chebyshev_p_s2(n: int, eps1: float, sigma2: float, mu4: float) -> float:
         raise ValueError("eps1 must be positive")
     if n < 1:
         raise ValueError("n must be positive")
+    if sigma2 < 0.0:
+        raise BadMoments(f"sigma2={sigma2} is negative")
     if mu4 < sigma2 ** 2:
         raise BadMoments(f"mu4={mu4} < sigma2^2={sigma2 ** 2}")
     var_s2 = (mu4 - sigma2 ** 2) / n

@@ -268,7 +268,11 @@ def _study_inputs(args: argparse.Namespace) -> tuple[mc.DistributionSpec, int, P
     study command reports it as the study itself would.
     """
     mc._check_n(args.n)
-    return mc.parse_dist(args.dist), _resolve_m(args.m, args.n), PivotKind(args.pivot)
+    try:
+        m = int(args.m)  # an integer is the study's m as given, never clamped
+    except ValueError:
+        m = _resolve_m(args.m, args.n)
+    return mc.parse_dist(args.dist), m, PivotKind(args.pivot)
 
 
 def _shared_keywords(args: argparse.Namespace) -> dict[str, Any]:

@@ -16,14 +16,19 @@ gen_sample then draw_weights would see.  The keys of a block's rows are
 derived in one vectorized pass and one generator is rewound to each, so
 the draws are stream(seed, r, a)'s without a generator built per row.
 proportion_study keys outer replication o by (seed, o) and its redraws
-by (seed, o, a).
+by (seed, o, a); the attempt-0 keys of a chunk's outer replications come
+from the same vectorized pass, one generator rewound per outer
+replication, and every inner row of that outer is drawn from it.
+
+The kernel takes integer weight counts, which w / m and w * x convert
+exactly, and writes the numerator's terms into the deviations' buffer.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -198,10 +203,10 @@ def _covered(values: np.ndarray, cutoff: float, sided: str) -> np.ndarray:
 
 
 def _counts_matrix(idx: np.ndarray, n: int) -> np.ndarray:
-    """Weight counts, one row per row of resampled indices."""
-    rows, m = idx.shape
-    flat = np.repeat(np.arange(rows, dtype=np.int64), m) * n + idx.ravel()
-    return np.bincount(flat, minlength=rows * n).reshape(rows, n).astype(np.float64)
+    """Integer weight counts, one row per row of resampled indices."""
+    rows = idx.shape[0]
+    flat = idx + (np.arange(rows, dtype=np.int64) * n)[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * n).reshape(rows, n)
 
 
 def _row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,17 +234,20 @@ def _batch_values(kind: PivotKind, x: np.ndarray, w: np.ndarray, m: int,
     """
     n = x.shape[1]
     mean, var, s1 = _row_moments(x)
-    dev = w / m - 1.0 / n
+    dev = w / m
+    dev -= 1.0 / n
     ssq = np.einsum("ij,ij->i", dev, dev)
     if kind.uses_subsample_scale:
         rmean = (w * x).sum(axis=1) / m
         scale2 = (w * (x - rmean[:, None]) ** 2).sum(axis=1) / m
     else:
         scale2 = var
-    if kind.needs_mu:
-        num = (np.abs(dev) * (x - mu)).sum(axis=1)
+    if kind.needs_mu:  # ssq is taken, so dev's buffer takes the terms of num
+        np.abs(dev, out=dev)
+        dev *= x - mu
     else:
-        num = (dev * x).sum(axis=1)
+        dev *= x
+    num = dev.sum(axis=1)
     denom2 = scale2 * ssq
     valid = (denom2 > 0.0) & (s1 > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -378,11 +386,11 @@ def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
     )
 
 
-def _draw_outer(d: DistributionSpec, n: int, m: int, seed: int, o: int,
+def _draw_outer(d: DistributionSpec, n: int, m: int, seed: int, o: int, first: np.random.Generator,
                 attempt: int, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Outer replication o draws its whole inner block from stream(seed, o),
-    # and the rows still invalid at attempt a from stream(seed, o, a).
-    rng = stream(seed, o, attempt) if attempt else stream(seed, o)
+    # Outer replication o draws its whole inner block from first, in stream(seed, o)'s
+    # start state, and the rows still invalid at attempt a from stream(seed, o, a).
+    rng = stream(seed, o, attempt) if attempt else first
     rows = which.size
     x = gen_sample(d, rows * n, rng).reshape(rows, n)
     return x, _counts_matrix(draw_indices(n, rows * m, rng).reshape(rows, m), n)
@@ -392,13 +400,14 @@ def _proportion_chunk(args) -> tuple[int, int, int]:
     (d, n, m, kind, z, cutoff, sided, band, seed, inner, start, stop) = args
     lo, hi = band
     in_band = t_in_band = redraws = 0
-    for o in range(start, stop):
-        draw = partial(_draw_outer, d, n, m, seed, o)
+    # one generator, rewound per outer: an outer draws all its rows before the next
+    for o, first in zip(range(start, stop), _row_streams(seed, np.arange(start, stop))):
+        draw = partial(_draw_outer, d, n, m, seed, o, first)
         vals, tvals, rd = _evaluate_rows(
             draw, d, n, m, kind, inner, lambda i: f"inner replication {i} of outer replication {o}")
         redraws += rd
-        cov = float(_covered(vals, z, sided).mean())
-        t_cov = float(_covered(tvals, cutoff, sided).mean())
+        cov = int(np.count_nonzero(_covered(vals, z, sided))) / inner
+        t_cov = int(np.count_nonzero(_covered(tvals, cutoff, sided))) / inner
         in_band += lo <= cov <= hi
         t_in_band += lo <= t_cov <= hi
     return in_band, t_in_band, redraws
@@ -442,6 +451,14 @@ def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
 KDIST_GRID = np.linspace(-5.0, 5.0, 512)
 
 
+@cache
+def _kdist_phi() -> np.ndarray:
+    """Phi on KDIST_GRID, evaluated once per process, on first use."""
+    phi = np.array([norm_cdf(t) for t in KDIST_GRID])
+    phi.flags.writeable = False
+    return phi
+
+
 def kolmogorov_distance(pivot_kind: PivotKind, d: DistributionSpec, n: int,
                         m: int, reps: int, seed: int = 0,
                         threads: int = 1) -> float:
@@ -452,5 +469,4 @@ def kolmogorov_distance(pivot_kind: PivotKind, d: DistributionSpec, n: int,
         raise ValueError("reps must be positive")
     values = np.sort(_replications(d, n, m, pivot_kind, reps, seed, threads)[0])
     ecdf = np.searchsorted(values, KDIST_GRID, side="right") / reps
-    phi = np.array([norm_cdf(t) for t in KDIST_GRID])
-    return float(np.max(np.abs(ecdf - phi)))
+    return float(np.max(np.abs(ecdf - _kdist_phi())))

@@ -167,6 +167,12 @@ class TestChebyshevPS2:
         with pytest.raises(BadMoments):
             chebyshev_p_s2(100, 0.5, sigma2=2.0, mu4=1.0)
 
+    @pytest.mark.parametrize("sigma2", [-1.0, -1e-300])
+    def test_negative_variance_is_bad_moments(self, sigma2):
+        # mu4 >= sigma2^2 holds here, so only the sign check refuses it
+        with pytest.raises(BadMoments, match="negative"):
+            chebyshev_p_s2(100, 0.5, sigma2=sigma2, mu4=3.0)
+
     @pytest.mark.parametrize("eps1,sigma2,mu4", [(math.nan, 1.0, 3.0), (0.5, math.nan, 3.0),
                                                  (0.5, 1.0, math.nan), (0.5, math.nan, math.nan),
                                                  (math.inf, 1.0, 3.0), (0.5, 1.0, math.inf)])

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from randpivot import PivotKind, coverage_study, parse_dist
 from randpivot.bigdata import write_dataset
 from randpivot.cli import main
 
@@ -266,6 +267,27 @@ class TestExitCodes:
         assert res.stdout == ""
         assert res.stderr.startswith("randpivot: error: ") and res.stderr.count("\n") == 1
         assert "finite" in res.stderr
+
+    def test_bound_negative_sigma2_is_1(self):
+        res = run_cli("bound", "--n", "100", "--m", "100", "--delta", "0.5", "--eps", "0.1",
+                      "--eps1", "0.5", "--eps2", "0.05", "--rho3", "2", "--sigma2", "-1",
+                      "--mu4", "3", "--no-timestamp", expect=1)
+        assert res.stdout == ""
+        assert res.stderr == "randpivot: error: sigma2=-1.0 is negative\n"
+
+    def test_study_integer_m_is_taken_as_given(self):
+        # an integer --m is not clamped to [2, n^2 - 1] as a sizing policy is
+        argv = ("coverage", "--dist", "normal:0,1", "--n", "20", "--m", "1", "--reps", "200",
+                "--seed", "5", "--no-timestamp")
+        payload = json.loads(run_cli(*argv, "--pivot", "t1").stdout)
+        want = coverage_study(parse_dist("normal:0,1"), 20, 1, PivotKind.T1, 200, 0.05, seed=5)
+        assert payload == json.loads(json.dumps(want.to_dict()))
+        assert payload["m"] == 1
+        res = run_cli(*argv, "--pivot", "t2", expect=1)
+        assert res.stdout == ""
+        assert res.stderr == "randpivot: error: t2 scale is zero for every draw at n=20, m=1\n"
+        res = run_cli(*argv[:5], "--m", "0", *argv[7:], expect=1)
+        assert res.stderr == "randpivot: error: m must be at least 1, got 0\n"
 
     def test_bigdata_non_finite_dkw_eps_is_1(self, tmp_path):
         data = tmp_path / "d.rpv"

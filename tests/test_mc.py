@@ -18,6 +18,7 @@ from randpivot import (BadParams, DegenerateWeights, DistributionSpec, PivotKind
                        kolmogorov_distance, parse_dist, pivot, proportion_study, stream,
                        student_t_cutoff)
 from randpivot._normal import norm_cdf
+from randpivot.weights import draw_indices
 
 NORMAL = DistributionSpec("normal", (0.0, 1.0))
 
@@ -232,6 +233,18 @@ class TestKolmogorovDistance:
         d2 = kolmogorov_distance(PivotKind.G1, NORMAL, 50, 50, reps=20000, seed=28)
         assert abs(d1 - d2) < 0.01
 
+    def test_phi_on_grid_evaluated_once_on_first_use(self):
+        code = ("import randpivot.mc as mc; "
+                "assert mc._kdist_phi.cache_info().currsize == 0; "
+                "mc.kolmogorov_distance('g1', mc.parse_dist('normal:0,1'), 10, 10, 20); "
+                "mc.kolmogorov_distance('t1', mc.parse_dist('normal:0,1'), 10, 10, 20); "
+                "info = mc._kdist_phi.cache_info(); "
+                "assert (info.misses, info.hits) == (1, 1), info")
+        subprocess.run([sys.executable, "-c", code], check=True)
+        phi = mc._kdist_phi()
+        assert not phi.flags.writeable
+        assert phi.tobytes() == np.array([norm_cdf(t) for t in mc.KDIST_GRID]).tobytes()
+
     def test_deterministic_across_threads(self):
         a = kolmogorov_distance(PivotKind.G1, NORMAL, 30, 30, reps=4000, seed=29)
         b = kolmogorov_distance(PivotKind.G1, NORMAL, 30, 30, reps=4000, seed=29, threads=3)
@@ -250,6 +263,10 @@ class TestSerialization:
         assert report.to_dict() == payload  # stable
 
 
+SIDES = {"upper": lambda v, c: v <= c, "lower": lambda v, c: v >= -c,
+         "two": lambda v, c: np.abs(v) <= c}
+
+
 def _replay(d, n, kind, reps, seed, alpha=0.05):
     """Replications through the single-sample API, as coverage_study keys them.
 
@@ -257,9 +274,7 @@ def _replay(d, n, kind, reps, seed, alpha=0.05):
     the redraw count.  G-pivots are covered via ci_mu(...).contains(mu).
     """
     mu = d.true_mean
-    events = {"upper": lambda v, c: v <= c, "lower": lambda v, c: v >= -c,
-              "two": lambda v, c: abs(v) <= c}
-    hits = {sided: [0, 0] for sided in events}
+    hits = {sided: [0, 0] for sided in SIDES}
     values, redraws = [], 0
     for r in range(reps):
         for attempt in range(mc.MAX_REDRAWS):
@@ -269,7 +284,7 @@ def _replay(d, n, kind, reps, seed, alpha=0.05):
             try:
                 val = pivot(kind, x, w, mu=mu if kind.needs_mu else None)
                 cis = {sided: ci_mu(x, w, alpha, variant=kind.value, sided=sided)
-                       for sided in events} if kind.needs_mu else None
+                       for sided in SIDES} if kind.needs_mu else None
             except (DegenerateWeights, ZeroScale):
                 continue
             s1 = float(x.std(ddof=1))
@@ -281,7 +296,7 @@ def _replay(d, n, kind, reps, seed, alpha=0.05):
             raise AssertionError(f"replication {r} never valid")
         redraws += attempt
         values.append(val)
-        for sided, event in events.items():
+        for sided, event in SIDES.items():
             z = critical_z(alpha / 2.0 if sided == "two" else alpha)
             hits[sided][0] += cis[sided].contains(mu) if cis else event(val, z)
             hits[sided][1] += event(tval, z)
@@ -334,6 +349,61 @@ class TestRowEngineMatchesSingleSampleApi:
                 proportion_study(NORMAL, 5, PivotKind.T2, outer_reps=3, inner_reps=4,
                                  threads=threads)
             assert str(exc.value) == msg.format("inner replication 0 of outer replication 0")
+
+
+def _proportion_replay(d, n, kind, outer, inner, seed, band, alpha=0.05):
+    """Outer replications drawn one generator per draw, as proportion_study keys them.
+
+    Outer o draws its inner rows from stream(seed, o), and the rows still
+    invalid at attempt a from stream(seed, o, a): first gen_sample(d, k*n),
+    then draw_indices(n, k*m), counted row by row.  Returns per sidedness
+    the (in-band, classical in-band) counts, and the redraw count.
+    """
+    mu, lo, hi = d.true_mean, *band
+    in_band = {sided: [0, 0] for sided in SIDES}
+    redraws = 0
+    for o in range(outer):
+        vals, tvals = np.empty(inner), np.empty(inner)
+        which = np.arange(inner)
+        for attempt in range(mc.MAX_REDRAWS):
+            rng = stream(seed, o, attempt) if attempt else stream(seed, o)
+            k = which.size
+            x = gen_sample(d, k * n, rng).reshape(k, n)
+            idx = draw_indices(n, k * n, rng).reshape(k, n)
+            w = np.array([np.bincount(row, minlength=n) for row in idx])
+            vals[which], tvals[which], ok = mc._batch_values(kind, x, w, n, mu)
+            which = which[~ok]
+            if which.size == 0:
+                break
+            redraws += which.size
+        else:
+            raise AssertionError(f"outer replication {o} never valid")
+        for sided, event in SIDES.items():
+            z = critical_z(alpha / 2.0 if sided == "two" else alpha)
+            in_band[sided][0] += lo <= int(event(vals, z).sum()) / inner <= hi
+            in_band[sided][1] += lo <= int(event(tvals, z).sum()) / inner <= hi
+    return in_band, redraws
+
+
+class TestProportionMatchesReplay:
+    @pytest.mark.parametrize("kind", list(PivotKind))
+    @pytest.mark.parametrize("spec,n,band", [("normal:0,1", 20, (0.93, 0.97)),
+                                             ("poisson:1", 5, (0.85, 0.97))])
+    def test_report_equals_replay(self, spec, n, band, kind):
+        d = parse_dist(spec)
+        outer, inner, seed = 30, 100, 43
+        in_band, redraws = _proportion_replay(d, n, kind, outer, inner, seed, band)
+        # some outers land in the band and some out, and the poisson cell
+        # redraws, so a key or a count taken from the wrong outer or row
+        # changes a report
+        assert 0 < in_band["two"][0] < outer
+        assert (redraws > 0) == (spec == "poisson:1")
+        for sided, (hits, t_hits) in in_band.items():
+            report = proportion_study(d, n, kind, outer_reps=outer, inner_reps=inner,
+                                      band=band, seed=seed, sided=sided)
+            assert report.proportion == hits / outer, sided
+            assert report.classical_proportion == t_hits / outer, sided
+            assert report.degenerate_count == redraws, sided
 
 
 def _never_valid(monkeypatch):
@@ -412,6 +482,24 @@ class TestRowKernelAgreesWithSingleSample:
                     scale2 * (dev * dev).sum())
                 tol = 16 * (n + m) * EPS * (1.0 + abs(exact) + cond)
                 assert abs(vals[i] - exact) <= tol, (kind, i, vals[i], exact, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), n=st.integers(2, 30),
+           m=st.integers(1, 40), mu=st.integers(-80, 80).map(lambda k: k / 8.0))
+    def test_integer_counts_are_per_row_bincounts_and_equal_float_counts(
+            self, data, rows, n, m, mu):
+        x = _row_matrix(data.draw, rows, n)
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows * m,
+                                          max_size=rows * m))).reshape(rows, m)
+        counts = mc._counts_matrix(idx, n)
+        assert counts.dtype == np.int64 and counts.shape == (rows, n)
+        for i in range(rows):
+            assert np.array_equal(counts[i], np.bincount(idx[i], minlength=n))
+        for kind in PivotKind:
+            ints = mc._batch_values(kind, x, counts, m, mu)
+            floats = mc._batch_values(kind, x, counts.astype(np.float64), m, mu)
+            for a, b in zip(ints, floats):
+                assert a.tobytes() == b.tobytes(), kind
 
     def test_zero_classical_scale_invalid_under_positive_subsample_scale(self):
         # x = (0.1, 0.1) has s.d. 0, but with weights (2, 1) the rounded
