@@ -14,14 +14,15 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from . import bigdata, bounds, edf, intervals, mc
+from . import bounds, intervals
 from .errors import RandPivotError
-from .intervals import ConfidenceInterval, parse_policy, subsample_size
-from .pivots import PivotKind
-from .rng import stream
-from .weights import draw_weights
+from .intervals import ConfidenceInterval, _check_n, parse_policy, subsample_size
+
+if TYPE_CHECKING:
+    from .mc import DistributionSpec
+    from .pivots import PivotKind
 
 __all__ = ["main", "build_parser"]
 
@@ -226,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Command handlers: each returns its report, and main adds the envelope.
 
 def _ingest(args: argparse.Namespace) -> Payload:
+    from . import bigdata
     h = bigdata.ingest_csv(args.csv, args.column, args.out,
                            header=args.header, delimiter=args.delimiter)
     return {"kind": "ingest", "path": str(h.path), "count": h.count}
@@ -233,8 +235,11 @@ def _ingest(args: argparse.Namespace) -> Payload:
 
 def _sample_ci(args: argparse.Namespace, interval: Callable[..., ConfidenceInterval]) -> Payload:
     """interval(x, w) of the CSV sample x and weights w drawn for it."""
-    x = bigdata.read_csv_column(args.data, args.column, header=args.header)
-    mc._check_n(x.size)
+    from .bigdata import read_csv_column
+    from .rng import stream
+    from .weights import draw_weights
+    x = read_csv_column(args.data, args.column, header=args.header)
+    _check_n(x.size)
     w = draw_weights(x.size, _resolve_m(args.m, x.size), stream(args.seed))
     return {"kind": "ci", **interval(x, w).to_dict(), "seed": args.seed}
 
@@ -245,11 +250,14 @@ def _ci_mean(args: argparse.Namespace) -> Payload:
 
 
 def _ci_edf(args: argparse.Namespace) -> Payload:
+    from . import edf
     fn = edf.ci_edf if args.target == "edf" else edf.ci_df
     return _sample_ci(args, lambda x, w: fn(x, w, args.x, args.alpha, sided=args.sided))
 
 
 def _ci_bigdata(args: argparse.Namespace) -> Payload:
+    from . import bigdata
+    from .rng import stream
     h = bigdata.open_dataset(args.data)
     policy, rng = parse_policy(args.policy), stream(args.seed)
     if args.stat == "mean":
@@ -261,18 +269,20 @@ def _ci_bigdata(args: argparse.Namespace) -> Payload:
             **{f"report_{k}": v for k, v in report.to_dict().items()}}
 
 
-def _study_inputs(args: argparse.Namespace) -> tuple[mc.DistributionSpec, int, PivotKind]:
+def _study_inputs(args: argparse.Namespace) -> tuple[DistributionSpec, int, PivotKind]:
     """The distribution, weight total and pivot kind of a study command.
 
     n is checked first, so a sizing policy never sees n < 2 and every
     study command reports it as the study itself would.
     """
-    mc._check_n(args.n)
+    from .mc import parse_dist
+    from .pivots import PivotKind
+    _check_n(args.n)
     try:
         m = int(args.m)  # an integer is the study's m as given, never clamped
     except ValueError:
         m = _resolve_m(args.m, args.n)
-    return mc.parse_dist(args.dist), m, PivotKind(args.pivot)
+    return parse_dist(args.dist), m, PivotKind(args.pivot)
 
 
 def _shared_keywords(args: argparse.Namespace) -> dict[str, Any]:
@@ -282,17 +292,20 @@ def _shared_keywords(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _coverage(args: argparse.Namespace) -> Payload:
+    from . import mc
     d, m, kind = _study_inputs(args)
     return mc.coverage_study(d, args.n, m, kind, args.reps, **_shared_keywords(args)).to_dict()
 
 
 def _proportion(args: argparse.Namespace) -> Payload:
+    from . import mc
     d, m, kind = _study_inputs(args)
     return mc.proportion_study(d, args.n, kind, outer_reps=args.outer, inner_reps=args.inner,
                                band=args.band, m=m, **_shared_keywords(args)).to_dict()
 
 
 def _kdist(args: argparse.Namespace) -> Payload:
+    from . import mc
     d, m, kind = _study_inputs(args)
     dist = mc.kolmogorov_distance(kind, d, args.n, m, args.reps,
                                   seed=args.seed, threads=args.threads)
@@ -348,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is None:
         args.seed = _env_seed(parser)
     try:
-        payload = {"schema_version": mc.SCHEMA_VERSION, **args.run(args)}
+        payload = {"schema_version": intervals.SCHEMA_VERSION, **args.run(args)}
     except (RandPivotError, OSError, ValueError, OverflowError, csv.Error) as exc:
         print(f"randpivot: error: {exc}", file=sys.stderr)
         return 1

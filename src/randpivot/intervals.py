@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ._normal import norm_ppf
-from .errors import DegenerateWeights, DomainError, ZeroScale
+from .errors import DegenerateWeights, DomainError, TooFewObservations, ZeroScale
 from .pivots import RandomizedStats, _ratio_estimate, _scale2
 from .weights import WeightStats, WeightVector, weight_stats
 
@@ -41,6 +41,14 @@ __all__ = [
 ]
 
 SIDES = ("two", "upper", "lower")
+# Version of every report's layout, CLI reports and study reports alike.
+SCHEMA_VERSION = 1
+
+
+def _check_n(n: int) -> None:
+    """The sample size every study and every in-memory interval command needs."""
+    if n < 2:
+        raise TooFewObservations(f"need at least 2 observations, got n={n}")
 
 
 @dataclass(frozen=True)

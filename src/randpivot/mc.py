@@ -26,7 +26,6 @@ exactly, and writes the numerator's terms into the deviations' buffer.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 from typing import Any, Callable, NamedTuple
@@ -34,8 +33,8 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ._normal import norm_cdf
-from .errors import BadParams, RandPivotError, TooFewObservations, ZeroScale
-from .intervals import _z_for
+from .errors import BadParams, RandPivotError, ZeroScale
+from .intervals import SCHEMA_VERSION, _check_n, _z_for
 from .pivots import PivotKind
 from .rng import _row_streams, stream
 from .weights import draw_indices
@@ -46,7 +45,6 @@ __all__ = [
     "proportion_study", "kolmogorov_distance", "student_t_cutoff",
 ]
 
-SCHEMA_VERSION = 1
 MAX_REDRAWS = 100
 
 
@@ -256,12 +254,6 @@ def _batch_values(kind: PivotKind, x: np.ndarray, w: np.ndarray, m: int,
     return vals, tvals, valid
 
 
-def _check_n(n: int) -> None:
-    """The sample size every study needs."""
-    if n < 2:
-        raise TooFewObservations(f"need at least 2 observations, got n={n}")
-
-
 def _check_study(d: DistributionSpec, n: int, m: int, kind: PivotKind) -> None:
     """Refuse, before any draw, the sizes no study takes and the
     configurations whose every row is invalid, which would otherwise spend
@@ -323,6 +315,13 @@ def _draw_replications(d: DistributionSpec, n: int, m: int, seed: int, first: in
 # replication has its own stream, so the block size never changes a result.
 _BLOCK_ELEMENTS = 1 << 18
 
+# A study is pooled only when its in-process run would take about twice a
+# pool's start-up (some 20 ms for two workers).  Its cost is counted in
+# elements drawn, plus _STREAM_ELEMENTS for each item's own stream: that
+# fixed cost of a replication is as large as drawing 256 elements.
+_STREAM_ELEMENTS = 256
+_POOL_ELEMENTS = 1 << 20
+
 
 def _replication_chunk(args) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """_evaluate_rows results of replications [start, stop), block by block."""
@@ -333,14 +332,19 @@ def _replication_chunk(args) -> list[tuple[np.ndarray, np.ndarray, int]]:
             for lo in range(start, stop, step)]
 
 
-def _run_chunks(worker, total: int, threads: int, *args) -> list:
+def _run_chunks(worker, total: int, elements: int, threads: int, *args) -> list:
     """worker((*args, start, stop)) over about four ranges per thread of range(total).
 
-    In-process (threads <= 1) the whole range is one call, so every fixed
-    cost of a call or a block of rows is paid once, not per range.
+    elements is the element count of one item of the range.  At threads
+    <= 1, or when the study is too small to repay a pool (total *
+    (elements + _STREAM_ELEMENTS) <= _POOL_ELEMENTS), the whole range is
+    one in-process call, so every fixed cost of a call, a block of rows or
+    a process pool is paid once, not per range.  Rows are keyed by index,
+    so the report is the same.
     """
-    if threads <= 1:
+    if threads <= 1 or total * (elements + _STREAM_ELEMENTS) <= _POOL_ELEMENTS:
         return [worker((*args, 0, total))]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled study needs it
     step = math.ceil(total / max(1, min(threads * 4, total)))
     argses = [(*args, lo, min(lo + step, total)) for lo in range(0, total, step)]
     if len(argses) <= 1:
@@ -352,7 +356,7 @@ def _run_chunks(worker, total: int, threads: int, *args) -> list:
 def _replications(d: DistributionSpec, n: int, m: int, kind: PivotKind, reps: int,
                   seed: int, threads: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Pivot values, classical t values and redraws of replications 0..reps-1."""
-    parts = _run_chunks(_replication_chunk, reps, threads, d, n, m, kind, seed)
+    parts = _run_chunks(_replication_chunk, reps, max(n, m), threads, d, n, m, kind, seed)
     vals, tvals, redraws = zip(*(block for part in parts for block in part))
     return np.concatenate(vals), np.concatenate(tvals), sum(redraws)
 
@@ -435,8 +439,8 @@ def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
     if not 0.0 <= band[0] <= band[1] <= 1.0:
         raise ValueError(f"band must satisfy 0 <= lo <= hi <= 1, got {tuple(band)}")
     z, cutoff = _cutoffs(alpha, sided, classical_cutoff, n)
-    parts = _run_chunks(_proportion_chunk, outer_reps, threads, d, n, m, pivot_kind,
-                        z, cutoff, sided, tuple(band), seed, inner_reps)
+    parts = _run_chunks(_proportion_chunk, outer_reps, inner_reps * max(n, m), threads,
+                        d, n, m, pivot_kind, z, cutoff, sided, tuple(band), seed, inner_reps)
     in_band, t_in_band, redraws = map(sum, zip(*parts))
     return ProportionReport(
         dist=d.label(), n=n, m=m, pivot=pivot_kind.value,

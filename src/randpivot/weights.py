@@ -21,12 +21,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .errors import DegenerateWeights
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "WeightVector",
@@ -187,6 +189,7 @@ def exact_weight_moment(n: int, m: int, k: int) -> float:
     if m > MAX_EXACT_MOMENT_M:
         raise OverflowError(f"m={m} exceeds the exact-pmf cap {MAX_EXACT_MOMENT_M}")
     if m <= _RATIONAL_M:
+        from fractions import Fraction  # imported here: only the exact oracles use it
         p = Fraction(1, n)
         q = 1 - p
         mean = Fraction(m, n)
@@ -221,6 +224,7 @@ def enumerate_weight_vectors(n: int, m: int) -> Iterator[tuple[tuple[int, ...], 
     Enumeration oracle for small n, m: the support has C(m+n-1, n-1)
     points, each with probability m!/(prod w_i!) / n^m.
     """
+    from fractions import Fraction
     denom = Fraction(1, n ** m)
     m_fact = math.factorial(m)
     for cuts in itertools.combinations(range(m + n - 1), n - 1):

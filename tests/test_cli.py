@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from randpivot import PivotKind, coverage_study, parse_dist
+from randpivot import PivotKind, coverage_study, mc, parse_dist
 from randpivot.bigdata import write_dataset
 from randpivot.cli import main
 
@@ -310,8 +310,10 @@ class TestDeterminism:
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
     def test_threads_do_not_change_output(self):
+        # large enough that --threads 3 runs the study in worker processes
+        assert 6000 * (15 + mc._STREAM_ELEMENTS) > mc._POOL_ELEMENTS
         base = ("coverage", "--dist", "exponential:1", "--n", "15", "--pivot", "g1",
-                "--reps", "120", "--seed", "5", "--no-timestamp")
+                "--reps", "6000", "--seed", "5", "--no-timestamp")
         one = run_cli(*base, "--threads", "1").stdout
         three = run_cli(*base, "--threads", "3").stdout
         assert one == three

@@ -1,8 +1,10 @@
 """Tests for the Monte Carlo harness: sampling, coverage, proportions, KS."""
+import contextlib
 import json
 import math
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,27 @@ from randpivot._normal import norm_cdf
 from randpivot.weights import draw_indices
 
 NORMAL = DistributionSpec("normal", (0.0, 1.0))
+
+
+@contextlib.contextmanager
+def _in_workers(pool_elements=0):
+    """Run the body with mc._POOL_ELEMENTS = pool_elements; yields the pools started.
+
+    A study too small to repay a pool runs in-process at any thread count.
+    At the default 0 every study of two or more items at threads > 1 runs
+    in worker processes, as tests of thread independence need.
+    """
+    started = []
+    init = ProcessPoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        started.append(self)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_POOL_ELEMENTS", pool_elements)
+        mp.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        yield started
 
 
 class TestDistributionSpec:
@@ -136,9 +159,27 @@ class TestCoverageStudy:
 
     def test_deterministic_across_threads(self):
         a = coverage_study(NORMAL, 15, 15, PivotKind.G1, reps=300, alpha=0.05, seed=9)
-        b = coverage_study(NORMAL, 15, 15, PivotKind.G1, reps=300, alpha=0.05, seed=9,
-                           threads=3)
-        assert a == b
+        with _in_workers() as pools:
+            b = coverage_study(NORMAL, 15, 15, PivotKind.G1, reps=300, alpha=0.05, seed=9,
+                               threads=3)
+        assert pools and a == b
+
+    def test_pool_only_above_the_cut(self):
+        # a replication of n = 5 costs 5 + 256 elements: 2,000 reps are half
+        # of mc._POOL_ELEMENTS, and 4,100 reps just exceed it
+        d = parse_dist("poisson:1")
+        want = (coverage_study(d, 5, 5, PivotKind.G2, 2000, 0.05, seed=3),
+                kolmogorov_distance(PivotKind.G2, d, 5, 5, 2000, seed=3),
+                proportion_study(d, 5, PivotKind.G2, outer_reps=10, inner_reps=40, seed=3),
+                coverage_study(d, 5, 5, PivotKind.G2, 4100, 0.05, seed=3))
+        with _in_workers(mc._POOL_ELEMENTS) as pools:
+            small = (coverage_study(d, 5, 5, PivotKind.G2, 2000, 0.05, seed=3, threads=2),
+                     kolmogorov_distance(PivotKind.G2, d, 5, 5, 2000, seed=3, threads=2),
+                     proportion_study(d, 5, PivotKind.G2, outer_reps=10, inner_reps=40,
+                                      seed=3, threads=2))
+            assert not pools
+            large = coverage_study(d, 5, 5, PivotKind.G2, 4100, 0.05, seed=3, threads=2)
+        assert len(pools) == 1 and (*small, large) == want
 
     def test_degenerate_redraw_counted(self):
         # n = m = 2: the weight draw (1,1) is degenerate with probability 1/2,
@@ -187,8 +228,9 @@ class TestProportionStudy:
     def test_deterministic_across_threads(self):
         kw = dict(outer_reps=60, inner_reps=80, seed=24)
         a = proportion_study(NORMAL, 12, PivotKind.G1, **kw)
-        b = proportion_study(NORMAL, 12, PivotKind.G1, threads=2, **kw)
-        assert a == b
+        with _in_workers() as pools:
+            b = proportion_study(NORMAL, 12, PivotKind.G1, threads=2, **kw)
+        assert pools and a == b
 
     def test_classical_t_on_lognormal_rarely_in_band(self):
         # heavy right skew overcovers one-sided t intervals so badly that
@@ -247,8 +289,10 @@ class TestKolmogorovDistance:
 
     def test_deterministic_across_threads(self):
         a = kolmogorov_distance(PivotKind.G1, NORMAL, 30, 30, reps=4000, seed=29)
-        b = kolmogorov_distance(PivotKind.G1, NORMAL, 30, 30, reps=4000, seed=29, threads=3)
-        assert a == b
+        with _in_workers() as pools:
+            b = kolmogorov_distance(PivotKind.G1, NORMAL, 30, 30, reps=4000, seed=29,
+                                    threads=3)
+        assert pools and a == b
 
 
 class TestSerialization:
@@ -340,8 +384,8 @@ class TestRowEngineMatchesSingleSampleApi:
         _never_valid(monkeypatch)
         msg = ("{} had 100 consecutive degenerate draws; the configuration "
                "normal(0,1), n=5, m=5 looks unusable")
-        for threads, block in [(1, mc._BLOCK_ELEMENTS), (2, mc._BLOCK_ELEMENTS), (1, 5)]:
-            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
+
+        def check(threads):
             with pytest.raises(RandPivotError) as exc:
                 coverage_study(NORMAL, 5, 5, PivotKind.T2, 7, 0.05, threads=threads)
             assert str(exc.value) == msg.format("replication 0")
@@ -349,6 +393,13 @@ class TestRowEngineMatchesSingleSampleApi:
                 proportion_study(NORMAL, 5, PivotKind.T2, outer_reps=3, inner_reps=4,
                                  threads=threads)
             assert str(exc.value) == msg.format("inner replication 0 of outer replication 0")
+
+        for block in (mc._BLOCK_ELEMENTS, 5):
+            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
+            check(threads=1)
+        with _in_workers() as pools:
+            check(threads=2)
+        assert len(pools) == 2
 
 
 def _proportion_replay(d, n, kind, outer, inner, seed, band, alpha=0.05):
@@ -624,6 +675,15 @@ def _outcome(study):
         return type(exc), str(exc)
 
 
+def _threads_agree(study):
+    """study(threads) gives one outcome in-process and, in worker processes, at threads=2."""
+    one = _outcome(lambda: study(1))
+    with _in_workers() as pools:
+        two = _outcome(lambda: study(2))
+    assert two == one
+    assert pools or isinstance(two, tuple)  # a study refused before any draw starts none
+
+
 class TestThreadIndependence:
     """threads=2 gives the report threads=1 gives, for drawn configurations.
 
@@ -639,31 +699,25 @@ class TestThreadIndependence:
     @example(spec="normal:0,1", n=2, kind=PivotKind.T2, reps=5, seed=0)
     def test_coverage(self, spec, n, kind, reps, seed):
         d = parse_dist(spec)
-        outcomes = [_outcome(lambda: coverage_study(d, n, n, kind, reps, 0.05, seed=seed,
-                                                    threads=threads))
-                    for threads in (1, 2)]
-        assert outcomes[0] == outcomes[1]
+        _threads_agree(lambda threads: coverage_study(d, n, n, kind, reps, 0.05, seed=seed,
+                                                      threads=threads))
 
     @settings(max_examples=10, deadline=None)
     @given(outer=st.integers(2, 6), inner=st.integers(2, 30), **config)
     @example(spec="normal:0,1", n=2, kind=PivotKind.G2, outer=3, inner=4, seed=0)
     def test_proportion(self, spec, n, kind, outer, inner, seed):
         d = parse_dist(spec)
-        outcomes = [_outcome(lambda: proportion_study(d, n, kind, outer_reps=outer,
-                                                      inner_reps=inner, seed=seed,
-                                                      threads=threads))
-                    for threads in (1, 2)]
-        assert outcomes[0] == outcomes[1]
+        _threads_agree(lambda threads: proportion_study(d, n, kind, outer_reps=outer,
+                                                        inner_reps=inner, seed=seed,
+                                                        threads=threads))
 
     @settings(max_examples=10, deadline=None)
     @given(reps=st.integers(2, 40), **config)
     @example(spec="normal:0,1", n=2, kind=PivotKind.T2, reps=5, seed=0)
     def test_kdist(self, spec, n, kind, reps, seed):
         d = parse_dist(spec)
-        outcomes = [_outcome(lambda: kolmogorov_distance(kind, d, n, n, reps, seed=seed,
-                                                         threads=threads))
-                    for threads in (1, 2)]
-        assert outcomes[0] == outcomes[1]
+        _threads_agree(lambda threads: kolmogorov_distance(kind, d, n, n, reps, seed=seed,
+                                                           threads=threads))
 
 
 RECORDED = Path(__file__).parent / "golden" / "schema1_reports.json"
@@ -710,5 +764,7 @@ class TestRecordedReports:
 
     def test_threads_2(self):
         recorded = json.loads(RECORDED.read_text())
-        got = _grid_reports((3,), 2)
+        with _in_workers() as pools:
+            got = _grid_reports((3,), 2)
+        assert pools
         assert got == {cell: recorded[cell] for cell in got}
