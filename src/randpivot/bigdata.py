@@ -31,9 +31,9 @@ import numpy as np
 from .bounds import rate
 from .errors import (DatasetFormatError, DatasetTooSmall, MissingColumn, NonFiniteValue,
                      ParseError)
-from .edf import ci_edf_from_stats, dkw_bound
+from .edf import _f_mn, ci_edf_from_stats, dkw_bound
 from .intervals import ConfidenceInterval, SizingPolicy, ci_xbar, subsample_size
-from .pivots import RandomizedStats, randomized_stats_from_nonzero
+from .pivots import RandomizedStats, _check_finite, randomized_stats_from_nonzero
 from .weights import WeightStats, draw_indices, stats_from_nonzero
 
 __all__ = [
@@ -50,7 +50,6 @@ RECORD_SIZE = 8
 PAGE_SIZE = 4096  # bytes; the unit in which a fetch is counted
 WINDOW = 1 << 22  # bytes mapped at a time, at offsets aligned to this size
 MIN_RECORDS = 16
-_FINITE_CHUNK = 1 << 16  # values scanned per step of the finiteness check
 # CSV characters parsed per step of an ingest.  numpy's reader is handed
 # 4 bytes a character, so a step holds about 0.4 MiB; larger steps parsed
 # no faster (1 MiB ones about 20 % slower, measured on 2 cores)
@@ -409,19 +408,6 @@ def draw_index_sample(n: int, m: int, rng: np.random.Generator) -> IndexSample:
                        counts=counts.astype(np.int64), m=m, n=n)
 
 
-def _check_finite(values: np.ndarray, indices: np.ndarray | None = None) -> None:
-    """Raise NonFiniteValue at the first NaN or infinity, naming its record
-    (the position in values, or indices[position] when given).  Scans in
-    chunks, so the temporary mask stays small however long values is."""
-    flat = values.reshape(-1)
-    for start in range(0, flat.size, _FINITE_CHUNK):
-        finite = np.isfinite(flat[start:start + _FINITE_CHUNK])
-        if not finite.all():
-            j = start + int(np.argmin(finite))
-            raise NonFiniteValue(j if indices is None else int(indices[j]),
-                                 repr(float(flat[j])))
-
-
 def _query(h: DatasetHandle, policy: SizingPolicy, rng: np.random.Generator,
            interval: Callable[[IndexSample, np.ndarray, WeightStats], ConfidenceInterval],
            dkw_eps: float | None = None) -> tuple[ConfidenceInterval, SubsampleReport]:
@@ -462,8 +448,7 @@ def bigdata_ci_edf(h: DatasetHandle, x: float, alpha: float, policy: SizingPolic
     min(1, 2 exp(-2 n eps^2)) quantifying how far F_n can sit from F.
     """
     def interval(sample, values, wstats):
-        f_mn = float((sample.counts * (values <= x)).sum()) / sample.m
-        return ci_edf_from_stats(f_mn, wstats, x, alpha, sided=sided,
-                                 n=sample.n, m=sample.m)
+        return ci_edf_from_stats(_f_mn(sample.counts, values <= x, sample.m), wstats, x,
+                                 alpha, sided=sided, n=sample.n, m=sample.m)
 
     return _query(h, policy, rng, interval, dkw_eps)

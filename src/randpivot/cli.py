@@ -18,11 +18,11 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from . import bounds, intervals
 from .errors import RandPivotError
-from .intervals import ConfidenceInterval, _check_n, parse_policy, subsample_size
+from .intervals import ConfidenceInterval, parse_policy, subsample_size
+from .pivots import PivotKind, _check_n
 
 if TYPE_CHECKING:
     from .mc import DistributionSpec
-    from .pivots import PivotKind
 
 __all__ = ["main", "build_parser"]
 
@@ -276,7 +276,6 @@ def _study_inputs(args: argparse.Namespace) -> tuple[DistributionSpec, int, Pivo
     study command reports it as the study itself would.
     """
     from .mc import parse_dist
-    from .pivots import PivotKind
     _check_n(args.n)
     try:
         m = int(args.m)  # an integer is the study's m as given, never clamped

@@ -21,9 +21,9 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DegenerateWeights, MissingF, ZeroScale
+from .errors import DegenerateWeights, MissingF
 from .intervals import ConfidenceInterval, _interval
-from .pivots import _ratio_estimate, _studentized
+from .pivots import _exact_pivot, _ratio_estimate, _sample
 from .weights import WeightStats, WeightVector, weight_stats
 
 __all__ = ["EdfPoint", "edf_point", "edf_pivot", "ci_edf", "ci_edf_from_stats",
@@ -52,23 +52,21 @@ class EdfPoint:
         return self._f_hat
 
 
-def _indicators(x_data, x: float, w: WeightVector) -> np.ndarray:
-    ind = (np.asarray(x_data, dtype=np.float64) <= x).astype(np.float64)
-    if ind.size != w.n:
-        raise ValueError(f"data length {ind.size} != weight length {w.n}")
-    return ind
+def _f_mn(counts: np.ndarray, indicators: np.ndarray, m: int) -> float:
+    """F_mn(x) = sum w_i 1(x_i <= x) / m; every partial sum is an integer, so exact."""
+    return float((counts * indicators).sum()) / m
 
 
-def _edf_values(ind: np.ndarray, w: WeightVector) -> tuple[float, float]:
-    """F_n(x) and F_mn(x) from the indicators 1(x_i <= x)."""
+def _edf_values(x_data, x: float, w: WeightVector) -> tuple[np.ndarray, float, float]:
+    """The indicators 1(x_i <= x) of a checked sample, F_n(x) and F_mn(x)."""
+    ind = (_sample(x_data, w) <= x).astype(np.float64)
     idx, counts_nz = w.nonzero()
-    return float(ind.sum()) / w.n, float((counts_nz * ind[idx]).sum()) / w.m
+    return ind, float(ind.sum()) / w.n, _f_mn(counts_nz, ind[idx], w.m)
 
 
 def edf_point(x_data, w: WeightVector, x: float) -> EdfPoint:
     """All four EDF-type values at x in one pass over the indices."""
-    ind = _indicators(x_data, x, w)
-    f_n, f_mn = _edf_values(ind, w)
+    ind, f_n, f_mn = _edf_values(x_data, x, w)
     return EdfPoint(x=x, f_n=f_n, f_mn=f_mn, _f_hat=_ratio_estimate(ind, w))
 
 
@@ -79,18 +77,13 @@ def edf_pivot(s: str, x_data, w: WeightVector, x: float,
         raise ValueError(f"s must be one of {EDF_PIVOTS}, got {s!r}")
     if s in ("hat2", "hathat2") and f_x is None:
         raise MissingF(f"{s} requires the distribution value F(x)")
+    if f_x is not None and not 0.0 <= f_x <= 1.0:
+        raise ValueError(f"f_x must be a probability in [0, 1], got {f_x}")
 
-    ind = _indicators(x_data, x, w)
-    wstats = weight_stats(w)
-    if wstats.degenerate:
-        raise DegenerateWeights("all weights equal m/n")
-
-    f_n, f_mn = _edf_values(ind, w)
+    ind, f_n, f_mn = _edf_values(x_data, x, w)
     f_scale = f_n if s in ("hat1", "hat2") else f_mn
-    scale2 = f_scale * (1.0 - f_scale)
-    if scale2 <= 0.0:
-        raise ZeroScale(f"{s} scale is zero at x={x}")
-    return _studentized(w, wstats, ind, None if s in ("hat1", "hathat1") else f_x, scale2)
+    return _exact_pivot(w, ind, None if s in ("hat1", "hathat1") else f_x,
+                        f_scale * (1.0 - f_scale), f"{s} scale is zero at x={x}")
 
 
 def ci_edf_from_stats(f_mn: float, wstats: WeightStats, x: float, alpha: float,
@@ -105,8 +98,7 @@ def ci_edf_from_stats(f_mn: float, wstats: WeightStats, x: float, alpha: float,
 def ci_edf(x_data, w: WeightVector, x: float, alpha: float,
            sided: str = "two") -> ConfidenceInterval:
     """Pointwise interval for F_n(x); also covers F(x) + eps_n(x)."""
-    _, f_mn = _edf_values(_indicators(x_data, x, w), w)
-    return ci_edf_from_stats(f_mn, weight_stats(w), x, alpha, sided,
+    return ci_edf_from_stats(_edf_values(x_data, x, w)[2], weight_stats(w), x, alpha, sided,
                              n=w.n, m=w.m)
 
 

@@ -78,9 +78,9 @@ class MissingColumn(ParseError):
 
 
 class NonFiniteValue(RandPivotError):
-    """A CSV cell or a dataset record is NaN or infinite.
+    """A CSV cell, a dataset record or a sample value is NaN or infinite.
 
-    ``row`` is the 0-based CSV row or record index.
+    ``row`` is the 0-based CSV row, record index or sample position.
     """
 
     def __init__(self, row: int, content: str):

@@ -20,11 +20,9 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 from ._normal import norm_ppf
-from .errors import DegenerateWeights, DomainError, TooFewObservations, ZeroScale
-from .pivots import RandomizedStats, _ratio_estimate, _scale2
+from .errors import DegenerateWeights, DomainError, ZeroScale
+from .pivots import RandomizedStats, _ratio_estimate, _sample, _scale2
 from .weights import WeightStats, WeightVector, weight_stats
 
 __all__ = [
@@ -43,12 +41,6 @@ __all__ = [
 SIDES = ("two", "upper", "lower")
 # Version of every report's layout, CLI reports and study reports alike.
 SCHEMA_VERSION = 1
-
-
-def _check_n(n: int) -> None:
-    """The sample size every study and every in-memory interval command needs."""
-    if n < 2:
-        raise TooFewObservations(f"need at least 2 observations, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,7 @@ def ci_mu(x, w: WeightVector, alpha: float, variant: str = "g1",
     variant = variant.lower()
     if variant not in ("g1", "g2"):
         raise ValueError(f"variant must be g1 or g2, got {variant!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _sample(x, w)
     return _interval("population_mean", alpha, sided,
                      lambda: (_ratio_estimate(x, w), _scale2(x, w, variant == "g2")),
                      weight_stats(w), {"n": w.n, "m": w.m, "pivot": variant}, ratio=True)

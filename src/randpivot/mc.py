@@ -1,12 +1,13 @@
 """Deterministic Monte Carlo studies: coverage, band proportions, KS distance.
 
 All three studies run on one row engine.  A row is one (sample, weights)
-pair; a block of rows is evaluated by one kernel call, which gives each
-row's pivot value and its classical Student t value (divisor n-1, whose
-exact cutoffs t_{alpha,n-1} are exact-size under normal data) from one
-pass of row sums and centered sums of squares.  Rows with degenerate
-weights or a vanishing scale are redrawn by one helper, at most
-MAX_REDRAWS draws per row, and counted.
+pair; a block of rows is evaluated by one call of the pivot kernel,
+pivots._studentized, summed by numpy's np.add.reduce.  pivot() is one
+row of the same kernel, summed exactly.  The block's row moments also
+give each row's classical Student t value (divisor n-1, whose exact
+cutoffs t_{alpha,n-1} are exact-size under normal data).  Rows with
+degenerate weights or a vanishing scale are redrawn by one helper, at
+most MAX_REDRAWS draws per row, and counted.
 
 Draws come from counter-based streams keyed by (seed, indices), so a
 report never depends on how rows are grouped into blocks or processes.
@@ -19,9 +20,6 @@ proportion_study keys outer replication o by (seed, o) and its redraws
 by (seed, o, a); the attempt-0 keys of a chunk's outer replications come
 from the same vectorized pass, one generator rewound per outer
 replication, and every inner row of that outer is drawn from it.
-
-The kernel takes integer weight counts, which w / m and w * x convert
-exactly, and writes the numerator's terms into the deviations' buffer.
 """
 from __future__ import annotations
 
@@ -34,8 +32,8 @@ import numpy as np
 
 from ._normal import norm_cdf
 from .errors import BadParams, RandPivotError, ZeroScale
-from .intervals import SCHEMA_VERSION, _check_n, _z_for
-from .pivots import PivotKind
+from .intervals import SCHEMA_VERSION, _z_for
+from .pivots import PivotKind, _check_n, _reweighted, _row_moments, _studentized
 from .rng import _row_streams, stream
 from .weights import draw_indices
 
@@ -207,51 +205,19 @@ def _counts_matrix(idx: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=rows * n).reshape(rows, n)
 
 
-def _row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row means, divisor-n variances S_n^2 and divisor-(n-1) s.d.s.
-
-    One pass of row sums and one of centered sums of squares serve all
-    three.  They follow the operations of numpy's own mean, var and std,
-    so each equals x.mean(axis=1), x.var(axis=1) and x.std(axis=1, ddof=1)
-    bitwise.
-    """
-    n = x.shape[1]
-    mean = np.add.reduce(x, axis=1, keepdims=True) / n
-    sq = x - mean
-    np.square(sq, out=sq)
-    css = np.add.reduce(sq, axis=1)
-    return mean[:, 0], css / n, np.sqrt(css / (n - 1))
+_NUMPY_ROWSUM = partial(np.add.reduce, axis=-1)
 
 
 def _batch_values(kind: PivotKind, x: np.ndarray, w: np.ndarray, m: int,
                   mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pivot values and classical t values over rows, and one validity mask.
-
-    A row is valid when both its pivot scale and its classical s.d. are
-    positive.
-    """
-    n = x.shape[1]
-    mean, var, s1 = _row_moments(x)
-    dev = w / m
-    dev -= 1.0 / n
-    ssq = np.einsum("ij,ij->i", dev, dev)
-    if kind.uses_subsample_scale:
-        rmean = (w * x).sum(axis=1) / m
-        scale2 = (w * (x - rmean[:, None]) ** 2).sum(axis=1) / m
-    else:
-        scale2 = var
-    if kind.needs_mu:  # ssq is taken, so dev's buffer takes the terms of num
-        np.abs(dev, out=dev)
-        dev *= x - mu
-    else:
-        dev *= x
-    num = dev.sum(axis=1)
-    denom2 = scale2 * ssq
-    valid = (denom2 > 0.0) & (s1 > 0.0)
+    """Pivot values and classical t values over rows, and one validity mask:
+    sum d_i^2, the pivot scale and the classical s.d. all positive."""
+    mean, var, s1 = _row_moments(x, _NUMPY_ROWSUM)
+    scale2 = _reweighted(w, x, m, _NUMPY_ROWSUM)[1] if kind.uses_subsample_scale else var
+    vals, ssq = _studentized(w, m, x, mu if kind.needs_mu else None, scale2, _NUMPY_ROWSUM)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = num / np.sqrt(denom2)
-        tvals = (mean - mu) / (s1 / math.sqrt(n))
-    return vals, tvals, valid
+        tvals = (mean - mu) / (s1 / math.sqrt(x.shape[1]))
+    return vals, tvals, (ssq > 0.0) & (scale2 > 0.0) & (s1 > 0.0)
 
 
 def _check_study(d: DistributionSpec, n: int, m: int, kind: PivotKind) -> None:

@@ -12,17 +12,23 @@ T-pivots target the sample mean, G-pivots target a hypothesized
 population mean mu.  S_n^2 is the sample variance with divisor n (NOT the
 n-1 most libraries default to), and S_{m,n}^2 is the weight-reweighted
 sub-sample variance, computable from the w_i != 0 entries alone.
+
+One row kernel, _studentized, evaluates every pivot (these four, the EDF
+pivots on indicator data, the studies' blocks) and takes its row sum as a
+parameter: a single sample is one row summed exactly, like math.fsum
+(_exact_rows); a study's block is summed by numpy's np.add.reduce.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateWeights, MissingMu, TooFewObservations, ZeroScale
-from .weights import WeightStats, WeightVector, weight_stats
+from .errors import DegenerateWeights, MissingMu, NonFiniteValue, TooFewObservations, ZeroScale
+from .weights import WeightVector
 
 __all__ = [
     "SampleStats",
@@ -38,6 +44,8 @@ _EXACT_MIN_TERMS = 640  # below this many terms math.fsum is faster (measured)
 _EXACT_CHUNK = 1 << 16  # terms per bincount pass: every bucket stays below 2^43
 _EXP_BIAS = 1074  # np.frexp exponents of finite doubles lie in [-1073, 1024]
 _FSUM_NEGATIVE_ZERO = math.copysign(1.0, math.fsum([-0.0, -0.0])) < 0.0
+_FINITE_CHUNK = 1 << 16  # values scanned per step of the finiteness check
+_RowSum = Callable[[np.ndarray], np.ndarray]  # sums a matrix over its last axis
 
 
 class PivotKind(enum.Enum):
@@ -113,7 +121,7 @@ def _exact_sum(a) -> float:
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if a.size < _EXACT_MIN_TERMS:
-        return math.fsum(a)
+        return math.fsum(a.tolist())
     buckets = 2 * _EXP_BIAS + 1
     hi = np.zeros(buckets, dtype=np.int64)
     lo = np.zeros(buckets, dtype=np.int64)
@@ -142,15 +150,100 @@ def _exact_sum(a) -> float:
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
+def _exact_rows(a: np.ndarray) -> np.ndarray:
+    """The exact sum of each row of a matrix: _exact_sum row by row."""
+    return np.fromiter(map(_exact_sum, a), np.float64, len(a))
+
+
+def _check_finite(values: np.ndarray, indices: np.ndarray | None = None) -> None:
+    """Raise NonFiniteValue at the first NaN or infinity, naming its record
+    (the position in values, or indices[position] when given).  Scans in
+    chunks, so the temporary mask stays small however long values is."""
+    flat = values.reshape(-1)
+    for start in range(0, flat.size, _FINITE_CHUNK):
+        finite = np.isfinite(flat[start:start + _FINITE_CHUNK])
+        if not finite.all():
+            j = start + int(np.argmin(finite))
+            raise NonFiniteValue(j if indices is None else int(indices[j]),
+                                 repr(float(flat[j])))
+
+
+def _check_n(n: int) -> None:
+    """The sample size every study and every in-memory interval command needs."""
+    if n < 2:
+        raise TooFewObservations(f"need at least 2 observations, got n={n}")
+
+
+def _sample(x, w: WeightVector | None = None) -> np.ndarray:
+    """x as sample data enters the library: float64, finite, of w's length if given."""
+    x = np.asarray(x, dtype=np.float64)
+    if w is not None and x.size != w.n:
+        raise ValueError(f"data length {x.size} != weight length {w.n}")
+    _check_finite(x)
+    return x
+
+
+def _row_moments(x: np.ndarray, rowsum: _RowSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row means, divisor-n variances S_n^2 and divisor-(n-1) s.d.s.
+
+    One row sum and one centered sum of squares serve all three.  Under
+    np.add.reduce they follow the operations of numpy's own mean, var and
+    std, so each equals x.mean(axis=1), x.var(axis=1) and
+    x.std(axis=1, ddof=1) bitwise.
+    """
+    n = x.shape[1]
+    mean = rowsum(x) / n
+    sq = x - mean[:, None]
+    np.square(sq, out=sq)
+    css = rowsum(sq)
+    return mean, css / n, np.sqrt(css / (n - 1))
+
+
+def _reweighted(w: np.ndarray, x: np.ndarray, m: int,
+                rowsum: _RowSum) -> tuple[np.ndarray, np.ndarray]:
+    """Row means and divisor-m variances of x reweighted by the counts w:
+    the sub-sample mean and S_{m,n}^2 of each row."""
+    rmean = rowsum(w * x) / m
+    return rmean, rowsum(w * (x - rmean[:, None]) ** 2) / m
+
+
+def _studentized(w: np.ndarray, m: int, data: np.ndarray, center: float | None,
+                 scale2: np.ndarray, rowsum: _RowSum) -> tuple[np.ndarray, np.ndarray]:
+    """The one pivot formula over rows: sum d_i data_i, or sum |d_i|
+    (data_i - center) given a center, over sqrt(scale2) * sqrt(sum d_i^2),
+    with d_i = w_i/m - 1/n from each row of the (integer) counts w.
+    Returns the values and each row's sum d_i^2; a row where either
+    vanishes gets a non-finite value for the caller to refuse or mask."""
+    dev = w / m
+    dev -= 1.0 / data.shape[1]
+    ssq = rowsum(dev * dev)
+    if center is None:
+        dev *= data
+    else:  # ssq is taken, so dev's buffer takes the numerator's terms
+        np.abs(dev, out=dev)
+        dev *= data - center
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return rowsum(dev) / (np.sqrt(scale2) * np.sqrt(ssq)), ssq
+
+
+def _exact_pivot(w: WeightVector, data: np.ndarray, center: float | None,
+                 scale2: float, zero_scale: str) -> float:
+    """One exactly summed row of _studentized; typed errors where it is undefined."""
+    vals, ssq = _studentized(w.counts[None], w.m, data[None], center,
+                             np.array([scale2]), _exact_rows)
+    if ssq[0] == 0.0:
+        raise DegenerateWeights("all weights equal m/n; pivot denominators vanish")
+    if scale2 <= 0.0:
+        raise ZeroScale(zero_scale)
+    return float(vals[0])
+
+
 def sample_stats(x) -> SampleStats:
     """Mean and divisor-n variance of a sample with at least two points."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    if n < 2:
-        raise TooFewObservations(f"need at least 2 observations, got {n}")
-    mean = _exact_sum(x) / n
-    var = _exact_sum((x - mean) ** 2) / n
-    return SampleStats(n=n, mean=mean, var_biased=var)
+    x = _sample(x).reshape(1, -1)
+    _check_n(x.size)
+    mean, var, _ = _row_moments(x, _exact_rows)
+    return SampleStats(n=x.size, mean=float(mean[0]), var_biased=float(var[0]))
 
 
 def randomized_stats_from_nonzero(values_nz: np.ndarray, counts_nz: np.ndarray,
@@ -160,19 +253,14 @@ def randomized_stats_from_nonzero(values_nz: np.ndarray, counts_nz: np.ndarray,
     Shared by the in-memory and out-of-core paths; with matching index
     order the two produce bitwise-identical results.
     """
-    values_nz = np.asarray(values_nz, dtype=np.float64)
-    counts_nz = np.asarray(counts_nz, dtype=np.float64)
-    rmean = _exact_sum(counts_nz * values_nz) / m
-    rvar = _exact_sum(counts_nz * (values_nz - rmean) ** 2) / m
-    return rmean, rvar
+    rmean, rvar = _reweighted(np.asarray(counts_nz)[None],
+                              np.asarray(values_nz, dtype=np.float64)[None], m, _exact_rows)
+    return float(rmean[0]), float(rvar[0])
 
 
-def _ratio_estimate(x, w: WeightVector) -> float | None:
+def _ratio_estimate(x: np.ndarray, w: WeightVector) -> float | None:
     """sum |d_i| x_i / sum |d_i|, the ratio estimator of mu; None for
     degenerate weights."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size != w.n:
-        raise ValueError(f"data length {x.size} != weight length {w.n}")
     abs_dev = np.abs(w.counts / w.m - 1.0 / w.n)
     sabs = _exact_sum(abs_dev)
     return _exact_sum(abs_dev * x) / sabs if sabs > 0.0 else None
@@ -180,7 +268,7 @@ def _ratio_estimate(x, w: WeightVector) -> float | None:
 
 def randomized_stats(x, w: WeightVector) -> RandomizedStats:
     """Randomized sample mean/variance and the ratio estimator of mu."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _sample(x, w)
     ratio = _ratio_estimate(x, w)
     idx, counts_nz = w.nonzero()
     rmean, rvar = randomized_stats_from_nonzero(x[idx], counts_nz, w.m)
@@ -188,23 +276,11 @@ def randomized_stats(x, w: WeightVector) -> RandomizedStats:
 
 
 def _scale2(x: np.ndarray, w: WeightVector, subsample: bool) -> float:
-    """S_{m,n}^2 when subsample, else S_n^2: the squared studentizing scale."""
-    if subsample:
-        idx, counts_nz = w.nonzero()
-        return randomized_stats_from_nonzero(x[idx], counts_nz, w.m)[1]
-    return sample_stats(x).var_biased
-
-
-def _studentized(w: WeightVector, wstats: WeightStats, data: np.ndarray,
-                 center: float | None, scale2: float) -> float:
-    """The one pivot sum: sum d_i data_i, or sum |d_i| (data_i - center)
-    when a center is given, over sqrt(scale2) * sqrt(sum d_i^2)."""
-    dev = w.counts / w.m - 1.0 / w.n
-    if center is None:
-        num = _exact_sum(dev * data)
-    else:
-        num = _exact_sum(np.abs(dev) * (data - center))
-    return num / (math.sqrt(scale2) * math.sqrt(wstats.sum_sq_dev))
+    """S_{m,n}^2 if subsample, else S_n^2, of a checked sample: the squared scale."""
+    if subsample:  # zero counts add exact zeros to each exact sum
+        return float(_reweighted(w.counts[None], x[None], w.m, _exact_rows)[1][0])
+    _check_n(x.size)
+    return float(_row_moments(x[None], _exact_rows)[1][0])
 
 
 def pivot(kind: PivotKind, x, w: WeightVector, mu: float | None = None) -> float:
@@ -212,14 +288,8 @@ def pivot(kind: PivotKind, x, w: WeightVector, mu: float | None = None) -> float
     kind = PivotKind(kind)
     if kind.needs_mu and mu is None:
         raise MissingMu(f"{kind.value} requires the hypothesized mean mu")
-
-    x = np.asarray(x, dtype=np.float64)
-    if x.size != w.n:
-        raise ValueError(f"data length {x.size} != weight length {w.n}")
-    wstats = weight_stats(w)
-    if wstats.degenerate:
-        raise DegenerateWeights("all weights equal m/n; pivot denominators vanish")
-    scale2 = _scale2(x, w, kind.uses_subsample_scale)
-    if scale2 == 0.0:
-        raise ZeroScale(f"{kind.value} scale is zero")
-    return _studentized(w, wstats, x, mu if kind.needs_mu else None, scale2)
+    if mu is not None and not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
+    x = _sample(x, w)
+    return _exact_pivot(w, x, mu if kind.needs_mu else None,
+                        _scale2(x, w, kind.uses_subsample_scale), f"{kind.value} scale is zero")

@@ -119,14 +119,13 @@ def draw_weights(n: int, m: int, rng: np.random.Generator) -> WeightVector:
 
 
 def stats_from_nonzero(counts_nz: np.ndarray, n: int, m: int) -> WeightStats:
-    """Deviation functionals from the nonzero counts alone.
+    """Deviation functionals from the nonzero counts alone, or from all n.
 
-    The n - k zero-weight categories all contribute the same deviation
-    -1/n, so their part of each sum is a closed form.  Likewise a nonzero
-    category's deviation depends only on its count c, so each sum is
-    sum_c h_c f(c) plus the zero-category tail, where h_c is the number of
+    A category's deviation depends only on its count c, and the n - k
+    categories not listed have count 0.  So each sum is sum_c h_c f(c)
+    over the distinct counts c, 0 included, where h_c is the number of
     categories with count c; the work grows with the number of distinct
-    counts, not with k.
+    counts, not with n or k.
 
     Exactness: f(c) is computed with the same IEEE operations as the
     elementwise form (c/m - 1/n, then square, abs and product), so each
@@ -135,22 +134,19 @@ def stats_from_nonzero(counts_nz: np.ndarray, n: int, m: int) -> WeightStats:
     is exact (every f(c) is at most 1 and h_c < 2^63, so nothing
     overflows), so these terms add up to h_c f(c) exactly.  fsum returns
     the correctly rounded value of the exact sum of its terms, which is
-    the same multiset total as the elementwise k + 1 terms: the result is
-    bitwise that of the elementwise fsum.  Both the dense and the sparse
-    (big-data) paths go through here, which keeps the two bitwise
-    identical.
+    the same multiset total as all n elementwise terms: each result is
+    bitwise their fsum, as the exact pivot kernel takes it.  Both the dense
+    and the sparse (big-data) paths go through here, which keeps the two
+    bitwise identical.
     """
-    hist = np.bincount(np.asarray(counts_nz, dtype=np.int64))
+    hist = np.bincount(np.asarray(counts_nz, dtype=np.int64), minlength=1)
+    hist[0] += n - len(counts_nz)
     seen = hist.nonzero()[0]
-    k = len(counts_nz)
     inv_n = 1.0 / n
-    zeros = n - k
     fm = float(m)
 
-    sq_terms = [zeros * (inv_n * inv_n)]
-    abs_terms = [zeros * inv_n]
-    cub_terms = [zeros * inv_n ** 3]
-    max_sq = inv_n * inv_n if zeros else 0.0
+    sq_terms, abs_terms, cub_terms = [], [], []
+    max_sq = 0.0
     for c, h in zip(seen.tolist(), hist[seen].tolist()):
         dev = c / fm - inv_n
         abs_dev = abs(dev)
@@ -174,8 +170,7 @@ def stats_from_nonzero(counts_nz: np.ndarray, n: int, m: int) -> WeightStats:
 
 def weight_stats(w: WeightVector) -> WeightStats:
     """Compute the four deviation functionals of a weight vector."""
-    _, counts_nz = w.nonzero()
-    return stats_from_nonzero(counts_nz, w.n, w.m)
+    return stats_from_nonzero(w.counts, w.n, w.m)
 
 
 def exact_weight_moment(n: int, m: int, k: int) -> float:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randpivot.mc as mc
+import randpivot.pivots as pivots
 import randpivot.rng as rng_mod
 from randpivot import (BadParams, DegenerateWeights, DistributionSpec, PivotKind,
                        RandPivotError, TooFewObservations, WeightVector, ZeroScale, ci_mu,
@@ -20,6 +21,7 @@ from randpivot import (BadParams, DegenerateWeights, DistributionSpec, PivotKind
                        kolmogorov_distance, parse_dist, pivot, proportion_study, stream,
                        student_t_cutoff)
 from randpivot._normal import norm_cdf
+from randpivot.edf import edf_pivot
 from randpivot.weights import draw_indices
 
 NORMAL = DistributionSpec("normal", (0.0, 1.0))
@@ -482,13 +484,16 @@ def _row_matrix(draw, rows, n):
 
 
 class TestRowKernelAgreesWithSingleSample:
-    """The block kernel against per-row numpy statistics and pivot().
+    """The row kernel against per-row numpy statistics, pivot() and edf_pivot().
 
     Means, S_n^2, classical s.d.s, classical t values and the validity
-    mask must be bitwise those of per-row x.mean(), x.var() and
-    x.std(ddof=1).  Pivot values are sums in numpy's order against
-    pivot()'s exact sums, so they agree within the rounding error bound
-    of a sum of about n + m terms: |batch - exact| <= 16 (n + m) eps
+    mask of the studies' numpy-summed rows must be bitwise those of per-row
+    x.mean(), x.var() and x.std(ddof=1).  Summed exactly, each row of the
+    kernel is bitwise pivot() and edf_pivot(), and its sum d_i^2 and scale
+    are zero exactly where those raise DegenerateWeights and ZeroScale.
+    The numpy-summed values are the same formula summed in numpy's order,
+    so they agree with the exact ones within the rounding error bound of
+    a sum of about n + m terms: |batch - exact| <= 16 (n + m) eps
     (1 + |exact| + sum |d_i| |x_i - c| / (S sqrt(sum d_i^2))), with c = mu
     for G-pivots and 0 for T-pivots.
     """
@@ -501,38 +506,80 @@ class TestRowKernelAgreesWithSingleSample:
         idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows * m,
                                           max_size=rows * m))).reshape(rows, m)
         counts = mc._counts_matrix(idx, n)
-        mean, var, s1 = mc._row_moments(x)
+        mean, var, s1 = pivots._row_moments(x, mc._NUMPY_ROWSUM)
         for i in range(rows):
             assert mean[i].tobytes() == x[i].mean().tobytes()
             assert var[i].tobytes() == x[i].var().tobytes()
             assert s1[i].tobytes() == x[i].std(ddof=1).tobytes()
+        exact_var = pivots._row_moments(x, pivots._exact_rows)[1]
         for kind in PivotKind:
             vals, tvals, valid = mc._batch_values(kind, x, counts, m, mu)
+            center = mu if kind.needs_mu else None
+            if kind.uses_subsample_scale:
+                scale2 = pivots._reweighted(counts, x, m, pivots._exact_rows)[1]
+            else:
+                scale2 = exact_var
+            exact, ssq = pivots._studentized(counts, m, x, center, scale2, pivots._exact_rows)
             for i in range(rows):
                 w = WeightVector(counts[i].astype(np.int64), m, n)
                 s1_row = x[i].std(ddof=1)
                 if kind.uses_subsample_scale:
                     c = counts[i]
-                    scale2 = (c * (x[i] - (c * x[i]).sum() / m) ** 2).sum() / m
+                    np_scale2 = (c * (x[i] - (c * x[i]).sum() / m) ** 2).sum() / m
                 else:
-                    scale2 = x[i].var()
+                    np_scale2 = x[i].var()
                 nondegenerate = bool((w.counts != m / n).any())
-                assert valid[i] == (nondegenerate and scale2 > 0.0 and s1_row > 0.0)
+                assert valid[i] == (nondegenerate and np_scale2 > 0.0 and s1_row > 0.0)
                 if s1_row > 0.0:
                     t = (x[i].mean() - mu) / (s1_row / math.sqrt(n))
                     assert tvals[i].tobytes() == np.float64(t).tobytes()
+                try:
+                    want = pivot(kind, x[i], w, mu=center)
+                except DegenerateWeights:
+                    assert ssq[i] == 0.0
+                    continue
+                except ZeroScale:
+                    assert ssq[i] > 0.0 and scale2[i] == 0.0
+                    continue
+                assert ssq[i] > 0.0 and scale2[i] > 0.0
+                assert exact[i].tobytes() == np.float64(want).tobytes(), (kind, i)
                 if not valid[i]:
                     continue
-                try:
-                    exact = pivot(kind, x[i], w, mu=mu if kind.needs_mu else None)
-                except (DegenerateWeights, ZeroScale):
-                    continue
                 dev = counts[i] / m - 1.0 / n
-                center = mu if kind.needs_mu else 0.0
-                cond = (np.abs(dev) * np.abs(x[i] - center)).sum() / math.sqrt(
-                    scale2 * (dev * dev).sum())
-                tol = 16 * (n + m) * EPS * (1.0 + abs(exact) + cond)
-                assert abs(vals[i] - exact) <= tol, (kind, i, vals[i], exact, tol)
+                cond = (np.abs(dev) * np.abs(x[i] - (center or 0.0))).sum() / math.sqrt(
+                    np_scale2 * (dev * dev).sum())
+                tol = 16 * (n + m) * EPS * (1.0 + abs(want) + cond)
+                assert abs(vals[i] - want) <= tol, (kind, i, vals[i], want, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), n=st.integers(2, 30),
+           m=st.integers(1, 40), at=st.integers(-80, 80).map(lambda k: k / 8.0),
+           f_x=st.floats(0.0, 1.0))
+    def test_exact_kernel_on_indicators_is_edf_pivot(self, data, rows, n, m, at, f_x):
+        x = _row_matrix(data.draw, rows, n)
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows * m,
+                                          max_size=rows * m))).reshape(rows, m)
+        counts = mc._counts_matrix(idx, n)
+        ind = (x <= at).astype(np.float64)
+        f_n = ind.sum(axis=1) / n
+        f_mn = (counts * ind).sum(axis=1) / m
+        for s in ("hat1", "hat2", "hathat1", "hathat2"):
+            f = f_n if s in ("hat1", "hat2") else f_mn
+            scale2 = f * (1.0 - f)
+            center = None if s in ("hat1", "hathat1") else f_x
+            exact, ssq = pivots._studentized(counts, m, ind, center, scale2, pivots._exact_rows)
+            for i in range(rows):
+                w = WeightVector(counts[i].astype(np.int64), m, n)
+                try:
+                    want = edf_pivot(s, x[i], w, at, f_x=f_x)
+                except DegenerateWeights:
+                    assert ssq[i] == 0.0
+                    continue
+                except ZeroScale:
+                    assert ssq[i] > 0.0 and scale2[i] == 0.0
+                    continue
+                assert ssq[i] > 0.0 and scale2[i] > 0.0
+                assert exact[i].tobytes() == np.float64(want).tobytes(), (s, i)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 6), n=st.integers(2, 30),

@@ -5,13 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from randpivot import (DegenerateWeights, MissingMu, PivotKind,
-                       TooFewObservations, WeightVector, ZeroScale,
-                       draw_weights, enumerate_weight_vectors, pivot,
-                       randomized_stats, sample_stats, stream)
+import randpivot.pivots as pivots
+from randpivot import (DegenerateWeights, MissingMu, NonFiniteValue, PivotKind,
+                       TooFewObservations, WeightVector, ZeroScale, ci_df, ci_edf, ci_mu,
+                       draw_weights, edf_pivot, edf_point, enumerate_weight_vectors, pivot,
+                       randomized_stats, sample_stats, stream, weight_stats)
 from randpivot.pivots import _EXACT_CHUNK, _EXACT_MIN_TERMS, _exact_sum
 
 
@@ -98,6 +99,56 @@ class TestRandomizedStats:
             rmean = randomized_stats(x, _w(list(counts))).rmean
             total += prob * Fraction(rmean)
         assert float(total) == pytest.approx(3.0, abs=1e-12)
+
+
+class TestRatioEstimate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 60), st.integers(1, 80), st.integers(0, 2**32 - 1))
+    @example(9, 2, 0)  # rounding the 7 zero counts' sum apart changes sum |d_i| here
+    def test_sum_abs_dev_is_weight_stats(self, n, m, seed):
+        w = draw_weights(n, m, stream(seed))
+        abs_dev = np.abs(w.counts / w.m - 1.0 / w.n)
+        sums = {}
+
+        def recording_sum(a):
+            sums[np.asarray(a, dtype=np.float64).tobytes()] = total = _exact_sum(a)
+            return total
+
+        with mock.patch.object(pivots, "_exact_sum", recording_sum):
+            pivots._ratio_estimate(np.arange(n, dtype=np.float64), w)
+        assert sums[abs_dev.tobytes()] == weight_stats(w).sum_abs_dev  # bitwise
+
+
+_W4 = WeightVector(counts=np.array([2, 0, 1, 1]), m=4, n=4)
+_ENTRY_POINTS = {
+    "sample_stats": sample_stats,
+    "randomized_stats": lambda x: randomized_stats(x, _W4),
+    "pivot": lambda x: pivot(PivotKind.G1, x, _W4, mu=0.0),
+    "ci_mu": lambda x: ci_mu(x, _W4, 0.05),
+    "edf_point": lambda x: edf_point(x, _W4, 3.0),
+    "edf_pivot": lambda x: edf_pivot("hat2", x, _W4, 3.0, f_x=0.5),
+    "ci_edf": lambda x: ci_edf(x, _W4, 3.0, 0.05),
+    "ci_df": lambda x: ci_df(x, _W4, 3.0, 0.05),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sample_data_is_checked(self, entry, bad):
+        with pytest.raises(NonFiniteValue) as err:
+            _ENTRY_POINTS[entry]([1.0, bad, 4.0, 7.0])
+        assert err.value.row == 1
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_pivot_mu_is_finite(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            pivot(PivotKind.G1, [1.0, 2.0, 4.0, 7.0], _W4, mu=mu)
+
+    @pytest.mark.parametrize("f_x", [math.nan, 5.0, -0.25, math.inf])
+    def test_edf_pivot_f_x_is_a_probability(self, f_x):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            edf_pivot("hat2", [1.0, 2.0, 4.0, 7.0], _W4, 3.0, f_x=f_x)
 
 
 class TestPivotValues:

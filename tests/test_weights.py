@@ -1,5 +1,4 @@
 """Tests for multinomial weights, their functionals, and the exact oracles."""
-import itertools
 import math
 from fractions import Fraction
 
@@ -15,20 +14,16 @@ from randpivot.weights import WeightStats, stats_from_nonzero
 
 
 def elementwise_stats(counts_nz, n, m):
-    """Reference: one fsum over all k nonzero terms plus the zero tail."""
-    k = len(counts_nz)
-    inv_n = 1.0 / n
-    zeros = n - k
-    dev = np.asarray(counts_nz, dtype=np.float64) / m - inv_n
+    """Reference: one math.fsum over all n dense terms, zero counts included."""
+    counts = np.zeros(n, dtype=np.int64)
+    counts[:len(counts_nz)] = counts_nz  # fsum does not depend on the order
+    dev = counts / m - 1.0 / n
     abs_dev = np.abs(dev)
     sq = dev * dev
-    ssq = math.fsum(itertools.chain(sq, (zeros * (inv_n * inv_n),)))
-    sabs = math.fsum(itertools.chain(abs_dev, (zeros * inv_n,)))
-    scub = math.fsum(itertools.chain(abs_dev * sq, (zeros * inv_n ** 3,)))
-    max_sq = float(sq.max()) if k else 0.0
-    if zeros:
-        max_sq = max(max_sq, inv_n * inv_n)
-    return WeightStats(ssq, sabs, scub, max_sq / ssq if ssq > 0.0 else None)
+    ssq = math.fsum(sq.tolist())
+    sabs = math.fsum(abs_dev.tolist())
+    scub = math.fsum((abs_dev * sq).tolist())
+    return WeightStats(ssq, sabs, scub, float(sq.max()) / ssq if ssq > 0.0 else None)
 
 
 class TestWeightVector:
