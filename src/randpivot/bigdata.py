@@ -21,6 +21,8 @@ import math
 import mmap
 import os
 import struct
+from collections import deque
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -55,6 +57,11 @@ MIN_RECORDS = 16
 # no faster (1 MiB ones about 20 % slower, measured on 2 cores)
 _BLOCK = 1 << 16
 _EXACT_CHUNK = 1 << 14  # records per array of the exact parse, after a quote
+# Blocks per worker task, and the file size above which workers parse: below
+# it a pool's start-up (some 40 ms) costs more than it saves on 2 cores
+# (BENCH_1f52b29.json, ingest_pool_cut)
+_TASK_BLOCKS = 8
+_POOL_BYTES = 6 << 20
 
 
 @dataclass
@@ -266,7 +273,8 @@ def read_csv_column(src: str | Path, column: str | int, header: bool = False,
     cell that fails raises ParseError and a NaN or infinity raises
     NonFiniteValue, each naming the 0-based CSV row (blank rows count).
     """
-    return np.concatenate([np.empty(0), *_column_chunks(src, column, header, delimiter)])
+    with closing(_column_chunks(src, column, header, delimiter)) as chunks:
+        return np.concatenate([np.empty(0), *chunks])
 
 
 def ingest_csv(src: str | Path, column: str | int, dst: str | Path,
@@ -275,10 +283,11 @@ def ingest_csv(src: str | Path, column: str | int, dst: str | Path,
 
     The column is parsed block by block, as read_csv_column parses it, and
     each block is written as soon as it is checked, so memory stays bounded
-    by the block size however long the file is.  A bad row raises before
-    the rename, so an existing dst is kept.
+    by the blocks in flight however long the file is.  A bad row raises
+    before the rename, so an existing dst is kept.
     """
-    return _write_records(_column_chunks(src, column, header, delimiter), dst)
+    with closing(_column_chunks(src, column, header, delimiter)) as chunks:
+        return _write_records(chunks, dst)
 
 
 def _column_chunks(src: str | Path, column: str | int, header: bool,
@@ -296,7 +305,8 @@ def _column_chunks(src: str | Path, column: str | int, header: bool,
     block, and each block up to the header, goes through _exact_values
     from its first row.  From the first block with a quote character on,
     the rest of the file is parsed exactly, because a quoted field may
-    hold line ends and so cross a block's end.
+    hold line ends and so cross a block's end.  Only numpy's reading may
+    run in worker processes (_fast_parses), so they change no result.
     """
     if isinstance(column, int) and column < 0:
         raise ValueError(f"column index must be 0 or more, got {column}")
@@ -306,23 +316,92 @@ def _column_chunks(src: str | Path, column: str | int, header: bool,
     with open(src, newline="") as f:
         csv.reader((), delimiter=delimiter)  # the csv module's own delimiter checks
         blocks = _blocks(f)
+
+        # (block, numpy's parse of it or None), drawn as the loop below asks,
+        # so numpy's reader starts only once the header has fixed the column
+        def parses():
+            while header and (block := next(blocks, None)) is not None:
+                yield block, None
+            yield from _fast_parses(blocks, col, delimiter, os.fstat(f.fileno()).st_size)
+
+        with closing(parses()) as pairs:
+            for block, values in pairs:
+                if _quoted(block, delimiter):
+                    lines = chain.from_iterable(io.StringIO(b, newline="")
+                                                for b in chain([block], blocks))
+                    records = enumerate(csv.reader(lines, delimiter=delimiter), row)
+                    for first in records:  # _EXACT_CHUNK records at a time
+                        values, col, header = _exact_values(
+                            chain([first], islice(records, _EXACT_CHUNK - 1)), col, column,
+                            header)
+                        yield values
+                    return
+                if values is None:
+                    records = enumerate(csv.reader(io.StringIO(block, newline=""),
+                                                   delimiter=delimiter), row)
+                    values, col, header = _exact_values(records, col, column, header)
+                yield values
+                row += _line_ends(block)
+
+
+def _quoted(block: str, delimiter: str) -> bool:
+    """Whether block must go to the exact parse with the rest of the file."""
+    return '"' in block or delimiter in "\r\n"
+
+
+def _fast_parses(blocks: Iterator[str], col: int, delimiter: str,
+                 size: int) -> Iterator[tuple[str, np.ndarray | None]]:
+    """(block, _fast_values of it) in file order, up to the first quoted
+    block, which comes last, paired with None; nothing after it is read.
+    A file of more than _POOL_BYTES, with two or more CPUs to run on, is
+    parsed by one worker process a CPU while this one reads ahead.  It
+    holds at most one task more than there are workers, takes results in
+    file order, and shuts the pool down before the quoted block or on error."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = cpus if cpus >= 2 and size > _POOL_BYTES else 0
+    stop: list[str] = []  # the first quoted block, if any
+
+    def tasks() -> Iterator[list[str]]:
+        task: list[str] = []
         for block in blocks:
-            if '"' in block or delimiter in "\r\n":
-                lines = chain.from_iterable(io.StringIO(b, newline="")
-                                            for b in chain([block], blocks))
-                records = enumerate(csv.reader(lines, delimiter=delimiter), row)
-                for first in records:  # _EXACT_CHUNK records at a time
-                    values, col, header = _exact_values(
-                        chain([first], islice(records, _EXACT_CHUNK - 1)), col, column, header)
-                    yield values
-                return
-            values = None if header else _fast_values(block, col, delimiter)
-            if values is None:
-                records = enumerate(csv.reader(io.StringIO(block, newline=""),
-                                               delimiter=delimiter), row)
-                values, col, header = _exact_values(records, col, column, header)
-            yield values
-            row += _line_ends(block)
+            if _quoted(block, delimiter):
+                stop.append(block)
+                break
+            task.append(block)
+            if len(task) == (_TASK_BLOCKS if workers else 1):
+                yield task
+                task = []
+        if task:
+            yield task
+
+    pool, in_flight = None, deque()
+    try:
+        for task in tasks():
+            if not workers:
+                yield from zip(task, _fast_task(task, col, delimiter))
+                continue
+            if pool is None:  # at the first task: a file quoted from here on needs none
+                from concurrent.futures import ProcessPoolExecutor  # only a large file needs it
+                pool = ProcessPoolExecutor(max_workers=workers)
+            in_flight.append((task, pool.submit(_fast_task, task, col, delimiter)))
+            if len(in_flight) > workers:
+                yield from _results(*in_flight.popleft())
+        while in_flight:
+            yield from _results(*in_flight.popleft())
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    yield from ((block, None) for block in stop)
+
+
+def _results(task: list[str], future) -> Iterator[tuple[str, np.ndarray | None]]:
+    """(block, _fast_values of it) of a task, once its worker is done."""
+    return zip(task, future.result())
+
+
+def _fast_task(blocks: list[str], col: int, delimiter: str) -> list[np.ndarray | None]:
+    """_fast_values of each block: one task of a worker process."""
+    return [_fast_values(block, col, delimiter) for block in blocks]
 
 
 def _blocks(f) -> Iterator[str]:

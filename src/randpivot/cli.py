@@ -19,10 +19,10 @@ from typing import TYPE_CHECKING, Any, Callable
 from . import bounds, intervals
 from .errors import RandPivotError
 from .intervals import ConfidenceInterval, parse_policy, subsample_size
-from .pivots import PivotKind, _check_n
 
 if TYPE_CHECKING:
     from .mc import DistributionSpec
+    from .pivots import PivotKind
 
 __all__ = ["main", "build_parser"]
 
@@ -236,6 +236,7 @@ def _ingest(args: argparse.Namespace) -> Payload:
 def _sample_ci(args: argparse.Namespace, interval: Callable[..., ConfidenceInterval]) -> Payload:
     """interval(x, w) of the CSV sample x and weights w drawn for it."""
     from .bigdata import read_csv_column
+    from .pivots import _check_n
     from .rng import stream
     from .weights import draw_weights
     x = read_csv_column(args.data, args.column, header=args.header)
@@ -276,6 +277,7 @@ def _study_inputs(args: argparse.Namespace) -> tuple[DistributionSpec, int, Pivo
     study command reports it as the study itself would.
     """
     from .mc import parse_dist
+    from .pivots import PivotKind, _check_n
     _check_n(args.n)
     try:
         m = int(args.m)  # an integer is the study's m as given, never clamped

@@ -13,6 +13,9 @@ class DegenerateWeights(RandPivotError):
     should redraw weights and count the event.
     """
 
+    def __init__(self, message: str = "all weights equal m/n; pivot denominators vanish"):
+        super().__init__(message)
+
 
 class ZeroScale(RandPivotError):
     """A studentizing scale (sample s.d., sub-sample s.d., or F(1-F)) is zero."""

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ._normal import norm_ppf
 from .errors import DegenerateWeights, DomainError, ZeroScale
-from .pivots import RandomizedStats, _ratio_estimate, _sample, _scale2
-from .weights import WeightStats, WeightVector, weight_stats
+
+if TYPE_CHECKING:  # the arithmetic commands import this module, and load no numpy
+    from .pivots import RandomizedStats
+    from .weights import WeightStats, WeightVector
 
 __all__ = [
     "ConfidenceInterval",
@@ -160,7 +162,7 @@ def _interval(target: str, alpha: float, sided: str,
     ratio center and S_n are undefined (and may raise) for such weights.
     """
     if wstats.degenerate:
-        raise DegenerateWeights("all weights equal m/n")
+        raise DegenerateWeights()
     center, scale2 = center_scale2()
     if scale2 <= 0.0:
         at = f" at x={meta['x']}" if "x" in meta else ""
@@ -179,6 +181,8 @@ def ci_mu(x, w: WeightVector, alpha: float, variant: str = "g1",
     variant "g1" scales by the sample s.d. S_n, "g2" by the sub-sample
     s.d. S_{m,n} (the latter needs a fourth moment to be trustworthy).
     """
+    from .pivots import _ratio_estimate, _sample, _scale2
+    from .weights import weight_stats
     variant = variant.lower()
     if variant not in ("g1", "g2"):
         raise ValueError(f"variant must be g1 or g2, got {variant!r}")

@@ -160,6 +160,8 @@ def _check_finite(values: np.ndarray, indices: np.ndarray | None = None) -> None
     (the position in values, or indices[position] when given).  Scans in
     chunks, so the temporary mask stays small however long values is."""
     flat = values.reshape(-1)
+    if flat.size <= _FINITE_CHUNK and np.isfinite(flat).all():
+        return  # one call for a short array; the scan below finds a bad value
     for start in range(0, flat.size, _FINITE_CHUNK):
         finite = np.isfinite(flat[start:start + _FINITE_CHUNK])
         if not finite.all():
@@ -232,7 +234,7 @@ def _exact_pivot(w: WeightVector, data: np.ndarray, center: float | None,
     vals, ssq = _studentized(w.counts[None], w.m, data[None], center,
                              np.array([scale2]), _exact_rows)
     if ssq[0] == 0.0:
-        raise DegenerateWeights("all weights equal m/n; pivot denominators vanish")
+        raise DegenerateWeights()
     if scale2 <= 0.0:
         raise ZeroScale(zero_scale)
     return float(vals[0])

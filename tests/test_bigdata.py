@@ -1,8 +1,10 @@
 """Tests for the binary dataset format, sparse subsampling, and big-data CIs."""
+import concurrent.futures
 import contextlib
 import csv
 import math
 import mmap
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -271,6 +273,74 @@ def csv_files(draw):
     return text, column, header, delimiter
 
 
+def assert_matches_reference(base, text, column, header, delimiter):
+    """read_csv_column and ingest_csv on text give the reference parse's
+    values and dataset bytes, or its error type, row and content, and
+    leave no file but the input behind."""
+    src, dst = base / "in.csv", base / "out.rpv"
+    with open(src, "w", newline="") as f:
+        f.write(text)
+    args = (column, header, delimiter)
+    try:
+        want = reference_read_csv_column(src, *args)
+    except RandPivotError as exc:
+        for parse in (lambda: read_csv_column(src, *args),
+                      lambda: ingest_csv(src, column, dst, header, delimiter)):
+            with pytest.raises(RandPivotError) as err:
+                parse()
+            assert isinstance(err.value, type(exc))
+            assert (err.value.row, err.value.content) == (exc.row, exc.content)
+        assert sorted(os.listdir(base)) == ["in.csv"]
+        return
+    got = read_csv_column(src, *args)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    h = ingest_csv(src, column, dst, header, delimiter)
+    assert h.count == want.size
+    write_dataset(want, base / "want.rpv")
+    assert dst.read_bytes() == (base / "want.rpv").read_bytes()
+    assert sorted(os.listdir(base)) == ["in.csv", "out.rpv", "want.rpv"]
+
+
+@contextlib.contextmanager
+def pooled():
+    """Hand every quote-free block after the header to two worker
+    processes, whatever the file's size and the CPUs at hand."""
+    with mock.patch.object(bigdata, "_POOL_BYTES", -1), \
+            mock.patch.object(bigdata.os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+        yield
+
+
+@st.composite
+def pooled_csv_files(draw):
+    """(text, column, delimiter) of a file with a header, then numeric rows
+    with \n, \r\n and at least one \r line end; at a drawn row, one cell
+    may be a bad token, a non-finite value or a number only float() reads,
+    or every cell from there on may be quoted."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    ncols = draw(st.integers(1, 3))
+    names = ["a", "b", "c"][:ncols]
+    rows = draw(st.lists(st.lists(NUMBER_CELLS, min_size=ncols, max_size=ncols),
+                         min_size=20, max_size=60))
+    col = draw(st.integers(0, ncols - 1))
+    at = draw(st.integers(0, len(rows) - 1))
+    odd = draw(st.sampled_from(["none", "bad", "non-finite", "float() only", "quoted"]))
+    if odd == "quoted":
+        for row in rows[at:]:
+            row[:] = [f'"{cell}"' for cell in row]
+    elif odd != "none":
+        rows[at][col] = draw(st.sampled_from({
+            "bad": ["abc", "1.5.2", "0x10", "1 2", ""],
+            "non-finite": ["nan", "-inf", "Infinity", "1e500"],
+            "float() only": ["1_000", "\u0661", "\uff11"]}[odd]))
+    lines = [delimiter.join(r) for r in [names] + rows]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    ends[draw(st.integers(0, len(ends) - 1))] = "\r"
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text, draw(st.sampled_from([col, names[col]])), delimiter
+
+
 class TestCsvReader:
     """read_csv_column and ingest_csv against the frozen row-at-a-time parse."""
 
@@ -281,32 +351,61 @@ class TestCsvReader:
         text, column, header, delimiter = case
         block = data.draw(st.integers(1, max(1, len(text) // 3)), label="block")
         chunk = data.draw(st.integers(1, 8), label="records per exact chunk")
-        base = tmp_path_factory.mktemp("diff")
-        src, dst = base / "in.csv", base / "out.rpv"
-        with open(src, "w", newline="") as f:
-            f.write(text)
-        args = (column, header, delimiter)
         with mock.patch.object(bigdata, "_BLOCK", block), \
                 mock.patch.object(bigdata, "_EXACT_CHUNK", chunk):  # many of each per file
+            assert_matches_reference(tmp_path_factory.mktemp("diff"), text, column, header,
+                                     delimiter)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=50, deadline=None)
+    @given(pooled_csv_files(), st.data())
+    def test_pooled_parse_matches_reference_parse(self, tmp_path_factory, case, data):
+        text, column, delimiter = case
+        block = data.draw(st.integers(1, max(1, len(text) // 12)), label="block")
+        task = data.draw(st.integers(1, 3), label="blocks per task")
+        with pooled(), mock.patch.object(bigdata, "_BLOCK", block), \
+                mock.patch.object(bigdata, "_TASK_BLOCKS", task):  # many tasks per file
+            assert_matches_reference(tmp_path_factory.mktemp("pooled"), text, column, True,
+                                     delimiter)
+
+    @pytest.mark.parametrize("bad", [None, "oops"])
+    def test_no_worker_outlives_a_pooled_ingest(self, tmp_path, bad):
+        rows = list(map(repr, stream(7).normal(size=5_000).tolist()))
+        if bad:
+            rows[3_000] = bad  # a bad row mid-file, while tasks are in flight
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join(rows) + "\n")
+        real, pools = concurrent.futures.ProcessPoolExecutor, []
+
+        def spy(*args, **kwargs):
+            pools.append(real(*args, **kwargs))
+            return pools[-1]
+
+        with pooled(), mock.patch.object(bigdata, "_BLOCK", 1 << 10), \
+                mock.patch.object(concurrent.futures, "ProcessPoolExecutor", spy):
+            with pytest.raises(ParseError) if bad else contextlib.nullcontext():
+                ingest_csv(src, 0, tmp_path / "d.rpv")
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_memory_is_bounded_by_the_tasks_in_flight(self, tmp_path):
+        values = stream(6).lognormal(size=100_000)
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join(map(repr, values.tolist())) + "\n")
+        block = 1 << 12
+        budget = 3 * bigdata._TASK_BLOCKS * block  # characters of the tasks held for 2 workers
+        with pooled(), mock.patch.object(bigdata, "_BLOCK", block):
+            read_csv_column(src, 0)  # the pool's modules are loaded once, not per file
+            tracemalloc.start()
             try:
-                want = reference_read_csv_column(src, *args)
-            except RandPivotError as exc:
-                for parse in (lambda: read_csv_column(src, *args),
-                              lambda: ingest_csv(src, column, dst, header, delimiter)):
-                    with pytest.raises(RandPivotError) as err:
-                        parse()
-                    assert isinstance(err.value, type(exc))
-                    assert (err.value.row, err.value.content) == (exc.row, exc.content)
-                assert sorted(os.listdir(base)) == ["in.csv"]
-                return
-            got = read_csv_column(src, *args)
-            assert got.dtype == np.float64 and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            h = ingest_csv(src, column, dst, header, delimiter)
-        assert h.count == want.size
-        write_dataset(want, base / "want.rpv")
-        assert dst.read_bytes() == (base / "want.rpv").read_bytes()
-        assert sorted(os.listdir(base)) == ["in.csv", "out.rpv", "want.rpv"]
+                h = ingest_csv(src, 0, tmp_path / "d.rpv")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert 16 * budget < src.stat().st_size
+        assert peak < 4 * budget  # tasks, a pickled copy and parsed values
+        assert (tmp_path / "d.rpv").read_bytes()[HEADER_SIZE:] == values.tobytes()
+        assert h.count == values.size
 
     @pytest.mark.parametrize("bad, error", [("oops", ParseError), ("inf", NonFiniteValue)])
     def test_bad_row_past_the_first_block_keeps_dst(self, tmp_path, bad, error):

@@ -88,6 +88,7 @@ def inputs(tmp_path_factory):
 def short_commands(d) -> dict[str, list[str]]:
     small, data = str(d / "small.csv"), str(d / "data.rpv")
     return {
+        "ingest, small": ["ingest", "--csv", small, "--out", str(d / "small.rpv")],
         "sizing": ["sizing", "--n", "1000000", "--policy", "loglog"],
         "rate": ["rate", "--n", "1000", "--m", "1000", "--kind", "d"],
         "bound": ["bound", "--n", "30", "--m", "30", "--delta", "0.5", "--eps", "0.5",
@@ -109,7 +110,7 @@ class TestCommandFootprint:
 
     @pytest.mark.parametrize("command", ["sizing", "rate", "bound"])
     def test_arithmetic_commands_load_no_engine(self, footprints, command):
-        assert not footprints[command] & {"randpivot.mc", "randpivot.bigdata"}
+        assert not footprints[command] & {"randpivot.mc", "randpivot.bigdata", "numpy"}
 
     @pytest.mark.parametrize("command", ["ci-bigdata mean", "ci-bigdata edf"])
     def test_bigdata_query_loads_no_monte_carlo(self, footprints, command):

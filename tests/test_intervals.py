@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from randpivot import (DegenerateWeights, DomainError, Fixed, LogLog,
                        PowerDelta, WeightVector, ZeroScale, ci_mu, ci_xbar,
-                       critical_z, draw_weights, parse_policy,
+                       critical_z, draw_weights, edf_pivot, parse_policy, pivot,
                        randomized_stats, stream, subsample_size, weight_stats)
 from randpivot.edf import ci_df, ci_edf
 from randpivot.pivots import RandomizedStats
@@ -146,6 +146,16 @@ class TestCiMu:
         w = WeightVector(counts=np.array([1, 1]), m=2, n=2)
         with pytest.raises(DegenerateWeights):
             ci_mu([1.0, -1.0], w, 0.05)
+
+    def test_degenerate_weights_give_one_message(self):
+        x, w = [1.0, -1.0, 3.0], WeightVector(counts=np.array([2, 2, 2]), m=6, n=3)
+        messages = set()
+        for refuse in (lambda: ci_mu(x, w, 0.05), lambda: pivot("g1", x, w, mu=0.0),
+                       lambda: ci_edf(x, w, 0.5, 0.05), lambda: edf_pivot("hat1", x, w, 0.5)):
+            with pytest.raises(DegenerateWeights) as err:
+                refuse()
+            messages.add(str(err.value))
+        assert messages == {"all weights equal m/n; pivot denominators vanish"}
 
     def test_zero_scale(self):
         w = WeightVector(counts=np.array([2, 0]), m=2, n=2)

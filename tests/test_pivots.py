@@ -140,6 +140,20 @@ class TestNonFiniteInput:
             _ENTRY_POINTS[entry]([1.0, bad, 4.0, 7.0])
         assert err.value.row == 1
 
+    @pytest.mark.parametrize("n", [1, 30, pivots._FINITE_CHUNK, pivots._FINITE_CHUNK + 1])
+    def test_first_bad_value_is_named(self, n):
+        for at in sorted({0, n // 2, n - 1}):
+            values = np.arange(n, dtype=np.float64).reshape(-1, 1)
+            values[-1] = math.inf  # a later bad value is not the one named
+            values[at] = math.nan
+            with pytest.raises(NonFiniteValue) as err:
+                pivots._check_finite(values)
+            assert (err.value.row, err.value.content) == (at, "nan")
+            with pytest.raises(NonFiniteValue) as err:
+                pivots._check_finite(values, np.arange(n) + 100)
+            assert err.value.row == at + 100
+        pivots._check_finite(np.arange(n, dtype=np.float64))
+
     @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
     def test_pivot_mu_is_finite(self, mu):
         with pytest.raises(ValueError, match="mu must be finite"):
