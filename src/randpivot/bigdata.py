@@ -21,15 +21,16 @@ import math
 import mmap
 import os
 import struct
-from collections import deque
 from contextlib import closing
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
+from ._pool import ordered_map
 from .bounds import rate
 from .errors import (DatasetFormatError, DatasetTooSmall, MissingColumn, NonFiniteValue,
                      ParseError)
@@ -295,51 +296,48 @@ def _column_chunks(src: str | Path, column: str | int, header: bool,
     """Yield the parsed column as float64 arrays, block by block.
 
     The values, and any error with its row and content, are those of
-    _exact_values run over all the file's records.  A block without a
-    quote character, whose lines are then its records, is first handed
-    to numpy's C text reader; it parses with PyOS_string_to_double, the
-    routine behind float(), after stripping the same whitespace.  What it
-    rejects (underscores, non-ASCII digits, short rows, bad cells) is a
-    subset of what float() rejects, so when it accepts a block and every
-    value is finite, the values are float()'s, bit for bit.  Any other
-    block, and each block up to the header, goes through _exact_values
-    from its first row.  From the first block with a quote character on,
-    the rest of the file is parsed exactly, because a quoted field may
-    hold line ends and so cross a block's end.  Only numpy's reading may
-    run in worker processes (_fast_parses), so they change no result.
+    _exact_values run over all the file's records.  The header, the first
+    non-empty record, is read first, record by record, and fixes the
+    column; the blocks start after it.  A block without a quote character,
+    whose lines are then its records, is first handed to numpy's C text
+    reader; it parses with PyOS_string_to_double, the routine behind
+    float(), after stripping the same whitespace.  What it rejects
+    (underscores, non-ASCII digits, short rows, bad cells) is a subset of
+    what float() rejects, so when it accepts a block and every value is
+    finite, the values are float()'s, bit for bit.  Any other block goes
+    through _exact_values from its first row.  From the first block with a
+    quote character on, the rest of the file is parsed exactly, because a
+    quoted field may hold line ends and so cross a block's end.  Only
+    numpy's reading may run in worker processes (_fast_parses), so they
+    change no result.
     """
     if isinstance(column, int) and column < 0:
         raise ValueError(f"column index must be 0 or more, got {column}")
     col = column if isinstance(column, int) else None
-    header = header or col is None
-    row = 0
+    row = 0  # records read so far
     with open(src, newline="") as f:
-        csv.reader((), delimiter=delimiter)  # the csv module's own delimiter checks
+        reader = csv.reader(iter(f.readline, ""), delimiter=delimiter)  # checks the delimiter
+        if header or col is None:
+            for row, fields in enumerate(reader, 1):
+                if fields:
+                    if col is None:
+                        if column not in fields:
+                            raise MissingColumn(row - 1, column)
+                        col = fields.index(column)
+                    break
         blocks = _blocks(f)
-
-        # (block, numpy's parse of it or None), drawn as the loop below asks,
-        # so numpy's reader starts only once the header has fixed the column
-        def parses():
-            while header and (block := next(blocks, None)) is not None:
-                yield block, None
-            yield from _fast_parses(blocks, col, delimiter, os.fstat(f.fileno()).st_size)
-
-        with closing(parses()) as pairs:
+        with closing(_fast_parses(blocks, col, delimiter, os.fstat(f.fileno()).st_size)) as pairs:
             for block, values in pairs:
                 if _quoted(block, delimiter):
                     lines = chain.from_iterable(io.StringIO(b, newline="")
                                                 for b in chain([block], blocks))
                     records = enumerate(csv.reader(lines, delimiter=delimiter), row)
                     for first in records:  # _EXACT_CHUNK records at a time
-                        values, col, header = _exact_values(
-                            chain([first], islice(records, _EXACT_CHUNK - 1)), col, column,
-                            header)
-                        yield values
+                        yield _exact_values(chain([first], islice(records, _EXACT_CHUNK - 1)), col)
                     return
                 if values is None:
-                    records = enumerate(csv.reader(io.StringIO(block, newline=""),
-                                                   delimiter=delimiter), row)
-                    values, col, header = _exact_values(records, col, column, header)
+                    values = _exact_values(enumerate(csv.reader(
+                        io.StringIO(block, newline=""), delimiter=delimiter), row), col)
                 yield values
                 row += _line_ends(block)
 
@@ -354,9 +352,8 @@ def _fast_parses(blocks: Iterator[str], col: int, delimiter: str,
     """(block, _fast_values of it) in file order, up to the first quoted
     block, which comes last, paired with None; nothing after it is read.
     A file of more than _POOL_BYTES, with two or more CPUs to run on, is
-    parsed by one worker process a CPU while this one reads ahead.  It
-    holds at most one task more than there are workers, takes results in
-    file order, and shuts the pool down before the quoted block or on error."""
+    parsed in tasks of _TASK_BLOCKS blocks by one worker process a CPU
+    (_pool.ordered_map) while this one reads ahead."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = cpus if cpus >= 2 and size > _POOL_BYTES else 0
     stop: list[str] = []  # the first quoted block, if any
@@ -374,29 +371,11 @@ def _fast_parses(blocks: Iterator[str], col: int, delimiter: str,
         if task:
             yield task
 
-    pool, in_flight = None, deque()
-    try:
-        for task in tasks():
-            if not workers:
-                yield from zip(task, _fast_task(task, col, delimiter))
-                continue
-            if pool is None:  # at the first task: a file quoted from here on needs none
-                from concurrent.futures import ProcessPoolExecutor  # only a large file needs it
-                pool = ProcessPoolExecutor(max_workers=workers)
-            in_flight.append((task, pool.submit(_fast_task, task, col, delimiter)))
-            if len(in_flight) > workers:
-                yield from _results(*in_flight.popleft())
-        while in_flight:
-            yield from _results(*in_flight.popleft())
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    parse = partial(_fast_task, col=col, delimiter=delimiter)
+    with closing(ordered_map(parse, tasks(), workers)) as results:
+        for task, values in results:
+            yield from zip(task, values)
     yield from ((block, None) for block in stop)
-
-
-def _results(task: list[str], future) -> Iterator[tuple[str, np.ndarray | None]]:
-    """(block, _fast_values of it) of a task, once its worker is done."""
-    return zip(task, future.result())
 
 
 def _fast_task(blocks: list[str], col: int, delimiter: str) -> list[np.ndarray | None]:
@@ -446,23 +425,12 @@ def _fast_values(block: str, col: int, delimiter: str) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _exact_values(records: Iterable[tuple[int, list[str]]], col: int | None,
-                  column: str | int, header: bool) -> tuple[np.ndarray, int | None, bool]:
-    """The reference parse of numbered csv.reader records: strip, float()
-    and a finiteness check per cell.  With header set, the first non-empty
-    record is the header.  Returns the values, the column index and
-    whether the header is still to come."""
+def _exact_values(records: Iterable[tuple[int, list[str]]], col: int) -> np.ndarray:
+    """The reference parse of numbered csv.reader records, the header
+    excluded: strip, float() and a finiteness check per cell."""
     values: list[float] = []
     for row, fields in records:
         if not fields:
-            continue
-        if header:
-            header = False
-            if isinstance(column, str):
-                try:
-                    col = fields.index(column)
-                except ValueError:
-                    raise MissingColumn(row, column) from None
             continue
         cell = fields[col].strip() if col < len(fields) else ""
         try:
@@ -472,7 +440,7 @@ def _exact_values(records: Iterable[tuple[int, list[str]]], col: int | None,
         if not math.isfinite(v):
             raise NonFiniteValue(row, cell)
         values.append(v)
-    return np.array(values, dtype=np.float64), col, header
+    return np.array(values, dtype=np.float64)
 
 
 def draw_index_sample(n: int, m: int, rng: np.random.Generator) -> IndexSample:

@@ -31,6 +31,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ._normal import norm_cdf
+from ._pool import ordered_map
 from .errors import BadParams, RandPivotError, ZeroScale
 from .intervals import SCHEMA_VERSION, _z_for
 from .pivots import PivotKind, _check_n, _reweighted, _row_moments, _studentized
@@ -308,15 +309,10 @@ def _run_chunks(worker, total: int, elements: int, threads: int, *args) -> list:
     a process pool is paid once, not per range.  Rows are keyed by index,
     so the report is the same.
     """
-    if threads <= 1 or total * (elements + _STREAM_ELEMENTS) <= _POOL_ELEMENTS:
-        return [worker((*args, 0, total))]
-    from concurrent.futures import ProcessPoolExecutor  # only a pooled study needs it
-    step = math.ceil(total / max(1, min(threads * 4, total)))
-    argses = [(*args, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if len(argses) <= 1:
-        return [worker(a) for a in argses]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, argses))
+    pooled = threads > 1 and total * (elements + _STREAM_ELEMENTS) > _POOL_ELEMENTS
+    step = math.ceil(total / min(threads * 4, total)) if pooled else total
+    ranges = [(*args, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    return [part for _, part in ordered_map(worker, ranges, threads if len(ranges) > 1 else 0)]
 
 
 def _replications(d: DistributionSpec, n: int, m: int, kind: PivotKind, reps: int,

@@ -39,10 +39,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 _POOL = 4
-# Below this many rows, SeedSequence row by row beats the vectorized
-# pass's fixed cost of some fifty numpy calls (measured: 4 rows cost
-# about 42 us either way, one row 12 us against 36 us, on 2 x86-64 cores).
-_VECTOR_MIN_ROWS = 4
 
 
 def _hash_constants(init: int, mult: int, count: int) -> tuple[list[int], list[int]]:
@@ -101,13 +97,13 @@ def _row_keys(seed: int, rows: np.ndarray, *tail: int) -> np.ndarray:
     The hash runs on uint32 arrays with one column per row, so its
     wrap-around arithmetic is numpy's silent array overflow, and the three
     hashmix calls that mix one pool word into the others are one
-    broadcast op.  Few rows, row indices outside [0, 2^32) (not one
-    entropy word), and keys of more than four entropy words (a seed of
-    2^64 or more, or a long tail) go through SeedSequence itself.
+    broadcast op.  Row indices outside [0, 2^32) (not one entropy word)
+    and keys of more than four entropy words (a seed of 2^64 or more, or a
+    long tail) go through SeedSequence itself.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     entropy = _words(seed) + [None] + [w for t in tail for w in _words(t)]
-    if rows.size < _VECTOR_MIN_ROWS or len(entropy) > _POOL or np.any(rows >> 32):
+    if len(entropy) > _POOL or np.any(rows >> 32):
         return np.array([SeedSequence(entropy=(int(seed), int(r), *map(int, tail)))
                          .generate_state(2, np.uint64) for r in rows],
                         dtype=np.uint64).reshape(-1, 2)

@@ -2,6 +2,7 @@
 import concurrent.futures
 import contextlib
 import csv
+import io
 import math
 import mmap
 import multiprocessing
@@ -341,10 +342,15 @@ def pooled_csv_files(draw):
     return text, draw(st.sampled_from([col, names[col]])), delimiter
 
 
+HYPOTHESIS_REPORT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+
+
 class TestCsvReader:
     """read_csv_column and ingest_csv against the frozen row-at-a-time parse."""
 
-    @pytest.mark.filterwarnings("error")  # numpy's reader must never see a block without cells
+    # numpy's reader must never see a block without cells; hypothesis's own
+    # failure report may trip the warning ignored here
+    @pytest.mark.filterwarnings("error", HYPOTHESIS_REPORT_WARNING)
     @settings(max_examples=200, deadline=None)
     @given(csv_files(), st.data())
     def test_matches_reference_parse(self, tmp_path_factory, case, data):
@@ -356,7 +362,7 @@ class TestCsvReader:
             assert_matches_reference(tmp_path_factory.mktemp("diff"), text, column, header,
                                      delimiter)
 
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error", HYPOTHESIS_REPORT_WARNING)
     @settings(max_examples=50, deadline=None)
     @given(pooled_csv_files(), st.data())
     def test_pooled_parse_matches_reference_parse(self, tmp_path_factory, case, data):
@@ -454,6 +460,34 @@ class TestCsvReader:
         assert isinstance(err.value, MissingColumn)
         assert str(err.value) == "row 1: no column named 'c'"
         assert (err.value.row, err.value.content) == (1, "no column named 'c'")
+
+    @pytest.mark.parametrize("head, column, header", [
+        ("\n\r\n\rid,value\n", "value", False),  # a named column after blank lines
+        ("id,value\r\n", 1, True),
+        ('"id","the\nvalue"\r\n', "the\nvalue", False),  # a quoted header over quote-free data
+    ], ids=["named after blank lines", "int column", "quoted header"])
+    @pytest.mark.parametrize("bad", [None, "oops"])
+    def test_header_is_read_before_the_blocks(self, tmp_path, head, column, header, bad):
+        rows = [f"{i},{v!r}" for i, v in enumerate(stream(8).normal(size=5_000).tolist())]
+        if bad:
+            rows[17] = f"17,{bad}"
+        text = head + "\n".join(rows) + "\n"
+        assert_matches_reference(tmp_path, text, column, header, ",")
+        if bad:
+            return
+        real, seen = bigdata._exact_values, []
+
+        def spy(records, *args):
+            def noted():
+                for record in records:
+                    seen.append(record)
+                    yield record
+            return real(noted(), *args)
+
+        with mock.patch.object(bigdata, "_exact_values", spy):
+            read_csv_column(tmp_path / "in.csv", column, header)
+        header_row = len(list(csv.reader(io.StringIO(head, newline="")))) - 1
+        assert [row for row, fields in seen if fields and row > header_row] == []
 
     def test_field_limit_error_is_kept(self, tmp_path):
         # a field longer than the csv module's limit fails as it always did,

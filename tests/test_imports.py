@@ -8,6 +8,7 @@ import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,3 +121,11 @@ class TestCommandFootprint:
     def test_no_short_command_loads_a_pool_or_fractions(self, footprints):
         for command, loaded in footprints.items():
             assert not loaded & {"concurrent.futures", "multiprocessing", "fractions"}, command
+
+
+def test_only_the_pool_module_names_the_executor():
+    package = Path(randpivot.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        names = "concurrent.futures" in text or "ProcessPoolExecutor" in text
+        assert names == (path.name == "_pool.py"), path.name

@@ -35,18 +35,22 @@ class TestRowKeys:
     @example(seed=2**32 - 1, rows=[2**32 - 1] * 5, big=[2**32], tail=[2**32 - 1])
     @example(seed=2**64 + 3, rows=list(range(2**32 - 6, 2**32)), big=[], tail=[2**32, 7])
     def test_keys_equal_seed_sequence(self, seed, rows, big, tail):
-        # rows below 2^32 take the vectorized pass from _VECTOR_MIN_ROWS
-        # rows on; any row of 2^32 or more sends the call to SeedSequence
+        # rows below 2^32 take the vectorized pass, however few; any row
+        # of 2^32 or more sends the call to SeedSequence
         for block in (rows, rows + big):
             got = rng._row_keys(seed, np.array(block, dtype=np.int64), *tail)
             assert got.dtype == np.uint64 and got.shape == (len(block), 2)
             assert got.tobytes() == _reference_keys(seed, block, tail).tobytes()
 
     def test_vectorized_pass_taken_for_single_rows(self, monkeypatch):
-        monkeypatch.setattr(rng, "_VECTOR_MIN_ROWS", 1)
-        for seed, r, tail in [(0, 0, (0,)), (7, 2**32 - 1, ()), (2**96, 5, (2**32, 1))]:
+        cases = [(0, 0, (0,)), (7, 2**32 - 1, ()), (2**96, 5, (2**32, 1))]
+        want = [_reference_keys(seed, [r], tail) for seed, r, tail in cases]
+        for (seed, r, tail), keys in zip(cases, want):
             got = rng._row_keys(seed, np.array([r]), *tail)
-            assert got.tobytes() == _reference_keys(seed, [r], tail).tobytes()
+            assert got.tobytes() == keys.tobytes()
+        monkeypatch.setattr(rng, "SeedSequence", None)  # keys of four words or fewer need none
+        for (seed, r, tail), keys in zip(cases[:2], want):
+            assert rng._row_keys(seed, np.array([r]), *tail).tobytes() == keys.tobytes()
 
     def test_negative_entries_rejected_like_seed_sequence(self):
         for seed, rows in [(-1, np.arange(10)), (3, np.array([-1] + [0] * 9))]:
