@@ -2,12 +2,12 @@
 
 All three studies run on one row engine.  A row is one (sample, weights)
 pair; a block of rows is evaluated by one call of the pivot kernel,
-pivots._studentized, summed by numpy's np.add.reduce.  pivot() is one
-row of the same kernel, summed exactly.  The block's row moments also
-give each row's classical Student t value (divisor n-1, whose exact
-cutoffs t_{alpha,n-1} are exact-size under normal data).  Rows with
-degenerate weights or a vanishing scale are redrawn by one helper, at
-most MAX_REDRAWS draws per row, and counted.
+pivots._studentized, summed bitwise as numpy's np.add.reduce sums rows
+(_rowsum).  pivot() is one row of the same kernel, summed exactly.  The
+block's row moments also give each row's classical Student t value
+(divisor n-1, whose exact cutoffs t_{alpha,n-1} are exact-size under
+normal data).  Rows with degenerate weights or a vanishing scale are
+redrawn by one helper, at most MAX_REDRAWS draws per row, and counted.
 
 Draws come from counter-based streams keyed by (seed, indices), so a
 report never depends on how rows are grouped into blocks or processes.
@@ -19,7 +19,8 @@ the draws are stream(seed, r, a)'s without a generator built per row.
 proportion_study keys outer replication o by (seed, o) and its redraws
 by (seed, o, a); the attempt-0 keys of a chunk's outer replications come
 from the same vectorized pass, one generator rewound per outer
-replication, and every inner row of that outer is drawn from it.
+replication, and every inner row of that outer is drawn from it.  Its
+blocks of whole outer replications are column-major: row sums add columns.
 """
 from __future__ import annotations
 
@@ -206,16 +207,45 @@ def _counts_matrix(idx: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=rows * n).reshape(rows, n)
 
 
-_NUMPY_ROWSUM = partial(np.add.reduce, axis=-1)
+def _pairwise(cols: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum over the leading axis, a whole column per add:
+    below 8 terms one by one from 0.0; up to 128, eight accumulators, their
+    tree, then the tail; above 128, both halves, split at a multiple of 8."""
+    n = len(cols)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(cols[:half]) + _pairwise(cols[half:])
+    body, total = n - n % 8, 0.0
+    if body:
+        acc = cols[:8]
+        for i in range(8, body, 8):
+            acc = acc + cols[i:i + 8]
+        while len(acc) > 1:  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+            acc = acc[0::2] + acc[1::2]
+        total = acc[0]
+    for col in cols[body:]:
+        total += col
+    return total
 
 
-def _batch_values(kind: PivotKind, x: np.ndarray, w: np.ndarray, m: int,
-                  mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    """The studies' row sum, bitwise np.add.reduce(a, axis=-1) of a row-major
+    a.  np.add.reduce would sum a column-major block in another order, so it
+    goes to _pairwise, added to the reduction's 0.0 start (-0.0 rows give +0.0)."""
+    if a.flags.c_contiguous:
+        return np.add.reduce(a, axis=-1)
+    total = _pairwise(a.T)
+    return np.add(total, 0.0, out=total)
+
+
+def _batch_values(kind: PivotKind, x: np.ndarray, w: np.ndarray, m: int, mu: float,
+                  work: tuple = (None, None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pivot values and classical t values over rows, and one validity mask:
-    sum d_i^2, the pivot scale and the classical s.d. all positive."""
-    mean, var, s1 = _row_moments(x, _NUMPY_ROWSUM)
-    scale2 = _reweighted(w, x, m, _NUMPY_ROWSUM)[1] if kind.uses_subsample_scale else var
-    vals, ssq = _studentized(w, m, x, mu if kind.needs_mu else None, scale2, _NUMPY_ROWSUM)
+    sum d_i^2, the pivot scale and the classical s.d. all positive; terms
+    formed in work (two arrays of x's shape) if given."""
+    mean, var, s1 = _row_moments(x, _rowsum, work[0])
+    scale2 = _reweighted(w, x, m, _rowsum, work[0])[1] if kind.uses_subsample_scale else var
+    vals, ssq = _studentized(w, m, x, mu if kind.needs_mu else None, scale2, _rowsum, work)
     with np.errstate(divide="ignore", invalid="ignore"):
         tvals = (mean - mu) / (s1 / math.sqrt(x.shape[1]))
     return vals, tvals, (ssq > 0.0) & (scale2 > 0.0) & (s1 > 0.0)
@@ -228,6 +258,8 @@ def _check_study(d: DistributionSpec, n: int, m: int, kind: PivotKind) -> None:
     _check_n(n)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    if m > n * n - 1:  # from m = n^2 the rate max(m/n^2, 1/m) is at least 1
+        raise ValueError(f"m must be at most n^2 - 1 = {n * n - 1} at n={n}, got {m}")
     if d.family == "binomial" and d.params[1] in (0.0, 1.0):
         raise ZeroScale(f"{d.label()} is constant: every sample's scale is zero")
     if kind.uses_subsample_scale and (m == 1 or n == m == 2):
@@ -241,20 +273,21 @@ def _evaluate_rows(draw, d: DistributionSpec, n: int, m: int, kind: PivotKind,
     """Pivot and classical t values of `rows` rows, redrawing invalid rows.
 
     draw(attempt, which) returns the (sample, counts) matrices of the rows
-    numbered `which` at that attempt.  A row whose weights are degenerate
-    or whose pivot or classical scale vanishes is drawn again, at most
-    MAX_REDRAWS draws in all.  Returns both value arrays and the number
-    of redraws.  If rows stay invalid, the error names the first of them
-    by name(row): rows are keyed by their index, so that row and its name
-    do not depend on how rows are split into blocks or chunks.
+    numbered `which` at that attempt, and _batch_values' work for them.  A
+    row whose weights are degenerate or whose pivot or classical scale
+    vanishes is drawn again, at most MAX_REDRAWS draws in all.  Returns
+    both value arrays and the number of redraws.  If rows stay invalid, the
+    error names the first of them by name(row): rows are keyed by their
+    index, so that row and its name do not depend on how rows are split
+    into blocks or chunks.
     """
     mu = d.true_mean
     vals, tvals = np.empty(rows), np.empty(rows)
     which = np.arange(rows)
     redraws = 0
     for attempt in range(MAX_REDRAWS):
-        x, w = draw(attempt, which)
-        vals[which], tvals[which], ok = _batch_values(kind, x, w, m, mu)
+        x, w, work = draw(attempt, which)
+        vals[which], tvals[which], ok = _batch_values(kind, x, w, m, mu, work)
         which = which[~ok]
         if which.size == 0:
             return vals, tvals, redraws
@@ -275,12 +308,12 @@ def _draw_replications(d: DistributionSpec, n: int, m: int, seed: int, first: in
     for row, rng in enumerate(_row_streams(seed, first + which, attempt)):
         x[row] = gen_sample(d, n, rng)
         idx[row] = draw_indices(n, m, rng)
-    return x, _counts_matrix(idx, n)
+    return x, _counts_matrix(idx, n), (None, None)
 
 
-# Element budget of one block's sample and index matrices.  Every
+# Element budget of a block (at least one whole proportion outer).  Every
 # replication has its own stream, so the block size never changes a result.
-_BLOCK_ELEMENTS = 1 << 18
+_BLOCK_ELEMENTS = 1 << 16
 
 # A study is pooled only when its in-process run would take about twice a
 # pool's start-up (some 20 ms for two workers).  Its cost is counted in
@@ -352,31 +385,44 @@ def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
     )
 
 
-def _draw_outer(d: DistributionSpec, n: int, m: int, seed: int, o: int, first: np.random.Generator,
-                attempt: int, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Outer replication o draws its whole inner block from first, in stream(seed, o)'s
-    # start state, and the rows still invalid at attempt a from stream(seed, o, a).
-    rng = stream(seed, o, attempt) if attempt else first
-    rows = which.size
-    x = gen_sample(d, rows * n, rng).reshape(rows, n)
-    return x, _counts_matrix(draw_indices(n, rows * m, rng).reshape(rows, m), n)
-
-
 def _proportion_chunk(args) -> tuple[int, int, int]:
+    """In-band counts and redraws of outer replications [start, stop): one
+    kernel call per block of whole outers, in four buffers reused."""
     (d, n, m, kind, z, cutoff, sided, band, seed, inner, start, stop) = args
     lo, hi = band
-    in_band = t_in_band = redraws = 0
-    # one generator, rewound per outer: an outer draws all its rows before the next
-    for o, first in zip(range(start, stop), _row_streams(seed, np.arange(start, stop))):
-        draw = partial(_draw_outer, d, n, m, seed, o, first)
+    step = max(1, _BLOCK_ELEMENTS // (inner * max(n, m)))
+    buffers = [np.empty((n, min(step, stop - start) * inner)) for _ in range(4)]
+    firsts, offsets = _row_streams(seed, np.arange(start, stop)), np.arange(inner).repeat(m)
+
+    def draw(first: int, attempt: int, which: np.ndarray):
+        # Column i holds inner row i % inner of outer first + i // inner.  Outer
+        # o draws its rows in order from the next of firsts (stream(seed, o)) at
+        # attempt 0, stream(seed, o, a) at a: gen_sample(d, k*n), draw_indices(n, k*m).
+        sizes = np.bincount(which // inner)
+        outers = np.flatnonzero(sizes)
+        rngs = firsts if attempt == 0 else (stream(seed, first + o, attempt) for o in outers)
+        x, w, *work = (buf[:, :which.size] for buf in buffers)
+        at = 0
+        for k, rng in zip(sizes[outers].tolist(), rngs):
+            x[:, at:at + k] = gen_sample(d, k * n, rng).reshape(k, n).T
+            idx = draw_indices(n, k * m, rng)
+            idx *= k
+            idx += offsets[:k * m]  # row i's index j is counted at j * k + i
+            w[:, at:at + k] = np.bincount(idx, minlength=n * k).reshape(n, k)
+            at += k
+        return x.T, w.T, [a.T for a in work]
+
+    hits, redraws = [0, 0], 0  # in band: pivot, classical t
+    for first in range(start, stop, step):
+        outers = min(first + step, stop) - first
         vals, tvals, rd = _evaluate_rows(
-            draw, d, n, m, kind, inner, lambda i: f"inner replication {i} of outer replication {o}")
+            partial(draw, first), d, n, m, kind, outers * inner,
+            lambda i: f"inner replication {i % inner} of outer replication {first + i // inner}")
         redraws += rd
-        cov = int(np.count_nonzero(_covered(vals, z, sided))) / inner
-        t_cov = int(np.count_nonzero(_covered(tvals, cutoff, sided))) / inner
-        in_band += lo <= cov <= hi
-        t_in_band += lo <= t_cov <= hi
-    return in_band, t_in_band, redraws
+        for j, (v, c) in enumerate(((vals, z), (tvals, cutoff))):
+            cov = np.count_nonzero(_covered(v, c, sided).reshape(outers, inner), axis=1) / inner
+            hits[j] += int(np.count_nonzero((lo <= cov) & (cov <= hi)))
+    return hits[0], hits[1], redraws
 
 
 def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,

@@ -185,45 +185,49 @@ def _sample(x, w: WeightVector | None = None) -> np.ndarray:
     return x
 
 
-def _row_moments(x: np.ndarray, rowsum: _RowSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_moments(x: np.ndarray, rowsum: _RowSum,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row means, divisor-n variances S_n^2 and divisor-(n-1) s.d.s.
 
     One row sum and one centered sum of squares serve all three.  Under
     np.add.reduce they follow the operations of numpy's own mean, var and
     std, so each equals x.mean(axis=1), x.var(axis=1) and
-    x.std(axis=1, ddof=1) bitwise.
+    x.std(axis=1, ddof=1) bitwise.  The squares are formed in out if given.
     """
     n = x.shape[1]
     mean = rowsum(x) / n
-    sq = x - mean[:, None]
+    sq = np.subtract(x, mean[:, None], out=out)
     np.square(sq, out=sq)
     css = rowsum(sq)
     return mean, css / n, np.sqrt(css / (n - 1))
 
 
-def _reweighted(w: np.ndarray, x: np.ndarray, m: int,
-                rowsum: _RowSum) -> tuple[np.ndarray, np.ndarray]:
+def _reweighted(w: np.ndarray, x: np.ndarray, m: int, rowsum: _RowSum,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row means and divisor-m variances of x reweighted by the counts w:
-    the sub-sample mean and S_{m,n}^2 of each row."""
-    rmean = rowsum(w * x) / m
-    return rmean, rowsum(w * (x - rmean[:, None]) ** 2) / m
+    the sub-sample mean and S_{m,n}^2 of each row, formed in out if given."""
+    rmean = rowsum(np.multiply(w, x, out=out)) / m
+    sq = np.square(np.subtract(x, rmean[:, None], out=out), out=out)
+    return rmean, rowsum(np.multiply(w, sq, out=sq)) / m
 
 
 def _studentized(w: np.ndarray, m: int, data: np.ndarray, center: float | None,
-                 scale2: np.ndarray, rowsum: _RowSum) -> tuple[np.ndarray, np.ndarray]:
+                 scale2: np.ndarray, rowsum: _RowSum,
+                 out: tuple = (None, None)) -> tuple[np.ndarray, np.ndarray]:
     """The one pivot formula over rows: sum d_i data_i, or sum |d_i|
     (data_i - center) given a center, over sqrt(scale2) * sqrt(sum d_i^2),
     with d_i = w_i/m - 1/n from each row of the (integer) counts w.
     Returns the values and each row's sum d_i^2; a row where either
-    vanishes gets a non-finite value for the caller to refuse or mask."""
-    dev = w / m
+    vanishes gets a non-finite value for the caller to refuse or mask.
+    The terms are formed in out, two arrays of data's shape, if given."""
+    dev = np.divide(w, m, out=out[0])
     dev -= 1.0 / data.shape[1]
-    ssq = rowsum(dev * dev)
+    ssq = rowsum(np.square(dev, out=out[1]))
     if center is None:
         dev *= data
     else:  # ssq is taken, so dev's buffer takes the numerator's terms
         np.abs(dev, out=dev)
-        dev *= data - center
+        dev *= np.subtract(data, center, out=out[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         return rowsum(dev) / (np.sqrt(scale2) * np.sqrt(ssq)), ssq
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from randpivot import PivotKind, coverage_study, mc, parse_dist
@@ -16,6 +17,10 @@ from randpivot.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_help.txt"
 GOLDEN_OUTPUTS = Path(__file__).parent / "golden" / "cli_outputs.json"
+# Draws and sums are byte-identical at a fixed numpy version; a failure
+# under another one names both.
+RECORDED_NUMPY = "2.4.6"
+NUMPY_NOTE = f"recorded with numpy {RECORDED_NUMPY}, running numpy {np.__version__}"
 
 
 def run_cli(*args, expect=0):
@@ -289,6 +294,20 @@ class TestExitCodes:
         res = run_cli(*argv[:5], "--m", "0", *argv[7:], expect=1)
         assert res.stderr == "randpivot: error: m must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("command", [
+        ("coverage", "--reps", "10"), ("kdist", "--reps", "10"),
+        ("proportion", "--outer", "2", "--inner", "5")])
+    def test_study_m_above_n_squared_minus_1_is_1(self, command, capsys):
+        # refused before any draw: one row of m indices would need 745 GiB
+        argv = [*command, "--dist", "normal:0,1", "--n", "5", "--pivot", "g2", "--m"]
+        assert main([*argv, "100000000000", "--no-timestamp"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("randpivot: error: m must be at most n^2 - 1 = 24 at n=5, "
+                           "got 100000000000\n")
+        assert main([*argv, "24", "--no-timestamp"]) == 0
+        assert json.loads(capsys.readouterr().out)["m"] == 24
+
     def test_bigdata_non_finite_dkw_eps_is_1(self, tmp_path):
         data = tmp_path / "d.rpv"
         write_dataset([0.1 * i for i in range(200)], data)
@@ -444,4 +463,4 @@ class TestGoldenOutputs:
         got = _golden_outputs(tmp_path / "inputs")
         assert list(got) == list(recorded)
         for key, record in recorded.items():
-            assert got[key] == record, key
+            assert got[key] == record, f"{key}: {NUMPY_NOTE}"

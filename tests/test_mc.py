@@ -380,9 +380,27 @@ class TestRowEngineMatchesSingleSampleApi:
         assert coverage_study(d, 5, 5, PivotKind.T2, 300, 0.05, seed=3) == want
         assert kolmogorov_distance(PivotKind.T2, d, 5, 5, 300, seed=3) == want_kd
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_proportion_block_size_does_not_change_reports(self, threads, monkeypatch):
+        # binomial:10,0.1 at n=3 with the sub-sample scale redraws many rows.
+        # Budgets: the default (a chunk in one block), 7 (one outer replication
+        # a block) and two or three outers a block, which split the 20 outers
+        # at threads=1, and the workers' chunks of 3 at threads=2, unevenly.
+        d, per_outer = parse_dist("binomial:10,0.1"), 40 * 3
+        reports = []
+        for block in (mc._BLOCK_ELEMENTS, 7, 2 * per_outer, 3 * per_outer):
+            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
+            with _in_workers() as pools:
+                reports.append(proportion_study(d, 3, PivotKind.T2, outer_reps=20,
+                                                inner_reps=40, seed=9, threads=threads))
+            assert bool(pools) == (threads > 1)
+        assert reports[0].degenerate_count > 100
+        assert all(report == reports[0] for report in reports)
+
     def test_exhausted_budget_names_first_replication(self, monkeypatch):
         # with a kernel that finds no row valid, the error names the lowest
-        # replication whatever the threads and the block size
+        # replication whatever the threads and the block size (for
+        # proportion: all 3 outers, one, or 2 and 1 in a block)
         _never_valid(monkeypatch)
         msg = ("{} had 100 consecutive degenerate draws; the configuration "
                "normal(0,1), n=5, m=5 looks unusable")
@@ -396,7 +414,7 @@ class TestRowEngineMatchesSingleSampleApi:
                                  threads=threads)
             assert str(exc.value) == msg.format("inner replication 0 of outer replication 0")
 
-        for block in (mc._BLOCK_ELEMENTS, 5):
+        for block in (mc._BLOCK_ELEMENTS, 5, 2 * 4 * 5):
             monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
             check(threads=1)
         with _in_workers() as pools:
@@ -471,6 +489,42 @@ def _never_valid(monkeypatch):
     monkeypatch.setattr(mc, "_batch_values", never_valid)
 
 
+# Values a row sum must carry bitwise: signed zeros, subnormals, 1e+-300
+# and values whose sums overflow to +-inf (and inf - inf to nan).
+_SUM_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e-300, -1e-300,
+                          1e300, -1e300, 1.7e308, -1.7e308, 1.0, -0.1])
+
+
+class TestStudyRowSum:
+    """mc._rowsum is bitwise np.add.reduce(a, axis=-1) of the row-major block,
+    in either memory layout.  On a column-major block it replicates numpy's
+    pairwise order (below 8 terms, 8 to 128, and the split above 128), so
+    this pins that order at the running numpy version."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 300), rows=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+           special=st.floats(0.0, 1.0))
+    @example(n=7, rows=3, seed=1, special=0.5)
+    @example(n=8, rows=2000, seed=2, special=0.0)
+    @example(n=128, rows=5, seed=3, special=0.3)
+    @example(n=129, rows=5, seed=4, special=0.3)
+    @example(n=300, rows=1, seed=5, special=1.0)
+    def test_matches_numpy_reduce(self, n, rows, seed, special):
+        g = np.random.default_rng(seed)
+        a = g.standard_normal((rows, n)) * 10.0 ** g.integers(-30, 30, (rows, n))
+        mask = g.random((rows, n)) < special
+        a[mask] = g.choice(_SUM_SPECIALS, int(mask.sum()))
+        a[g.integers(rows)] = -0.0  # numpy's reduction starts at 0.0: the sum is +0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.add.reduce(a, axis=-1)
+            for layout in (a, np.asfortranarray(a)):
+                got = mc._rowsum(layout)
+                assert got.tobytes() == want.tobytes(), (
+                    f"rows={rows} n={n} layout strides {layout.strides}: the study row sum "
+                    f"left numpy's pairwise order under numpy {np.__version__}")
+        assert not np.signbit(want[np.all(a == 0.0, axis=1)]).any()
+
+
 EPS = np.finfo(np.float64).eps
 
 
@@ -506,7 +560,7 @@ class TestRowKernelAgreesWithSingleSample:
         idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows * m,
                                           max_size=rows * m))).reshape(rows, m)
         counts = mc._counts_matrix(idx, n)
-        mean, var, s1 = pivots._row_moments(x, mc._NUMPY_ROWSUM)
+        mean, var, s1 = pivots._row_moments(x, mc._rowsum)
         for i in range(rows):
             assert mean[i].tobytes() == x[i].mean().tobytes()
             assert var[i].tobytes() == x[i].var().tobytes()
@@ -652,7 +706,8 @@ class TestStudyInputs:
 
     @pytest.mark.parametrize("n,m,error", [(1, 1, TooFewObservations), (0, 3, TooFewObservations),
                                            (-3, 3, TooFewObservations), (5, 0, ValueError),
-                                           (5, -2, ValueError)])
+                                           (5, -2, ValueError), (5, 25, ValueError),
+                                           (3, 10**11, ValueError)])
     def test_sizes_checked_before_any_draw(self, n, m, error, monkeypatch):
         calls = []
         monkeypatch.setattr(mc, "stream", lambda *key: calls.append(key))
@@ -667,6 +722,13 @@ class TestStudyInputs:
                                else f"got {m}"):
                 study()
         assert calls == []
+
+    def test_m_up_to_n_squared_minus_1_is_taken(self):
+        # subsample_size clamps to n^2 - 1 too: from m = n^2 the rate
+        # max(m/n^2, 1/m) is at least 1
+        assert coverage_study(NORMAL, 3, 8, PivotKind.G2, reps=5, alpha=0.05).m == 8
+        assert proportion_study(NORMAL, 3, PivotKind.G1, outer_reps=2, inner_reps=3, m=8).m == 8
+        assert 0.0 <= kolmogorov_distance(PivotKind.G1, NORMAL, 3, 8, reps=5) <= 1.0
 
     def test_proportion_default_m_is_checked_as_n(self):
         with pytest.raises(TooFewObservations):
@@ -768,6 +830,10 @@ class TestThreadIndependence:
 
 
 RECORDED = Path(__file__).parent / "golden" / "schema1_reports.json"
+# Draws and sums are byte-identical at a fixed numpy version; a failure
+# under another one names both.
+RECORDED_NUMPY = "2.4.6"
+NUMPY_NOTE = f"recorded with numpy {RECORDED_NUMPY}, running numpy {np.__version__}"
 GRID_SPECS = ["normal:0,1", "exponential:1", "lognormal:0,1", "lognormal_std:0,1",
               "poisson:1", "binomial:10,0.1", "beta:5,1", "uniform:0,1"]
 
@@ -807,11 +873,11 @@ class TestRecordedReports:
     def test_threads_1(self):
         recorded = json.loads(RECORDED.read_text())
         assert mc.SCHEMA_VERSION == 1
-        assert _grid_reports((3, 20), 1) == recorded
+        assert _grid_reports((3, 20), 1) == recorded, NUMPY_NOTE
 
     def test_threads_2(self):
         recorded = json.loads(RECORDED.read_text())
         with _in_workers() as pools:
             got = _grid_reports((3,), 2)
         assert pools
-        assert got == {cell: recorded[cell] for cell in got}
+        assert got == {cell: recorded[cell] for cell in got}, NUMPY_NOTE
