@@ -21,7 +21,7 @@ import math
 import mmap
 import os
 import struct
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, islice
@@ -57,7 +57,6 @@ MIN_RECORDS = 16
 # 4 bytes a character, so a step holds about 0.4 MiB; larger steps parsed
 # no faster (1 MiB ones about 20 % slower, measured on 2 cores)
 _BLOCK = 1 << 16
-_EXACT_CHUNK = 1 << 14  # records per array of the exact parse, after a quote
 # Blocks per worker task, and the file size above which workers parse: below
 # it a pool's start-up (some 40 ms) costs more than it saves on 2 cores
 # (BENCH_1f52b29.json, ingest_pool_cut)
@@ -295,21 +294,17 @@ def _column_chunks(src: str | Path, column: str | int, header: bool,
                    delimiter: str) -> Iterator[np.ndarray]:
     """Yield the parsed column as float64 arrays, block by block.
 
-    The values, and any error with its row and content, are those of
-    _exact_values run over all the file's records.  The header, the first
-    non-empty record, is read first, record by record, and fixes the
-    column; the blocks start after it.  A block without a quote character,
-    whose lines are then its records, is first handed to numpy's C text
-    reader; it parses with PyOS_string_to_double, the routine behind
-    float(), after stripping the same whitespace.  What it rejects
-    (underscores, non-ASCII digits, short rows, bad cells) is a subset of
-    what float() rejects, so when it accepts a block and every value is
-    finite, the values are float()'s, bit for bit.  Any other block goes
-    through _exact_values from its first row.  From the first block with a
-    quote character on, the rest of the file is parsed exactly, because a
-    quoted field may hold line ends and so cross a block's end.  Only
-    numpy's reading may run in worker processes (_fast_parses), so they
-    change no result.
+    The values, and any error with its row and content, are those of the
+    reference parse (_exact_values) of all the file's records.  The
+    header, the first non-empty record, is read first, record by record,
+    and fixes the column; the blocks start after it.  Each block is parsed
+    on its own (_block_values), in worker processes for a big file
+    (_parses), and its record count numbers the rows after it.  A block
+    whose parse gave None is parsed again here from its first row, so
+    every error is raised here, with the file's row.  That parse feeds
+    csv.reader the next blocks only while a quoted field runs on past a
+    block's end, stops at the first record that ends where a block ends,
+    and drops the parses of the blocks it used up.
     """
     if isinstance(column, int) and column < 0:
         raise ValueError(f"column index must be 0 or more, got {column}")
@@ -325,62 +320,34 @@ def _column_chunks(src: str | Path, column: str | int, header: bool,
                             raise MissingColumn(row - 1, column)
                         col = fields.index(column)
                     break
-        blocks = _blocks(f)
-        with closing(_fast_parses(blocks, col, delimiter, os.fstat(f.fileno()).st_size)) as pairs:
-            for block, values in pairs:
-                if _quoted(block, delimiter):
-                    lines = chain.from_iterable(io.StringIO(b, newline="")
-                                                for b in chain([block], blocks))
-                    records = enumerate(csv.reader(lines, delimiter=delimiter), row)
-                    for first in records:  # _EXACT_CHUNK records at a time
-                        yield _exact_values(chain([first], islice(records, _EXACT_CHUNK - 1)), col)
-                    return
-                if values is None:
-                    values = _exact_values(enumerate(csv.reader(
-                        io.StringIO(block, newline=""), delimiter=delimiter), row), col)
+        with closing(_parses(_blocks(f), col, delimiter, os.fstat(f.fileno()).st_size)) as pairs:
+            for block, parsed in pairs:
+                if parsed is None:  # raises here, or a quoted field runs on
+                    parsed = _exact_values(block, (b for b, _ in pairs), row, col, delimiter)[:2]
+                values, records = parsed
                 yield values
-                row += _line_ends(block)
+                row += records
 
 
-def _quoted(block: str, delimiter: str) -> bool:
-    """Whether block must go to the exact parse with the rest of the file."""
-    return '"' in block or delimiter in "\r\n"
-
-
-def _fast_parses(blocks: Iterator[str], col: int, delimiter: str,
-                 size: int) -> Iterator[tuple[str, np.ndarray | None]]:
-    """(block, _fast_values of it) in file order, up to the first quoted
-    block, which comes last, paired with None; nothing after it is read.
-    A file of more than _POOL_BYTES, with two or more CPUs to run on, is
-    parsed in tasks of _TASK_BLOCKS blocks by one worker process a CPU
-    (_pool.ordered_map) while this one reads ahead."""
+def _parses(blocks: Iterator[str], col: int, delimiter: str,
+            size: int) -> Iterator[tuple[str, tuple[np.ndarray, int] | None]]:
+    """(block, _block_values of it) for each block, in file order: in tasks
+    of _TASK_BLOCKS blocks by one worker process a CPU (_pool.ordered_map),
+    while this one reads ahead, for a file of more than _POOL_BYTES with two
+    or more CPUs to run on, and here a block at a time otherwise."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = cpus if cpus >= 2 and size > _POOL_BYTES else 0
-    stop: list[str] = []  # the first quoted block, if any
-
-    def tasks() -> Iterator[list[str]]:
-        task: list[str] = []
-        for block in blocks:
-            if _quoted(block, delimiter):
-                stop.append(block)
-                break
-            task.append(block)
-            if len(task) == (_TASK_BLOCKS if workers else 1):
-                yield task
-                task = []
-        if task:
-            yield task
-
-    parse = partial(_fast_task, col=col, delimiter=delimiter)
-    with closing(ordered_map(parse, tasks(), workers)) as results:
-        for task, values in results:
-            yield from zip(task, values)
-    yield from ((block, None) for block in stop)
+    tasks = iter(lambda: list(islice(blocks, _TASK_BLOCKS if workers else 1)), [])
+    parse = partial(_block_task, col=col, delimiter=delimiter)
+    with closing(ordered_map(parse, tasks, workers)) as results:
+        for task, parsed in results:
+            yield from zip(task, parsed)
 
 
-def _fast_task(blocks: list[str], col: int, delimiter: str) -> list[np.ndarray | None]:
-    """_fast_values of each block: one task of a worker process."""
-    return [_fast_values(block, col, delimiter) for block in blocks]
+def _block_task(blocks: list[str], col: int,
+                delimiter: str) -> list[tuple[np.ndarray, int] | None]:
+    """_block_values of each block: one task of a worker process."""
+    return [_block_values(block, col, delimiter) for block in blocks]
 
 
 def _blocks(f) -> Iterator[str]:
@@ -398,49 +365,79 @@ def _blocks(f) -> Iterator[str]:
         yield carry
 
 
-def _line_ends(text: str) -> int:
-    """The line ends in text: its CSV records, for quote-free text that
-    ends at a line end (only the file's last block may not, and no row
-    number is needed after it)."""
+def _lines(text: str) -> int:
+    """The lines of text as csv.reader's line_num counts them: one for each
+    line end (\\n, \\r\\n or a lone \\r), and one for an unended last line."""
     ends = text.count("\n")
-    if "\r" in text:
+    if "\r" in text:  # str.count scans far slower than "in"
         ends += text.count("\r") - text.count("\r\n")
-    return ends
+    return ends + (text[-1:] not in "\r\n")
 
 
-def _fast_values(block: str, col: int, delimiter: str) -> np.ndarray | None:
-    """The column of a quote-free block through numpy's C reader, or None
-    when the block needs the exact parse: the reader rejects it, a value is
-    not finite, or the block is longer than the csv module's field limit.
-    A block is about _BLOCK characters, so only a long line makes it that
-    long, and the exact parse raises for it as csv.reader does."""
-    if block.isspace() or len(block) > csv.field_size_limit():
-        return None  # no cell, where loadtxt would warn; or a csv error to raise
+def _block_values(block: str, col: int, delimiter: str) -> tuple[np.ndarray, int] | None:
+    """The column and the record count of a block parsed on its own, or
+    None when the exact parse raises or a quoted field runs on past the
+    block's end.
+
+    A quote-free block, whose lines are then its records, is first handed
+    to numpy's C text reader; it parses with PyOS_string_to_double, the
+    routine behind float(), after stripping the same whitespace.  What it
+    rejects (underscores, non-ASCII digits, short rows, bad cells) is a
+    subset of what float() rejects, so when it accepts the block and every
+    value is finite, the values are float()'s, bit for bit.  Blank lines
+    have no cell, where loadtxt would warn, and a block longer than the
+    csv module's field limit (only a long line makes it that long) may hold
+    a field csv.reader refuses: these and any other block get _exact_values.
+    """
+    if ('"' not in block and delimiter not in "\r\n" and not block.isspace()
+            and len(block) <= csv.field_size_limit()):
+        with suppress(ValueError):
+            values = np.loadtxt(io.StringIO(block, newline=""), dtype=np.float64,
+                                delimiter=delimiter, usecols=col, comments=None,
+                                quotechar=None, ndmin=1)
+            if np.isfinite(values).all():
+                return values, _lines(block)
     try:
-        values = np.loadtxt(io.StringIO(block, newline=""), dtype=np.float64,
-                            delimiter=delimiter, usecols=col, comments=None,
-                            quotechar=None, ndmin=1)
-    except ValueError:
+        values, records, ran_on = _exact_values(block, (), 0, col, delimiter)
+    except (ParseError, NonFiniteValue, csv.Error):
         return None
-    return values if np.isfinite(values).all() else None
+    return None if ran_on else (values, records)
 
 
-def _exact_values(records: Iterable[tuple[int, list[str]]], col: int) -> np.ndarray:
-    """The reference parse of numbered csv.reader records, the header
-    excluded: strip, float() and a finiteness check per cell."""
+def _exact_values(block: str, rest: Iterable[str], row: int, col: int,
+                  delimiter: str) -> tuple[np.ndarray, int, bool]:
+    """The reference parse of the records from block's first, numbered from
+    row: csv.reader, then strip, float() and a finiteness check per cell,
+    the header excluded.  With rest, its blocks are fed to csv.reader only
+    while a quoted field runs on, and the parse stops at the first record
+    that ends where a block ends.  Returns the values, the record count and,
+    without rest, whether a quoted field runs on past block's end."""
+    ends = [_lines(block)]  # reader.line_num at the end of each block fed
+
+    def fed(text: str) -> io.StringIO:
+        ends.append(ends[-1] + _lines(text))
+        return io.StringIO(text, newline="")
+
+    # asking past the last block notes the last record by then; a field ran
+    # on if a record came after
+    last, asked = row - 1, []
+    past = iter(lambda: asked.append(last), None)
+    reader = csv.reader(chain(io.StringIO(block, newline=""),
+                              chain.from_iterable(map(fed, rest)), past), delimiter=delimiter)
     values: list[float] = []
-    for row, fields in records:
-        if not fields:
-            continue
-        cell = fields[col].strip() if col < len(fields) else ""
-        try:
-            v = float(cell)
-        except ValueError:
-            raise ParseError(row, cell) from None
-        if not math.isfinite(v):
-            raise NonFiniteValue(row, cell)
-        values.append(v)
-    return np.array(values, dtype=np.float64)
+    for last, fields in enumerate(reader, row):
+        if fields:
+            cell = fields[col].strip() if col < len(fields) else ""
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(last, cell) from None
+            if not math.isfinite(v):
+                raise NonFiniteValue(last, cell)
+            values.append(v)
+        if rest and reader.line_num == ends[-1]:
+            break
+    return np.array(values, dtype=np.float64), last + 1 - row, asked != [last]
 
 
 def draw_index_sample(n: int, m: int, rng: np.random.Generator) -> IndexSample:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from . import bounds, intervals
 from .errors import RandPivotError
-from .intervals import ConfidenceInterval, parse_policy, subsample_size
+from .intervals import ConfidenceInterval, _check_m, parse_policy, subsample_size
 
 if TYPE_CHECKING:
     from .mc import DistributionSpec
@@ -72,9 +72,15 @@ def _delimiter(text: str) -> str:
 
 
 def _resolve_m(text: str, n: int) -> int:
+    """--m at n >= 2: n for equal-n, an integer as given (or refused, as the
+    studies refuse it), and subsample_size's m for a policy, fixed:M too."""
     if text.strip().lower() == "equal-n":
         return n
-    return subsample_size(n, parse_policy(text))
+    try:
+        m = int(text)
+    except ValueError:
+        return subsample_size(n, parse_policy(text))
+    return _check_m(n, m)
 
 
 Option = Callable[[argparse.ArgumentParser], Any]
@@ -279,11 +285,7 @@ def _study_inputs(args: argparse.Namespace) -> tuple[DistributionSpec, int, Pivo
     from .mc import parse_dist
     from .pivots import PivotKind, _check_n
     _check_n(args.n)
-    try:
-        m = int(args.m)  # an integer is the study's m as given, never clamped
-    except ValueError:
-        m = _resolve_m(args.m, args.n)
-    return parse_dist(args.dist), m, PivotKind(args.pivot)
+    return parse_dist(args.dist), _resolve_m(args.m, args.n), PivotKind(args.pivot)
 
 
 def _shared_keywords(args: argparse.Namespace) -> dict[str, Any]:

@@ -206,6 +206,15 @@ def ci_xbar(rstats: RandomizedStats, wstats: WeightStats, alpha: float,
                      wstats, meta)
 
 
+def _check_m(n: int, m: int) -> int:
+    """m, a weight total taken as given, refused below 1 or above n^2 - 1."""
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    if m > n * n - 1:  # from m = n^2 the rate max(m/n^2, 1/m) is at least 1
+        raise ValueError(f"m must be at most n^2 - 1 = {n * n - 1} at n={n}, got {m}")
+    return m
+
+
 def subsample_size(n: int, policy: SizingPolicy) -> int:
     """Map the data size n to the weight total m under a sizing policy.
 

@@ -34,9 +34,9 @@ import numpy as np
 from ._normal import norm_cdf
 from ._pool import ordered_map
 from .errors import BadParams, RandPivotError, ZeroScale
-from .intervals import SCHEMA_VERSION, _z_for
+from .intervals import SCHEMA_VERSION, _check_m, _z_for
 from .pivots import PivotKind, _check_n, _reweighted, _row_moments, _studentized
-from .rng import _row_streams, stream
+from .rng import _row_streams
 from .weights import draw_indices
 
 __all__ = [
@@ -256,10 +256,7 @@ def _check_study(d: DistributionSpec, n: int, m: int, kind: PivotKind) -> None:
     configurations whose every row is invalid, which would otherwise spend
     the whole redraw budget before failing."""
     _check_n(n)
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    if m > n * n - 1:  # from m = n^2 the rate max(m/n^2, 1/m) is at least 1
-        raise ValueError(f"m must be at most n^2 - 1 = {n * n - 1} at n={n}, got {m}")
+    _check_m(n, m)
     if d.family == "binomial" and d.params[1] in (0.0, 1.0):
         raise ZeroScale(f"{d.label()} is constant: every sample's scale is zero")
     if kind.uses_subsample_scale and (m == 1 or n == m == 2):
@@ -400,7 +397,7 @@ def _proportion_chunk(args) -> tuple[int, int, int]:
         # attempt 0, stream(seed, o, a) at a: gen_sample(d, k*n), draw_indices(n, k*m).
         sizes = np.bincount(which // inner)
         outers = np.flatnonzero(sizes)
-        rngs = firsts if attempt == 0 else (stream(seed, first + o, attempt) for o in outers)
+        rngs = firsts if attempt == 0 else _row_streams(seed, first + outers, attempt)
         x, w, *work = (buf[:, :which.size] for buf in buffers)
         at = 0
         for k, rng in zip(sizes[outers].tolist(), rngs):

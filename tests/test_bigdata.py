@@ -224,11 +224,29 @@ NUMBER_CELLS = st.one_of(
 ODD_CELLS = st.one_of(
     st.sampled_from(["nan", "-inf", "Infinity", "1e500", "-1e400", " NaN "]),
     st.sampled_from([
-        "", " ", "\t", "1_000", '"1.5"', '"2,5"', '"2;5"', '"3\n4"', '"\n5\n"', '"6\r"',
-        'x"y', "abc", "1.5.2", "\uff11", "\u0661", "0x10", "+.5", "5.", "1E5", " 7 ",
-        "\u00a08", "1 2", "#9",
+        "", " ", "\t", "1_000", '"1.5"', '"2,5"', '"2;5"', '"2\t5"', '"3\n4"', '"\n5\n"',
+        '"6\r"', '"1""5"', '""', ' "1.5"', '\t"2,5"', 'x"y', '1"5', '"7"8', "abc", "1.5.2",
+        "\uff11", "\u0661", "0x10", "+.5", "5.", "1E5", " 7 ", "\u00a08", "1 2", "#9",
     ]),
 )
+# Quoted forms of a cell that float() still reads once csv.reader unquotes it
+QUOTE_FORMS = st.sampled_from(['"%s"', '"\n%s"', '" %s\r\n"', '"\r\n%s\n\n"', '"%s\r"'])
+
+
+def quote_span(rows, at, length, form):
+    """Quote every cell of rows[at:at + length], or of rows[at:] when
+    length is None, so that quote-free rows may follow the span."""
+    for row in rows[at:None if length is None else at + length]:
+        row[:] = [form % cell for cell in row]
+
+
+def cut_in_quotes(rows, at):
+    """Open the first cell of rows[at] with a quoted run of line ends
+    longer than the rest of the text (its rows' repr, and a header, are
+    longer), so that a block size of at most half the text cuts a block
+    inside the quotes."""
+    rows[at] = rows[at] or [""]
+    rows[at][0] = '"' + "\n" * (len(repr(rows)) + 16) + rows[at][0] + '"'
 
 
 @st.composite
@@ -236,8 +254,9 @@ def csv_files(draw):
     """(text, column, header, delimiter): numeric columns with blank lines,
     mixed line ends and an optional header, into which a few odd cells
     (quotes, bad tokens, non-finite values) and ragged rows are spliced,
-    and whose rows may be quoted from some row on; the column is an index
-    or a name."""
+    whose rows may be quoted from some row on, to the end or for a span,
+    and where a quoted run of line ends may lie at every block cut; the
+    column is an index or a name."""
     delimiter = draw(st.sampled_from([",", ";", "\t"]))
     ncols = draw(st.integers(1, 3))
     full = st.lists(NUMBER_CELLS, min_size=ncols, max_size=ncols)
@@ -255,11 +274,12 @@ def csv_files(draw):
         else:
             row.append(cell)
     quoting = draw(st.one_of(st.none(), st.tuples(
-        spot, st.sampled_from(['"%s"', '"\n%s"', '" %s\r\n"']))))
-    if quoting:  # quote every cell from some row on; a quote may hold line ends
-        at, form = quoting
-        for row in rows[at % len(rows):]:
-            row[:] = [form % cell for cell in row]
+        spot, st.one_of(st.none(), st.integers(1, 8)), QUOTE_FORMS)))
+    if quoting:  # a quote may hold line ends
+        at, length, form = quoting
+        quote_span(rows, at % len(rows), length, form)
+    if draw(st.integers(0, 4)) == 0:
+        cut_in_quotes(rows, draw(spot) % len(rows))
     names = ["a", "b", "c"][:ncols]
     header = draw(st.booleans())
     if header:
@@ -316,8 +336,10 @@ def pooled():
 def pooled_csv_files(draw):
     """(text, column, delimiter) of a file with a header, then numeric rows
     with \n, \r\n and at least one \r line end; at a drawn row, one cell
-    may be a bad token, a non-finite value or a number only float() reads,
-    or every cell from there on may be quoted."""
+    may be a bad token, a non-finite value, a number only float() reads or
+    a cell with quotes, the cells of a span of rows from there on (to the
+    end or not) may be quoted, or a quoted run of line ends may lie at
+    every block cut."""
     delimiter = draw(st.sampled_from([",", ";", "\t"]))
     ncols = draw(st.integers(1, 3))
     names = ["a", "b", "c"][:ncols]
@@ -325,15 +347,18 @@ def pooled_csv_files(draw):
                          min_size=20, max_size=60))
     col = draw(st.integers(0, ncols - 1))
     at = draw(st.integers(0, len(rows) - 1))
-    odd = draw(st.sampled_from(["none", "bad", "non-finite", "float() only", "quoted"]))
+    odd = draw(st.sampled_from(["none", "bad", "non-finite", "float() only", "quotes",
+                                "quoted", "cut in quotes"]))
     if odd == "quoted":
-        for row in rows[at:]:
-            row[:] = [f'"{cell}"' for cell in row]
+        quote_span(rows, at, draw(st.one_of(st.none(), st.integers(1, 8))), draw(QUOTE_FORMS))
+    elif odd == "cut in quotes":
+        cut_in_quotes(rows, at)
     elif odd != "none":
         rows[at][col] = draw(st.sampled_from({
             "bad": ["abc", "1.5.2", "0x10", "1 2", ""],
             "non-finite": ["nan", "-inf", "Infinity", "1e500"],
-            "float() only": ["1_000", "\u0661", "\uff11"]}[odd]))
+            "float() only": ["1_000", "\u0661", "\uff11"],
+            "quotes": ['"1""5"', ' "1.5"', f'"2{delimiter}5"', 'x"y', '"\n3"']}[odd]))
     lines = [delimiter.join(r) for r in [names] + rows]
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
                          min_size=len(lines), max_size=len(lines)))
@@ -356,9 +381,7 @@ class TestCsvReader:
     def test_matches_reference_parse(self, tmp_path_factory, case, data):
         text, column, header, delimiter = case
         block = data.draw(st.integers(1, max(1, len(text) // 3)), label="block")
-        chunk = data.draw(st.integers(1, 8), label="records per exact chunk")
-        with mock.patch.object(bigdata, "_BLOCK", block), \
-                mock.patch.object(bigdata, "_EXACT_CHUNK", chunk):  # many of each per file
+        with mock.patch.object(bigdata, "_BLOCK", block):  # many blocks per file
             assert_matches_reference(tmp_path_factory.mktemp("diff"), text, column, header,
                                      delimiter)
 
@@ -488,6 +511,72 @@ class TestCsvReader:
             read_csv_column(tmp_path / "in.csv", column, header)
         header_row = len(list(csv.reader(io.StringIO(head, newline="")))) - 1
         assert [row for row, fields in seen if fields and row > header_row] == []
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["in-process", "pooled"])
+    def test_blocks_after_a_quote_are_parsed_by_numpy(self, tmp_path, pool):
+        # a quote holds up only its own block: numpy's reader parses every
+        # later block, in the workers when the file is pooled
+        values = stream(4).normal(size=2_000)
+        rows = list(map(repr, values.tolist()))
+        rows[0] = f'"{rows[0]}"'
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join(rows) + "\n")
+        with open(src, newline="") as f, mock.patch.object(bigdata, "_BLOCK", 1 << 10):
+            blocks = list(bigdata._blocks(f))
+        real_loadtxt, real_map, parsed, sent, workers = np.loadtxt, bigdata.ordered_map, [], [], []
+
+        def loadtxt(text, *args, **kwargs):
+            parsed.append(text.getvalue())
+            return real_loadtxt(text, *args, **kwargs)
+
+        def ordered_map(fn, tasks, n):
+            workers.append(n)
+            return real_map(fn, (sent.extend(task) or task for task in tasks), n)
+
+        with pooled() if pool else contextlib.nullcontext(), \
+                mock.patch.object(bigdata, "_BLOCK", 1 << 10), \
+                mock.patch.object(bigdata, "ordered_map", ordered_map), \
+                mock.patch.object(np, "loadtxt", loadtxt):
+            got = read_csv_column(src, 0)
+        assert got.tobytes() == values.tobytes()
+        assert len(blocks) > 10 and sent == blocks
+        if pool:
+            assert workers == [2]
+        else:
+            assert parsed == blocks[1:]
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["in-process", "pooled"])
+    def test_rows_after_quoted_line_ends_are_numbered_by_records(self, tmp_path, pool):
+        # every fifth record holds a quoted line end, so the bad record, in a
+        # quoted block parsed on its own, is row 200 of 240 lines before it
+        rows = [f'"\n{i}","{i}.25"' if i % 5 == 0 else f'"{i}","{i}.25"' for i in range(300)]
+        rows[200] = rows[200].replace('"200.25"', '"oops"')
+        text = "\n".join(rows) + "\n"
+        with pooled() if pool else contextlib.nullcontext(), \
+                mock.patch.object(bigdata, "_BLOCK", 400):
+            blocks = list(bigdata._blocks(io.StringIO(text, newline="")))
+            failed = [bigdata._block_values(block, 1, ",") is None for block in blocks]
+            assert failed.index(True) == ["oops" in block for block in blocks].index(True)
+            assert failed.count(True) == 1
+            assert_matches_reference(tmp_path, text, 1, False, ",")
+            with pytest.raises(ParseError) as err:
+                read_csv_column(tmp_path / "in.csv", 1)
+        assert (err.value.row, err.value.content) == (200, "oops")
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["in-process", "pooled"])
+    @pytest.mark.parametrize("bad, error", [("oops", ParseError), ("inf", NonFiniteValue)])
+    def test_bad_row_after_a_quoted_field_over_a_cut(self, tmp_path, pool, bad, error):
+        # the first block ends inside the quoted line end of row 12, which
+        # ends in the second block, right before the bad row 13
+        text = "1.25\n" * 12 + '"\n5"\n' + bad + "\n" + "2.5\n" * 40
+        with pooled() if pool else contextlib.nullcontext(), \
+                mock.patch.object(bigdata, "_BLOCK", 62):
+            first = next(bigdata._blocks(io.StringIO(text, newline="")))
+            assert first.endswith('"\n') and bigdata._block_values(first, 0, ",") is None
+            assert_matches_reference(tmp_path, text, 0, False, ",")
+            with pytest.raises(error) as err:
+                read_csv_column(tmp_path / "in.csv", 0)
+        assert (err.value.row, err.value.content) == (13, bad)
 
     def test_field_limit_error_is_kept(self, tmp_path):
         # a field longer than the csv module's limit fails as it always did,

@@ -308,6 +308,29 @@ class TestExitCodes:
         assert main([*argv, "24", "--no-timestamp"]) == 0
         assert json.loads(capsys.readouterr().out)["m"] == 24
 
+    @pytest.mark.parametrize("command", [("ci-mean", "--variant", "g1"), ("ci-edf", "--x", "2")])
+    def test_sample_integer_m_follows_the_study_rule(self, tmp_path, command, capsys):
+        # an integer --m is taken as given, never clamped, and refused below
+        # 1 or above n^2 - 1 with the studies' messages
+        data = tmp_path / "five.csv"
+        data.write_text("1.2\n3.4\n2.2\n5.0\n0.7\n")
+        argv = [*command, "--data", str(data), "--seed", "1", "--no-timestamp", "--m"]
+        for m, message in (("30", "m must be at most n^2 - 1 = 24 at n=5, got 30"),
+                           ("0", "m must be at least 1, got 0")):
+            assert main([*argv, m]) == 1
+            assert capsys.readouterr() == ("", f"randpivot: error: {message}\n")
+        assert main([*argv, "24"]) == 0
+        assert json.loads(capsys.readouterr().out)["meta_m"] == 24
+        if command[0] == "ci-mean":
+            assert main([*argv, "1"]) == 0
+            assert json.loads(capsys.readouterr().out)["meta_m"] == 1
+        else:  # one draw leaves the EDF pivot no spread; m = 2 has some here
+            assert main([*argv, "2"]) == 0
+            assert json.loads(capsys.readouterr().out)["meta_m"] == 2
+            assert main([*argv, "1"]) == 1
+            assert capsys.readouterr().err == ("randpivot: error: hathat1 scale is zero "
+                                               "at x=2.0\n")
+
     def test_bigdata_non_finite_dkw_eps_is_1(self, tmp_path):
         data = tmp_path / "d.rpv"
         write_dataset([0.1 * i for i in range(200)], data)

@@ -677,8 +677,7 @@ class TestStudyInputs:
     def test_one_redraw_budget(self, kind, monkeypatch):
         # With a kernel that finds no row valid, each study gives up after
         # MAX_REDRAWS draws of its one row.  A draw is one row key derived
-        # by the row engine (coverage, kdist) or one stream built
-        # (proportion's outer replications).
+        # by the row engine, for every study.
         _never_valid(monkeypatch)
         calls = []
         row_keys = rng_mod._row_keys
@@ -687,12 +686,7 @@ class TestStudyInputs:
             calls.extend((seed, r, *tail) for r in np.asarray(rows).tolist())
             return row_keys(seed, rows, *tail)
 
-        def counting_stream(*key):
-            calls.append(key)
-            return stream(*key)
-
         monkeypatch.setattr(rng_mod, "_row_keys", counting_keys)
-        monkeypatch.setattr(mc, "stream", counting_stream)
         studies = [
             lambda: coverage_study(NORMAL, 5, 5, kind, reps=1, alpha=0.05),
             lambda: kolmogorov_distance(kind, NORMAL, 5, 5, reps=1),
@@ -710,7 +704,6 @@ class TestStudyInputs:
                                            (3, 10**11, ValueError)])
     def test_sizes_checked_before_any_draw(self, n, m, error, monkeypatch):
         calls = []
-        monkeypatch.setattr(mc, "stream", lambda *key: calls.append(key))
         monkeypatch.setattr(rng_mod, "_row_keys", lambda *key: calls.append(key))
         studies = [
             lambda: coverage_study(NORMAL, n, m, PivotKind.G1, reps=5, alpha=0.05),
@@ -746,7 +739,6 @@ class TestStudyInputs:
     def test_unusable_configuration_refused_before_any_draw(self, spec, n, m, kind, match,
                                                             monkeypatch):
         calls = []
-        monkeypatch.setattr(mc, "stream", lambda *key: calls.append(key))
         monkeypatch.setattr(rng_mod, "_row_keys", lambda *key: calls.append(key))
         d = parse_dist(spec)
         studies = [
