@@ -1,9 +1,9 @@
 """Command-line surface: every library operation as a batch command.
 
-All commands write one report to stdout as JSON (default) or CSV, and are
-byte-for-byte reproducible for a fixed --seed regardless of --threads
-(pass --no-timestamp to drop the only run-dependent field).  Exit codes:
-0 success, 1 data or statistical error, 2 usage error.
+All commands write one report to stdout as JSON (default) or CSV (fields
+holding a comma quoted), byte-for-byte reproducible for a fixed --seed
+regardless of --threads (--no-timestamp drops the only run-dependent
+field).  Exit codes: 0 success, 1 data or statistical error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -345,8 +345,9 @@ def _emit(payload: Payload, args: argparse.Namespace) -> None:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         keys = sorted(payload.keys())
-        print(",".join(keys))
-        print(",".join(str(payload[k]) for k in keys))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerow(str(payload[k]) for k in keys)
 
 
 def _check_usage(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -365,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         args.seed = _env_seed(parser)
     try:
         payload = {"schema_version": intervals.SCHEMA_VERSION, **args.run(args)}
-    except (RandPivotError, OSError, ValueError, OverflowError, csv.Error) as exc:
+    except (RandPivotError, OSError, ValueError, OverflowError, MemoryError, csv.Error) as exc:
         print(f"randpivot: error: {exc}", file=sys.stderr)
         return 1
     _emit(payload, args)

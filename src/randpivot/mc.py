@@ -1,9 +1,10 @@
 """Deterministic Monte Carlo studies: coverage, band proportions, KS distance.
 
 All three studies run on one row engine.  A row is one (sample, weights)
-pair; a block of rows is evaluated by one call of the pivot kernel,
-pivots._studentized, summed bitwise as numpy's np.add.reduce sums rows
-(_rowsum).  pivot() is one row of the same kernel, summed exactly.  The
+pair; a block of rows is column-major and is evaluated by one call of
+the pivot kernel, pivots._studentized, which sums each row left to right
+from 0.0 (_rowsum), so a row's value does not depend on the block it is
+in.  pivot() is one row of the same kernel, summed exactly.  The
 block's row moments also give each row's classical Student t value
 (divisor n-1, whose exact cutoffs t_{alpha,n-1} are exact-size under
 normal data).  Rows with degenerate weights or a vanishing scale are
@@ -19,8 +20,7 @@ the draws are stream(seed, r, a)'s without a generator built per row.
 proportion_study keys outer replication o by (seed, o) and its redraws
 by (seed, o, a); the attempt-0 keys of a chunk's outer replications come
 from the same vectorized pass, one generator rewound per outer
-replication, and every inner row of that outer is drawn from it.  Its
-blocks of whole outer replications are column-major: row sums add columns.
+replication, and every inner row of that outer is drawn from it.
 """
 from __future__ import annotations
 
@@ -201,41 +201,20 @@ def _covered(values: np.ndarray, cutoff: float, sided: str) -> np.ndarray:
 
 
 def _counts_matrix(idx: np.ndarray, n: int) -> np.ndarray:
-    """Integer weight counts, one row per row of resampled indices."""
+    """Integer weight counts, one row per row of resampled indices, column-major."""
     rows = idx.shape[0]
-    flat = idx + (np.arange(rows, dtype=np.int64) * n)[:, None]
-    return np.bincount(flat.ravel(), minlength=rows * n).reshape(rows, n)
-
-
-def _pairwise(cols: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum over the leading axis, a whole column per add:
-    below 8 terms one by one from 0.0; up to 128, eight accumulators, their
-    tree, then the tail; above 128, both halves, split at a multiple of 8."""
-    n = len(cols)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise(cols[:half]) + _pairwise(cols[half:])
-    body, total = n - n % 8, 0.0
-    if body:
-        acc = cols[:8]
-        for i in range(8, body, 8):
-            acc = acc + cols[i:i + 8]
-        while len(acc) > 1:  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-            acc = acc[0::2] + acc[1::2]
-        total = acc[0]
-    for col in cols[body:]:
-        total += col
-    return total
+    flat = idx * rows + np.arange(rows, dtype=np.int64)[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * n).reshape(n, rows).T
 
 
 def _rowsum(a: np.ndarray) -> np.ndarray:
-    """The studies' row sum, bitwise np.add.reduce(a, axis=-1) of a row-major
-    a.  np.add.reduce would sum a column-major block in another order, so it
-    goes to _pairwise, added to the reduction's 0.0 start (-0.0 rows give +0.0)."""
-    if a.flags.c_contiguous:
+    """The studies' row sum: each row of a column-major block left to right
+    from 0.0.  numpy reduces two or more such rows one column at a time from
+    its 0.0 start, but sums a lone row pairwise, so that row is accumulated
+    (+ 0.0 gives a row of -0.0 the reduction's +0.0)."""
+    if len(a) > 1:
         return np.add.reduce(a, axis=-1)
-    total = _pairwise(a.T)
-    return np.add(total, 0.0, out=total)
+    return np.add.accumulate(a, axis=-1)[:, -1] + 0.0
 
 
 def _batch_values(kind: PivotKind, x: np.ndarray, w: np.ndarray, m: int, mu: float,
@@ -299,13 +278,14 @@ def _draw_replications(d: DistributionSpec, n: int, m: int, seed: int, first: in
                        attempt: int, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Replication r = first + i draws its sample, then its m resampled
     # indices (as draw_weights would), from the state stream(seed, r,
-    # attempt) starts in: one generator rewound to each row's key.
+    # attempt) starts in: one generator rewound to each row's key.  Rows are
+    # drawn contiguously, then the block is made column-major for _rowsum.
     x = np.empty((which.size, n))
     idx = np.empty((which.size, m), dtype=np.int64)
     for row, rng in enumerate(_row_streams(seed, first + which, attempt)):
         x[row] = gen_sample(d, n, rng)
         idx[row] = draw_indices(n, m, rng)
-    return x, _counts_matrix(idx, n), (None, None)
+    return np.asfortranarray(x), _counts_matrix(idx, n), (None, None)
 
 
 # Element budget of a block (at least one whole proportion outer).  Every

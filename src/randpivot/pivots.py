@@ -16,7 +16,9 @@ sub-sample variance, computable from the w_i != 0 entries alone.
 One row kernel, _studentized, evaluates every pivot (these four, the EDF
 pivots on indicator data, the studies' blocks) and takes its row sum as a
 parameter: a single sample is one row summed exactly, like math.fsum
-(_exact_rows); a study's block is summed by numpy's np.add.reduce.
+(_exact_rows); a study's block is column-major, its rows summed left to
+right by numpy's own reduction (mc._rowsum).  Temporaries take their
+operands' layout, so every row sum of a block sees a column-major array.
 """
 from __future__ import annotations
 
@@ -189,10 +191,10 @@ def _row_moments(x: np.ndarray, rowsum: _RowSum,
                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row means, divisor-n variances S_n^2 and divisor-(n-1) s.d.s.
 
-    One row sum and one centered sum of squares serve all three.  Under
-    np.add.reduce they follow the operations of numpy's own mean, var and
-    std, so each equals x.mean(axis=1), x.var(axis=1) and
-    x.std(axis=1, ddof=1) bitwise.  The squares are formed in out if given.
+    One row sum and one centered sum of squares serve all three, in the
+    operations of numpy's own mean, var and std: each is the sum of x, or
+    of (x - mean)^2, over n, or over n - 1 under the root, with the sums
+    taken by rowsum.  The squares are formed in out if given.
     """
     n = x.shape[1]
     mean = rowsum(x) / n

@@ -1,5 +1,6 @@
 """End-to-end CLI tests via subprocess: outputs, exit codes, determinism."""
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -339,6 +340,27 @@ class TestExitCodes:
         assert res.stdout == ""
         assert res.stderr == "randpivot: error: eps must be positive and finite\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("coverage", "--n", "100000000000", "--reps", "2"),
+        ("coverage", "--n", "100000000000", "--reps", "2", "--threads", "2"),
+        ("kdist", "--n", "100000000000", "--reps", "2"),
+        ("proportion", "--n", "100000000000", "--outer", "2", "--inner", "2"),
+        ("proportion", "--n", "20", "--outer", "2", "--inner", "100000000000",
+         "--threads", "2")])
+    def test_impossible_study_size_is_1(self, argv):
+        # one block of n (or inner) values cannot be allocated, in-process or
+        # in a worker; an address-space limit keeps the try off the machine
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.RLIM_INFINITY))\n"
+                  "from randpivot.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        out = subprocess.run([sys.executable, "-c", script, *argv, "--dist", "normal:0,1",
+                              "--no-timestamp"], capture_output=True, text=True)
+        assert out.returncode == 1, out.stderr
+        assert out.stdout == ""
+        assert out.stderr.startswith("randpivot: error: ") and out.stderr.count("\n") == 1
+        assert "Traceback" not in out.stderr
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_must_be_positive(self, threads):
         out = run_cli("coverage", "--dist", "normal:0,1", "--n", "5", "--reps", "10",
@@ -477,7 +499,8 @@ class TestGoldenOutputs:
 
     The record is json.dumps(_golden_outputs(d), indent=1), written at
     SCHEMA_VERSION 1.  A change to any report field, value or format shows
-    here; the record changes only with SCHEMA_VERSION.
+    here; the record changes with SCHEMA_VERSION, or where a format was
+    malformed (the CSV rows whose dist label holds commas are now quoted).
     """
 
     def test_outputs_match_record(self, tmp_path, monkeypatch):
@@ -487,3 +510,18 @@ class TestGoldenOutputs:
         assert list(got) == list(recorded)
         for key, record in recorded.items():
             assert got[key] == record, f"{key}: {NUMPY_NOTE}"
+
+    def test_csv_records_are_valid_csv(self):
+        # each CSV report is the sorted keys of its JSON twin and one row of
+        # their values, a dist label such as normal(0,1) quoted
+        recorded = json.loads(GOLDEN_OUTPUTS.read_text())
+        checked = 0
+        for key, record in recorded.items():
+            if not key.endswith("--format csv") or record["exit"] != 0:
+                continue
+            twin = json.loads(recorded[key.removesuffix("csv") + "json"]["stdout"])
+            header, *rows = csv.reader(io.StringIO(record["stdout"]))
+            assert header == sorted(twin), key
+            assert rows == [[str(twin[k]) for k in header]], key
+            checked += 1
+        assert checked == len(GOLDEN_GRID)

@@ -1,7 +1,9 @@
 """Tests for the Monte Carlo harness: sampling, coverage, proportions, KS."""
 import contextlib
+import functools
 import json
 import math
+import operator
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -442,7 +444,9 @@ def _proportion_replay(d, n, kind, outer, inner, seed, band, alpha=0.05):
             x = gen_sample(d, k * n, rng).reshape(k, n)
             idx = draw_indices(n, k * n, rng).reshape(k, n)
             w = np.array([np.bincount(row, minlength=n) for row in idx])
-            vals[which], tvals[which], ok = mc._batch_values(kind, x, w, n, mu)
+            # column-major, so that the rows are summed as the study sums them
+            vals[which], tvals[which], ok = mc._batch_values(
+                kind, np.asfortranarray(x), np.asfortranarray(w), n, mu)
             which = which[~ok]
             if which.size == 0:
                 break
@@ -496,10 +500,10 @@ _SUM_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e-300,
 
 
 class TestStudyRowSum:
-    """mc._rowsum is bitwise np.add.reduce(a, axis=-1) of the row-major block,
-    in either memory layout.  On a column-major block it replicates numpy's
-    pairwise order (below 8 terms, 8 to 128, and the split above 128), so
-    this pins that order at the running numpy version."""
+    """mc._rowsum adds the columns of a column-major block one at a time to a
+    zero vector, whatever the number of rows, one included: every study
+    block is column-major, and numpy reduces two or more of its rows in that
+    order.  This pins the order at the running numpy version."""
 
     @settings(max_examples=120, deadline=None)
     @given(n=st.integers(1, 300), rows=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
@@ -509,23 +513,98 @@ class TestStudyRowSum:
     @example(n=128, rows=5, seed=3, special=0.3)
     @example(n=129, rows=5, seed=4, special=0.3)
     @example(n=300, rows=1, seed=5, special=1.0)
-    def test_matches_numpy_reduce(self, n, rows, seed, special):
+    def test_adds_columns_left_to_right(self, n, rows, seed, special):
         g = np.random.default_rng(seed)
         a = g.standard_normal((rows, n)) * 10.0 ** g.integers(-30, 30, (rows, n))
         mask = g.random((rows, n)) < special
         a[mask] = g.choice(_SUM_SPECIALS, int(mask.sum()))
-        a[g.integers(rows)] = -0.0  # numpy's reduction starts at 0.0: the sum is +0.0
+        if rows > 1:
+            a[g.integers(rows)] = -0.0  # the sum starts at 0.0: it is +0.0
+        a = np.asfortranarray(a)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = np.add.reduce(a, axis=-1)
-            for layout in (a, np.asfortranarray(a)):
-                got = mc._rowsum(layout)
-                assert got.tobytes() == want.tobytes(), (
-                    f"rows={rows} n={n} layout strides {layout.strides}: the study row sum "
-                    f"left numpy's pairwise order under numpy {np.__version__}")
+            want = np.zeros(rows)
+            for col in a.T:
+                want = want + col
+            # the block, and its first rows each summed alone
+            for lo, block in [(0, a), *((i, a[i:i + 1]) for i in range(min(rows, 3)))]:
+                got = mc._rowsum(block)
+                assert got.tobytes() == want[lo:lo + len(block)].tobytes(), (
+                    f"rows={len(block)} n={n}: the study row sum left the left-to-right "
+                    f"order under numpy {np.__version__}")
         assert not np.signbit(want[np.all(a == 0.0, axis=1)]).any()
 
 
+# Cells of n >= 8, where numpy's pairwise order leaves the left-to-right
+# one, that redraw rows, so that some rows are summed as a lone row.
+_GROUPING_CELLS = [("poisson:1", 9, PivotKind.G2), ("binomial:10,0.1", 10, PivotKind.G2),
+                   ("binomial:10,0.1", 8, PivotKind.T2)]
+
+
+def _proportion_rows(d, n, kind):
+    """The pivot and t values of every inner row of a proportion study, in
+    row order, as _evaluate_rows returns them at threads=1."""
+    evaluate, rows = mc._evaluate_rows, []
+
+    def spy(*args):
+        vals, tvals, redraws = evaluate(*args)
+        rows.append((vals, tvals))
+        return vals, tvals, redraws
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_evaluate_rows", spy)
+        report = proportion_study(d, n, kind, outer_reps=8, inner_reps=60, seed=5)
+    assert report.degenerate_count > 0
+    return [np.concatenate(v).tobytes() for v in zip(*rows)]
+
+
+class TestStudyBlocks:
+    """Study values do not depend on how rows are grouped, and every block is
+    summed in one order: column-major, left to right."""
+
+    @pytest.mark.parametrize("spec,n,kind", _GROUPING_CELLS)
+    def test_values_do_not_depend_on_grouping(self, spec, n, kind, monkeypatch):
+        # one row a block (budgets 1 and 7), the default budget, and two
+        # processes; the redraws sum some rows alone
+        d, results = parse_dist(spec), []
+        for block in (1, 7, mc._BLOCK_ELEMENTS):
+            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
+            results.append(mc._replications(d, n, n, kind, 300, 5, 1))
+        with _in_workers() as pools:
+            results.append(mc._replications(d, n, n, kind, 300, 5, 2))
+        assert pools and results[0][2] > 0
+        for vals, tvals, redraws in results:
+            assert vals.tobytes() == results[0][0].tobytes()
+            assert tvals.tobytes() == results[0][1].tobytes()
+            assert redraws == results[0][2]
+        default = _proportion_rows(d, n, kind)  # the default budget, set last above
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 1)  # one outer replication a block
+        assert _proportion_rows(d, n, kind) == default
+
+    def test_every_summed_block_is_column_major(self, monkeypatch):
+        # a row-major block would be summed pairwise with no other sign
+        rowsum, shapes = mc._rowsum, []
+
+        def spy(a):
+            assert len(a) == 1 or a.strides[0] == a.itemsize, (a.shape, a.strides)
+            shapes.append(a.shape)
+            return rowsum(a)
+
+        monkeypatch.setattr(mc, "_rowsum", spy)
+        d = parse_dist("binomial:10,0.1")
+        assert coverage_study(d, 8, 8, PivotKind.T2, 300, 0.05, seed=5).degenerate_count > 0
+        kolmogorov_distance(PivotKind.G2, d, 10, 10, 300, seed=5)
+        assert proportion_study(d, 8, PivotKind.T2, outer_reps=8, inner_reps=60,
+                                seed=5).degenerate_count > 0
+        rows = [shape[0] for shape in shapes]
+        assert min(rows) < max(rows)  # the redraws' smaller blocks were summed too
+
+
 EPS = np.finfo(np.float64).eps
+
+
+def _left_to_right(terms: np.ndarray) -> float:
+    """The terms added one at a time, left to right, from 0.0."""
+    return functools.reduce(operator.add, terms.tolist(), 0.0)
 
 
 def _row_matrix(draw, rows, n):
@@ -538,14 +617,15 @@ def _row_matrix(draw, rows, n):
 
 
 class TestRowKernelAgreesWithSingleSample:
-    """The row kernel against per-row numpy statistics, pivot() and edf_pivot().
+    """The row kernel against per-row left-to-right sums, pivot() and edf_pivot().
 
-    Means, S_n^2, classical s.d.s, classical t values and the validity
-    mask of the studies' numpy-summed rows must be bitwise those of per-row
-    x.mean(), x.var() and x.std(ddof=1).  Summed exactly, each row of the
+    On column-major blocks, as the studies build them, the means, S_n^2,
+    classical s.d.s, classical t values and the validity mask of the
+    studies' rows must be bitwise those of each row's terms added left to
+    right from 0.0.  Summed exactly, each row of the
     kernel is bitwise pivot() and edf_pivot(), and its sum d_i^2 and scale
     are zero exactly where those raise DegenerateWeights and ZeroScale.
-    The numpy-summed values are the same formula summed in numpy's order,
+    The studies' values are the same formula summed left to right,
     so they agree with the exact ones within the rounding error bound of
     a sum of about n + m terms: |batch - exact| <= 16 (n + m) eps
     (1 + |exact| + sum |d_i| |x_i - c| / (S sqrt(sum d_i^2))), with c = mu
@@ -556,15 +636,20 @@ class TestRowKernelAgreesWithSingleSample:
     @given(data=st.data(), rows=st.integers(1, 6), n=st.integers(2, 30),
            m=st.integers(1, 40), mu=st.integers(-80, 80).map(lambda k: k / 8.0))
     def test_kernel_matches_per_row(self, data, rows, n, m, mu):
-        x = _row_matrix(data.draw, rows, n)
+        x = np.asfortranarray(_row_matrix(data.draw, rows, n))
         idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows * m,
                                           max_size=rows * m))).reshape(rows, m)
         counts = mc._counts_matrix(idx, n)
         mean, var, s1 = pivots._row_moments(x, mc._rowsum)
+        row_mean, row_var, row_s1 = [], [], []
         for i in range(rows):
-            assert mean[i].tobytes() == x[i].mean().tobytes()
-            assert var[i].tobytes() == x[i].var().tobytes()
-            assert s1[i].tobytes() == x[i].std(ddof=1).tobytes()
+            row_mean.append(_left_to_right(x[i]) / n)
+            css = _left_to_right((x[i] - row_mean[i]) ** 2)
+            row_var.append(css / n)
+            row_s1.append(math.sqrt(css / (n - 1)))
+            assert mean[i].tobytes() == np.float64(row_mean[i]).tobytes()
+            assert var[i].tobytes() == np.float64(row_var[i]).tobytes()
+            assert s1[i].tobytes() == np.float64(row_s1[i]).tobytes()
         exact_var = pivots._row_moments(x, pivots._exact_rows)[1]
         for kind in PivotKind:
             vals, tvals, valid = mc._batch_values(kind, x, counts, m, mu)
@@ -576,16 +661,17 @@ class TestRowKernelAgreesWithSingleSample:
             exact, ssq = pivots._studentized(counts, m, x, center, scale2, pivots._exact_rows)
             for i in range(rows):
                 w = WeightVector(counts[i].astype(np.int64), m, n)
-                s1_row = x[i].std(ddof=1)
+                s1_row = row_s1[i]
                 if kind.uses_subsample_scale:
                     c = counts[i]
-                    np_scale2 = (c * (x[i] - (c * x[i]).sum() / m) ** 2).sum() / m
+                    rmean = _left_to_right(c * x[i]) / m
+                    row_scale2 = _left_to_right(c * (x[i] - rmean) ** 2) / m
                 else:
-                    np_scale2 = x[i].var()
+                    row_scale2 = row_var[i]
                 nondegenerate = bool((w.counts != m / n).any())
-                assert valid[i] == (nondegenerate and np_scale2 > 0.0 and s1_row > 0.0)
+                assert valid[i] == (nondegenerate and row_scale2 > 0.0 and s1_row > 0.0)
                 if s1_row > 0.0:
-                    t = (x[i].mean() - mu) / (s1_row / math.sqrt(n))
+                    t = (row_mean[i] - mu) / (s1_row / math.sqrt(n))
                     assert tvals[i].tobytes() == np.float64(t).tobytes()
                 try:
                     want = pivot(kind, x[i], w, mu=center)
@@ -601,7 +687,7 @@ class TestRowKernelAgreesWithSingleSample:
                     continue
                 dev = counts[i] / m - 1.0 / n
                 cond = (np.abs(dev) * np.abs(x[i] - (center or 0.0))).sum() / math.sqrt(
-                    np_scale2 * (dev * dev).sum())
+                    row_scale2 * (dev * dev).sum())
                 tol = 16 * (n + m) * EPS * (1.0 + abs(want) + cond)
                 assert abs(vals[i] - want) <= tol, (kind, i, vals[i], want, tol)
 
