@@ -3,7 +3,8 @@
 All commands write one report to stdout as JSON (default) or CSV (fields
 holding a comma quoted), byte-for-byte reproducible for a fixed --seed
 regardless of --threads (--no-timestamp drops the only run-dependent
-field).  Exit codes: 0 success, 1 data or statistical error, 2 usage error.
+field).  Exit codes: 0 success, 1 data or statistical error, 2 usage error
+(a negative --seed or RANDPIVOT_SEED among them).
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from . import bounds, intervals
@@ -29,12 +31,26 @@ __all__ = ["main", "build_parser"]
 Payload = dict[str, Any]
 
 
-def _env_seed(parser: argparse.ArgumentParser) -> int:
-    text = os.environ.get("RANDPIVOT_SEED", "0")
+def _int_from(low: int, what: str, text: str) -> int:
+    """An integer option of at least low, or a usage error saying it must be `what`."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        parser.error(f"environment variable RANDPIVOT_SEED: invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {what} integer, got {value}")
+    return value
+
+
+_positive_int = partial(_int_from, 1, "positive")
+_seed = partial(_int_from, 0, "non-negative")
+
+
+def _env_seed(parser: argparse.ArgumentParser) -> int:
+    try:
+        return _seed(os.environ.get("RANDPIVOT_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"environment variable RANDPIVOT_SEED: {exc}")
 
 
 def _band(text: str) -> tuple[float, float]:
@@ -43,16 +59,6 @@ def _band(text: str) -> tuple[float, float]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected two numbers lo,hi, got {text!r}") from None
     return lo, hi
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
 
 
 def _column_arg(text: str) -> str | int:
@@ -117,7 +123,7 @@ _COVERAGE_EVENT = (
             help="coverage sidedness (default: upper)"),
     _option("--classical-cutoff", choices=("normal", "student-t"), default="normal",
             help="cutoff for the classical t comparator (default: normal)"))
-_COMMON = (_option("--seed", type=int, default=None,
+_COMMON = (_option("--seed", type=_seed, default=None,
                    help="root seed (default: env RANDPIVOT_SEED or 0)"),
            _option("--format", choices=("json", "csv"), default="json",
                    help="output format (default: json)"),

@@ -17,6 +17,9 @@ stream(seed, r, a), the draws a single-sample pivot or ci_mu call on
 gen_sample then draw_weights would see.  The keys of a block's rows are
 derived in one vectorized pass and one generator is rewound to each, so
 the draws are stream(seed, r, a)'s without a generator built per row.
+A row's resampling indices are draw_indices' values, computed from its
+raw words in one pass over the block (rng._bounded_indices); a row that
+pass flags is drawn again by draw_indices itself.
 proportion_study keys outer replication o by (seed, o) and its redraws
 by (seed, o, a); the attempt-0 keys of a chunk's outer replications come
 from the same vectorized pass, one generator rewound per outer
@@ -36,7 +39,7 @@ from ._pool import ordered_map
 from .errors import BadParams, RandPivotError, ZeroScale
 from .intervals import SCHEMA_VERSION, _check_m, _z_for
 from .pivots import PivotKind, _check_n, _reweighted, _row_moments, _studentized
-from .rng import _row_streams
+from .rng import _bounded_indices, _row_streams
 from .weights import draw_indices
 
 __all__ = [
@@ -278,12 +281,20 @@ def _draw_replications(d: DistributionSpec, n: int, m: int, seed: int, first: in
                        attempt: int, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Replication r = first + i draws its sample, then its m resampled
     # indices (as draw_weights would), from the state stream(seed, r,
-    # attempt) starts in: one generator rewound to each row's key.  Rows are
-    # drawn contiguously, then the block is made column-major for _rowsum.
+    # attempt) starts in: one generator rewound to each row's key.  The
+    # indices are draw_indices' values, computed from each row's raw words
+    # in one pass over the block; a row that pass flags is drawn again,
+    # sample then draw_indices, from its own stream.  Rows are drawn
+    # contiguously, then the block is made column-major for _rowsum.
+    rows = first + which
     x = np.empty((which.size, n))
-    idx = np.empty((which.size, m), dtype=np.int64)
-    for row, rng in enumerate(_row_streams(seed, first + which, attempt)):
+    words = np.empty((which.size, (m + 1) // 2), dtype=np.uint64)
+    for row, rng in enumerate(_row_streams(seed, rows, attempt)):
         x[row] = gen_sample(d, n, rng)
+        words[row] = rng.bit_generator.random_raw(words.shape[1])
+    idx, flagged = _bounded_indices(words, n, m)
+    for row, rng in zip(np.flatnonzero(flagged), _row_streams(seed, rows[flagged], attempt)):
+        gen_sample(d, n, rng)
         idx[row] = draw_indices(n, m, rng)
     return np.asfortranarray(x), _counts_matrix(idx, n), (None, None)
 
@@ -293,10 +304,10 @@ def _draw_replications(d: DistributionSpec, n: int, m: int, seed: int, first: in
 _BLOCK_ELEMENTS = 1 << 16
 
 # A study is pooled only when its in-process run would take about twice a
-# pool's start-up (some 20 ms for two workers).  Its cost is counted in
+# pool's start-up (some 35 ms for two workers).  Its cost is counted in
 # elements drawn, plus _STREAM_ELEMENTS for each item's own stream: that
-# fixed cost of a replication is as large as drawing 256 elements.
-_STREAM_ELEMENTS = 256
+# fixed cost of a replication is about as large as drawing 128 elements.
+_STREAM_ELEMENTS = 128
 _POOL_ELEMENTS = 1 << 20
 
 

@@ -9,7 +9,12 @@ distinct paths are statistically independent, and results depend only on
 A block of rows keyed (seed, r, *tail) for many r need not build one
 generator per row: _row_keys derives all their keys in one vectorized
 pass, and _row_streams rewinds one generator to each key in turn.  Both
-give exactly the draws stream(seed, r, *tail) gives.
+give exactly the draws stream(seed, r, *tail) gives.  Nor need each row
+call Generator.integers for its resampling indices: _bounded_indices
+computes integers' values from the rows' raw words in one pass over the
+block, and flags the rare rows integers itself must draw.  _row_keys and
+_bounded_indices replicate numpy (its SeedSequence hash and its bounded
+integer rule) only for these per-row keys.
 """
 from __future__ import annotations
 
@@ -28,7 +33,15 @@ def stream(seed: int, *path: int) -> Generator:
     replication keyed by its index gives bitwise-identical draws no matter
     how replications are partitioned over workers.
     """
-    return Generator(Philox(SeedSequence(entropy=(int(seed), *map(int, path)))))
+    return Generator(Philox(SeedSequence(entropy=tuple(map(_key_part, (seed, *path))))))
+
+
+def _key_part(value: int) -> int:
+    """A seed or path entry as an int; SeedSequence takes only non-negative ones."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"a stream's seed and path must be non-negative, got {value}")
+    return value
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its
@@ -69,9 +82,7 @@ _OUTPUT = tuple(_column(c) for c in _hash_constants(_INIT_B, _MULT_B, _POOL))
 
 def _words(value: int) -> list[int]:
     """The little-endian 32-bit words SeedSequence splits an entropy int into."""
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value}")
+    value = _key_part(value)
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -104,7 +115,7 @@ def _row_keys(seed: int, rows: np.ndarray, *tail: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     entropy = _words(seed) + [None] + [w for t in tail for w in _words(t)]
     if len(entropy) > _POOL or np.any(rows >> 32):
-        return np.array([SeedSequence(entropy=(int(seed), int(r), *map(int, tail)))
+        return np.array([SeedSequence(entropy=tuple(map(_key_part, (seed, r, *tail))))
                          .generate_state(2, np.uint64) for r in rows],
                         dtype=np.uint64).reshape(-1, 2)
     index = rows.astype(np.uint32)
@@ -137,3 +148,24 @@ def _row_streams(seed: int, rows: np.ndarray, *tail: int) -> Iterator[Generator]
                         "state": {"counter": zeros, "key": key},
                         "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         yield gen
+
+
+def _bounded_indices(words: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's Generator.integers(0, n, size=m), computed from raw words,
+    and a mask of the rows whose values these are not.
+
+    Row i of words is random_raw(ceil(m / 2)) of a Philox generator with
+    no cached 32-bit half.  integers(0, n) with 2 <= n <= 2^32 reads one
+    32-bit half per value, the low half of each word first, and maps half
+    u to (u * n) >> 32, but rejects u and reads the next half when
+    (u * n) mod 2^32 < 2^32 mod n (Lemire's rule, numpy's 32-bit branch).
+    A row holding such a half among its first m is flagged, and must be
+    drawn by integers itself; so is every row for n outside [2, 2^32].
+    """
+    rows = words.shape[0]
+    if not 2 <= n <= 1 << 32:
+        return np.zeros((rows, m), dtype=np.int64), np.ones(rows, dtype=bool)
+    halves = np.ascontiguousarray(words, dtype="<u8").view("<u4")[:, :m]
+    scaled = halves.astype(np.uint64) * np.uint64(n)
+    flagged = (scaled.astype(np.uint32) < (1 << 32) % n).any(axis=1)
+    return (scaled >> np.uint64(32)).view(np.int64), flagged

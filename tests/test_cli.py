@@ -142,6 +142,29 @@ class TestExitCodes:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["seed"] == 7
 
+    @pytest.mark.parametrize("command", [
+        ["ci-mean", "--data", "SAMPLE"],
+        ["ci-bigdata", "--data", "SAMPLE"],
+        ["coverage", "--dist", "normal:0,1", "--n", "5", "--reps", "10"],
+        ["kdist", "--dist", "normal:0,1", "--n", "5", "--reps", "10"],
+        ["sizing", "--n", "100", "--policy", "loglog"],
+    ], ids=["ci-mean", "ci-bigdata", "coverage", "kdist", "sizing"])
+    def test_negative_seed_is_usage_error(self, sample_csv, command, capsys, monkeypatch):
+        # one message naming the option or the variable, whichever command
+        # and library path the seed would have taken
+        argv = [str(sample_csv) if a == "SAMPLE" else a for a in command] + ["--no-timestamp"]
+        for seed, env, where, value in [
+                (["--seed", "-1"], "0", "argument --seed", -1),
+                (["--seed=-7"], "0", "argument --seed", -7),
+                ([], "-3", "environment variable RANDPIVOT_SEED", -3)]:
+            monkeypatch.setenv("RANDPIVOT_SEED", env)
+            with pytest.raises(SystemExit) as exit_:
+                main(argv + seed)
+            assert exit_.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.endswith(
+                f"error: {where}: must be a non-negative integer, got {value}\n"), err
+
     def test_band_malformed_is_2_out_of_range_is_1(self):
         base = ("proportion", "--dist", "normal:0,1", "--n", "5", "--outer", "2",
                 "--inner", "3", "--no-timestamp", "--band")
@@ -375,9 +398,9 @@ class TestDeterminism:
 
     def test_threads_do_not_change_output(self):
         # large enough that --threads 3 runs the study in worker processes
-        assert 6000 * (15 + mc._STREAM_ELEMENTS) > mc._POOL_ELEMENTS
+        assert 8000 * (15 + mc._STREAM_ELEMENTS) > mc._POOL_ELEMENTS
         base = ("coverage", "--dist", "exponential:1", "--n", "15", "--pivot", "g1",
-                "--reps", "6000", "--seed", "5", "--no-timestamp")
+                "--reps", "8000", "--seed", "5", "--no-timestamp")
         one = run_cli(*base, "--threads", "1").stdout
         three = run_cli(*base, "--threads", "3").stdout
         assert one == three

@@ -169,20 +169,20 @@ class TestCoverageStudy:
         assert pools and a == b
 
     def test_pool_only_above_the_cut(self):
-        # a replication of n = 5 costs 5 + 256 elements: 2,000 reps are half
-        # of mc._POOL_ELEMENTS, and 4,100 reps just exceed it
+        # a replication of n = 5 costs 5 + 128 elements: 2,000 reps are a
+        # quarter of mc._POOL_ELEMENTS, and 7,900 reps just exceed it
         d = parse_dist("poisson:1")
         want = (coverage_study(d, 5, 5, PivotKind.G2, 2000, 0.05, seed=3),
                 kolmogorov_distance(PivotKind.G2, d, 5, 5, 2000, seed=3),
                 proportion_study(d, 5, PivotKind.G2, outer_reps=10, inner_reps=40, seed=3),
-                coverage_study(d, 5, 5, PivotKind.G2, 4100, 0.05, seed=3))
+                coverage_study(d, 5, 5, PivotKind.G2, 7900, 0.05, seed=3))
         with _in_workers(mc._POOL_ELEMENTS) as pools:
             small = (coverage_study(d, 5, 5, PivotKind.G2, 2000, 0.05, seed=3, threads=2),
                      kolmogorov_distance(PivotKind.G2, d, 5, 5, 2000, seed=3, threads=2),
                      proportion_study(d, 5, PivotKind.G2, outer_reps=10, inner_reps=40,
                                       seed=3, threads=2))
             assert not pools
-            large = coverage_study(d, 5, 5, PivotKind.G2, 4100, 0.05, seed=3, threads=2)
+            large = coverage_study(d, 5, 5, PivotKind.G2, 7900, 0.05, seed=3, threads=2)
         assert len(pools) == 1 and (*small, large) == want
 
     def test_degenerate_redraw_counted(self):
@@ -958,4 +958,58 @@ class TestRecordedReports:
         with _in_workers() as pools:
             got = _grid_reports((3,), 2)
         assert pools
+        assert got == {cell: recorded[cell] for cell in got}, NUMPY_NOTE
+
+
+def _flag_also(monkeypatch, extra):
+    """Make the studies' raw-word pass flag also the rows extra(rows) marks,
+    and count the rows flagged and the draw_indices calls in this process."""
+    counts = {"flagged": 0, "drawn": 0}
+    bounded = mc._bounded_indices
+
+    def flagging(words, n, m):
+        idx, flagged = bounded(words, n, m)
+        flagged |= extra(words.shape[0])
+        counts["flagged"] += int(flagged.sum())
+        return idx, flagged
+
+    def counting(n, m, rng):
+        counts["drawn"] += 1
+        return draw_indices(n, m, rng)
+
+    monkeypatch.setattr(mc, "_bounded_indices", flagging)
+    monkeypatch.setattr(mc, "draw_indices", counting)
+    return counts
+
+
+class TestIndexFallback:
+    """coverage_study and kolmogorov_distance take each row's indices from
+    its raw words, and draw with draw_indices exactly the rows that pass
+    flags, so the reports do not depend on which rows fall back."""
+
+    studies = [
+        lambda: coverage_study(NORMAL, 20, 20, PivotKind.G1, 300, 0.05, seed=4),
+        lambda: coverage_study(parse_dist("binomial:10,0.1"), 3, 3, PivotKind.T2, 200, 0.05,
+                               sided="two", seed=5),  # redraws most rows
+        lambda: kolmogorov_distance(PivotKind.G2, parse_dist("poisson:1"), 5, 7, 300, seed=6),
+        lambda: kolmogorov_distance(PivotKind.T1, parse_dist("beta:2,3"), 9, 24, 300, seed=7),
+    ]
+
+    @pytest.mark.parametrize("extra", [lambda rows: np.zeros(rows, dtype=bool),
+                                       lambda rows: np.arange(rows) % 3 == 1],
+                             ids=["pass-flags", "every-third-row"])
+    def test_only_flagged_rows_call_draw_indices(self, extra, monkeypatch):
+        want = [study() for study in self.studies]
+        counts = _flag_also(monkeypatch, extra)
+        assert [study() for study in self.studies] == want
+        assert counts["drawn"] == counts["flagged"]
+
+    @pytest.mark.parametrize("threads,ns", [(1, (3, 20)), (2, (3,))])
+    def test_every_row_flagged_gives_recorded_reports(self, threads, ns, monkeypatch):
+        recorded = json.loads(RECORDED.read_text())
+        counts = _flag_also(monkeypatch, lambda rows: np.ones(rows, dtype=bool))
+        with _in_workers() as pools:
+            got = _grid_reports(ns, threads)
+        assert bool(pools) == (threads > 1)
+        assert threads > 1 or counts["flagged"] > 0  # proportion draws are counted too
         assert got == {cell: recorded[cell] for cell in got}, NUMPY_NOTE

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.random import SeedSequence
+from numpy.random import Generator, Philox, SeedSequence
 
 import randpivot.rng as rng
 from randpivot.mc import _FAMILIES, gen_sample, parse_dist
@@ -53,9 +53,15 @@ class TestRowKeys:
             assert rng._row_keys(seed, np.array([r]), *tail).tobytes() == keys.tobytes()
 
     def test_negative_entries_rejected_like_seed_sequence(self):
-        for seed, rows in [(-1, np.arange(10)), (3, np.array([-1] + [0] * 9))]:
-            with pytest.raises(ValueError):
-                rng._row_keys(seed, rows, 0)
+        # stream and the row keys refuse a negative entry with one message
+        message = "a stream's seed and path must be non-negative, got -1"
+        for seed, rows, tail in [(-1, np.arange(10), (0,)), (3, np.array([-1] + [0] * 9), (0,)),
+                                 (3, np.arange(4), (-1,))]:
+            with pytest.raises(ValueError, match=message):
+                rng._row_keys(seed, rows, *tail)
+        for key in [(-1,), (3, -1), (3, 0, -1)]:
+            with pytest.raises(ValueError, match=message):
+                rng.stream(*key)
 
 
 class TestRowStreams:
@@ -74,3 +80,62 @@ class TestRowStreams:
                 # a draw that leaves a cached 32-bit half must not leak into the next row
                 assert gen.integers(0, 7, 3, dtype=np.int32).tobytes() == \
                     want.integers(0, 7, 3, dtype=np.int32).tobytes()
+
+
+# Ranges of every kind integers(0, n) draws from with 32-bit halves: the
+# smallest, powers of two (no rejection), 2^31 + 1 (rejects about half
+# of all halves), 2^32 - 1 and 2^32 (integers returns the half itself).
+EDGE_N = [2, 3, 2**31 + 1, 2**32 - 1, 2**32]
+
+
+class TestBoundedIndices:
+    @settings(max_examples=80, deadline=None)
+    @given(keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+           n=st.one_of(st.sampled_from(EDGE_N), st.integers(1, 32).map(lambda b: 2**b),
+                       st.integers(2, 2**32)),
+           m=st.integers(1, 41))
+    @example(keys=list(range(8)), n=2**31 + 1, m=1)
+    @example(keys=list(range(8)), n=2**31 + 1, m=6)
+    @example(keys=list(range(8)), n=2**32, m=7)
+    def test_unflagged_rows_are_integers_values(self, keys, n, m):
+        words = np.array([Philox(key=k).random_raw((m + 1) // 2) for k in keys],
+                         dtype=np.uint64).reshape(len(keys), -1)
+        got, flagged = rng._bounded_indices(words, n, m)
+        want = np.array([Generator(Philox(key=k)).integers(0, n, size=m) for k in keys])
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got[~flagged], want[~flagged])
+        assert flagged[(got != want).any(axis=1)].all()
+        if n & (n - 1) == 0:  # 2^32 mod n is 0: nothing is rejected
+            assert not flagged.any()
+
+    def test_half_rejected_rows_flagged(self):
+        # at n = 2^31 + 1 a half is rejected with probability about 1/2, so
+        # about 3 in 4 rows of two halves are flagged; the others are integers'
+        words = np.array([Philox(key=k).random_raw(1) for k in range(64)], dtype=np.uint64)
+        got, flagged = rng._bounded_indices(words, 2**31 + 1, 2)
+        assert 32 <= flagged.sum() < 64
+        for k in np.flatnonzero(~flagged):
+            want = Generator(Philox(key=int(k))).integers(0, 2**31 + 1, size=2)
+            assert np.array_equal(got[k], want)
+
+    @pytest.mark.parametrize("n", [1, 2**32 + 1, 2**40])
+    def test_rows_outside_the_32_bit_branch_all_flagged(self, n):
+        words = np.arange(12, dtype=np.uint64).reshape(3, 4)
+        assert rng._bounded_indices(words, n, 7)[1].all()
+
+
+# Specs that reach the samplers' other branches: binomial's BTPE, Poisson's
+# PTRS and Johnk's beta for parameters below 1.
+BRANCH_SPECS = ["binomial:100,0.6", "poisson:40", "beta:0.5,0.5"]
+
+
+@pytest.mark.parametrize("spec", [*FAMILY_SPECS.values(), *BRANCH_SPECS])
+def test_samplers_leave_no_cached_half(spec):
+    # a row's indices are read from whole raw words after its sample, so the
+    # sample must not leave half a word cached for integers to read first
+    d = parse_dist(spec)
+    for n in (1, 2, 5, 20, 101):
+        for seed in range(4):
+            gen = rng.stream(seed, n)
+            gen_sample(d, n, gen)
+            assert gen.bit_generator.state["has_uint32"] == 0
