@@ -22,8 +22,8 @@ _EXPORTS = {
     "edf": ("EdfPoint", "ci_df", "ci_edf", "dkw_bound", "edf_pivot", "edf_point"),
     "errors": ("BadMoments", "BadParams", "DatasetFormatError", "DatasetTooSmall",
                "DegenerateWeights", "DomainError", "EpsOutOfRange", "HypothesisViolated",
-               "MissingColumn", "MissingF", "MissingMu", "NonFiniteValue", "ParseError",
-               "RandPivotError", "TooFewObservations", "ZeroScale"),
+               "MissingColumn", "MissingF", "MissingMu", "NonFiniteValue", "NumericOverflow",
+               "ParseError", "RandPivotError", "TooFewObservations", "ZeroScale"),
     "intervals": ("ConfidenceInterval", "Fixed", "LogLog", "PowerDelta", "SizingPolicy",
                   "ci_mu", "ci_xbar", "critical_z", "parse_policy", "subsample_size"),
     "mc": ("CoverageReport", "DistributionSpec", "ProportionReport", "coverage_study",

@@ -18,14 +18,18 @@ comparison.  The factor (15 m^3/n^3 + 25 m^2/n^2 + m/n) overstates the
 exact sixth central moment of a single weight count (see
 weights.exact_weight_moment), so the evaluated bound is valid but mildly
 conservative.
+
+A term that overflows float64 raises NumericOverflow naming the inputs
+behind it, so no evaluated bound is infinite.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from ._normal import norm_cdf
-from .errors import BadMoments, EpsOutOfRange, HypothesisViolated
+from .errors import BadMoments, EpsOutOfRange, HypothesisViolated, NumericOverflow
 
 __all__ = ["BoundInputs", "BoundResult", "hypothesis_margin", "error_bound", "chebyshev_p_s2", "rate"]
 
@@ -34,6 +38,19 @@ __all__ = ["BoundInputs", "BoundResult", "hypothesis_margin", "error_bound", "ch
 # of the weighted sums here (her i.i.d. constant, 0.4748, does not apply).
 # The constant is a user-settable input.
 DEFAULT_C_BE = 0.5600
+
+
+def _finite(term: Callable[[], float], what: str, at: str) -> float:
+    """term(), refused with NumericOverflow naming what and the inputs at
+    when it overflows float64, whether Python raises (x ** k, int to
+    float) or returns inf (x * y, x / y); 0.0 ** -k overflows too."""
+    try:
+        value = term()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericOverflow(f"{what} overflows float64 at {at}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -73,6 +90,9 @@ class BoundInputs:
             raise ValueError("p_s2_dev must be a probability")
         if not all(map(math.isfinite, (self.eps, self.eps1, self.eps2, self.rho3, self.c_be))):
             raise ValueError("eps, eps1, eps2, rho3 and c_be must be finite")
+        at = f"c_be={self.c_be}, rho3={self.rho3}"
+        if _finite(lambda: self.c_be * self.rho3, "c_be * rho3", at) == 0.0:
+            raise ValueError(f"c_be * rho3 underflows to 0 at {at}")
         if self.strict and not self.eps2_meets_continuity:
             raise ValueError(
                 f"eps2={self.eps2} does not dominate the continuity modulus "
@@ -110,13 +130,15 @@ def hypothesis_margin(b: BoundInputs, plus_eps2: bool = False) -> float:
     form) instead of the default corrected -eps2.
     """
     sign = 1.0 if plus_eps2 else -1.0
-    num = b.delta - (b.eps1 / b.eps) ** 2 - b.p_s2_dev + sign * b.eps2
+    ratio2 = _finite(lambda: (b.eps1 / b.eps) ** 2, "(eps1/eps)^2", f"eps1={b.eps1}, eps={b.eps}")
+    num = b.delta - ratio2 - b.p_s2_dev + sign * b.eps2
     if num <= 0.0:
         raise HypothesisViolated(
             f"delta={b.delta} does not exceed (eps1/eps)^2 + p + eps2 = "
-            f"{(b.eps1 / b.eps) ** 2 + b.p_s2_dev + b.eps2:.6g}"
+            f"{ratio2 + b.p_s2_dev + b.eps2:.6g}"
         )
-    return num / (b.c_be * b.rho3)
+    return _finite(lambda: num / (b.c_be * b.rho3), "the margin dn",
+                   f"delta={b.delta}, c_be={b.c_be}, rho3={b.rho3}")
 
 
 def _pi2_brace(n: int, m: int) -> float:
@@ -149,10 +171,14 @@ def error_bound(b: BoundInputs, plus_eps2: bool = False) -> BoundResult:
     n, m = b.n, b.m
     q = 1.0 - 1.0 / n
 
-    sixth = 15.0 * m ** 3 / n ** 3 + 25.0 * m ** 2 / n ** 2 + m / n
-    pi1 = dn ** -2 * (1.0 - b.eps) ** -3 * q ** -3 * (n / m ** 3 + n ** 2 / m ** 3) * sixth
-    pi2 = b.eps ** -2 * m ** 2 / q * _pi2_brace(n, m)
-    return BoundResult(raw=pi1 + pi2, pi1=pi1, pi2=pi2, margin=dn)
+    def pi1() -> float:
+        sixth = 15.0 * m ** 3 / n ** 3 + 25.0 * m ** 2 / n ** 2 + m / n
+        return dn ** -2 * (1.0 - b.eps) ** -3 * q ** -3 * (n / m ** 3 + n ** 2 / m ** 3) * sixth
+
+    at = f"n={n}, m={m}, eps={b.eps}"
+    p1 = _finite(pi1, "pi1", f"{at}, margin dn={dn}")
+    p2 = _finite(lambda: b.eps ** -2 * m ** 2 / q * _pi2_brace(n, m), "pi2", at)
+    return BoundResult(raw=_finite(lambda: p1 + p2, "pi1 + pi2", at), pi1=p1, pi2=p2, margin=dn)
 
 
 def chebyshev_p_s2(n: int, eps1: float, sigma2: float, mu4: float) -> float:
@@ -168,10 +194,13 @@ def chebyshev_p_s2(n: int, eps1: float, sigma2: float, mu4: float) -> float:
         raise ValueError("n must be positive")
     if sigma2 < 0.0:
         raise BadMoments(f"sigma2={sigma2} is negative")
-    if mu4 < sigma2 ** 2:
-        raise BadMoments(f"mu4={mu4} < sigma2^2={sigma2 ** 2}")
-    var_s2 = (mu4 - sigma2 ** 2) / n
-    return min(1.0, var_s2 / eps1 ** 4)
+    sigma4 = _finite(lambda: sigma2 ** 2, "sigma2^2", f"sigma2={sigma2}")
+    if mu4 < sigma4:
+        raise BadMoments(f"mu4={mu4} < sigma2^2={sigma4}")
+    eps1_4 = _finite(lambda: eps1 ** 4, "eps1^4", f"eps1={eps1}")
+    if eps1_4 == 0.0:
+        raise ValueError(f"eps1^4 underflows to 0 at eps1={eps1}")
+    return min(1.0, (mu4 - sigma4) / n / eps1_4)
 
 
 def rate(n: int, m: int, kind: str) -> float:

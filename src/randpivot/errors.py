@@ -41,6 +41,10 @@ class EpsOutOfRange(RandPivotError):
     """The bound's epsilon parameter is outside its valid range."""
 
 
+class NumericOverflow(RandPivotError, OverflowError):
+    """A term of a computation overflows float64; the message names its inputs."""
+
+
 class BadMoments(RandPivotError):
     """Supplied moments violate a moment inequality (e.g. mu4 < sigma2^2)."""
 

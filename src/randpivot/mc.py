@@ -7,8 +7,9 @@ from 0.0 (_rowsum), so a row's value does not depend on the block it is
 in.  pivot() is one row of the same kernel, summed exactly.  The
 block's row moments also give each row's classical Student t value
 (divisor n-1, whose exact cutoffs t_{alpha,n-1} are exact-size under
-normal data).  Rows with degenerate weights or a vanishing scale are
-redrawn by one helper, at most MAX_REDRAWS draws per row, and counted.
+normal data).  Rows with degenerate weights, or a scale that vanishes or
+overflows float64, are redrawn by one helper, at most MAX_REDRAWS draws
+per row, and counted.
 
 Draws come from counter-based streams keyed by (seed, indices), so a
 report never depends on how rows are grouped into blocks or processes.
@@ -60,9 +61,13 @@ class _Family(NamedTuple):
     sample: Callable[[tuple[float, ...], int, np.random.Generator], np.ndarray]
 
 
+def _lognormal_sd(p: tuple[float, ...]) -> float:
+    """The s.d. of lognormal(p): its mean times sqrt(exp(sigma^2) - 1)."""
+    return _FAMILIES["lognormal"].mean(p) * math.sqrt(math.expm1(p[1] ** 2))
+
+
 def _lognormal_std(p: tuple[float, ...], n: int, rng: np.random.Generator) -> np.ndarray:
-    mean = _FAMILIES["lognormal"].mean(p)
-    return (rng.lognormal(p[0], p[1], n) - mean) / (mean * math.sqrt(math.expm1(p[1] ** 2)))
+    return (rng.lognormal(p[0], p[1], n) - _FAMILIES["lognormal"].mean(p)) / _lognormal_sd(p)
 
 
 _FAMILIES = {
@@ -73,7 +78,9 @@ _FAMILIES = {
                        lambda p, n, rng: rng.poisson(p[0], n).astype(np.float64)),
     "lognormal": _Family(2, lambda p: p[1] > 0, lambda p: math.exp(p[0] + 0.5 * p[1] ** 2),
                          lambda p, n, rng: rng.lognormal(p[0], p[1], n)),
-    "lognormal_std": _Family(2, lambda p: p[1] > 0, lambda p: 0.0, _lognormal_std),
+    # an s.d. that underflows to 0 would make every standardized draw 0/0
+    "lognormal_std": _Family(2, lambda p: p[1] > 0 and _lognormal_sd(p) > 0.0, lambda p: 0.0,
+                             _lognormal_std),
     "exponential": _Family(1, lambda p: p[0] > 0, lambda p: 1.0 / p[0],
                            lambda p, n, rng: rng.exponential(1.0 / p[0], n)),
     "normal": _Family(2, lambda p: p[1] > 0, lambda p: p[0],
@@ -128,12 +135,13 @@ def gen_sample(d: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndar
 def student_t_cutoff(alpha: float, df: int) -> float:
     """Upper-tail Student t critical value t_{alpha, df}.
 
-    scipy.stats is imported here, on first use, because importing it
-    costs more than the rest of the package's start-up.
+    scipy.special is imported here, on first use, because importing it
+    costs more than the rest of the package's start-up; its stdtrit is
+    the inverse that scipy.stats.t.ppf calls, at a third of the import.
     """
-    from scipy.stats import t
+    from scipy.special import stdtrit
 
-    return float(t.ppf(1.0 - alpha, df))
+    return float(stdtrit(df, 1.0 - alpha))
 
 
 @dataclass(frozen=True)
@@ -223,14 +231,16 @@ def _rowsum(a: np.ndarray) -> np.ndarray:
 def _batch_values(kind: PivotKind, x: np.ndarray, w: np.ndarray, m: int, mu: float,
                   work: tuple = (None, None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pivot values and classical t values over rows, and one validity mask:
-    sum d_i^2, the pivot scale and the classical s.d. all positive; terms
-    formed in work (two arrays of x's shape) if given."""
+    sum d_i^2 positive, the pivot scale and the classical s.d. positive and
+    finite (an overflowed scale would make its row's value 0, so covered);
+    terms formed in work (two arrays of x's shape) if given."""
     mean, var, s1 = _row_moments(x, _rowsum, work[0])
     scale2 = _reweighted(w, x, m, _rowsum, work[0])[1] if kind.uses_subsample_scale else var
     vals, ssq = _studentized(w, m, x, mu if kind.needs_mu else None, scale2, _rowsum, work)
     with np.errstate(divide="ignore", invalid="ignore"):
         tvals = (mean - mu) / (s1 / math.sqrt(x.shape[1]))
-    return vals, tvals, (ssq > 0.0) & (scale2 > 0.0) & (s1 > 0.0)
+    return vals, tvals, ((ssq > 0.0) & (np.minimum(scale2, s1) > 0.0)
+                         & (np.maximum(scale2, s1) < math.inf))
 
 
 def _check_study(d: DistributionSpec, n: int, m: int, kind: PivotKind) -> None:
@@ -254,11 +264,11 @@ def _evaluate_rows(draw, d: DistributionSpec, n: int, m: int, kind: PivotKind,
     draw(attempt, which) returns the (sample, counts) matrices of the rows
     numbered `which` at that attempt, and _batch_values' work for them.  A
     row whose weights are degenerate or whose pivot or classical scale
-    vanishes is drawn again, at most MAX_REDRAWS draws in all.  Returns
-    both value arrays and the number of redraws.  If rows stay invalid, the
-    error names the first of them by name(row): rows are keyed by their
-    index, so that row and its name do not depend on how rows are split
-    into blocks or chunks.
+    vanishes or overflows is drawn again, at most MAX_REDRAWS draws in all.
+    Returns both value arrays and the number of redraws.  If rows stay
+    invalid, the error names the first of them by name(row): rows are keyed
+    by their index, so that row and its name do not depend on how rows are
+    split into blocks or chunks.
     """
     mu = d.true_mean
     vals, tvals = np.empty(rows), np.empty(rows)

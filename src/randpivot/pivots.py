@@ -14,11 +14,12 @@ n-1 most libraries default to), and S_{m,n}^2 is the weight-reweighted
 sub-sample variance, computable from the w_i != 0 entries alone.
 
 One row kernel, _studentized, evaluates every pivot (these four, the EDF
-pivots on indicator data, the studies' blocks) and takes its row sum as a
-parameter: a single sample is one row summed exactly, like math.fsum
-(_exact_rows); a study's block is column-major, its rows summed left to
-right by numpy's own reduction (mc._rowsum).  Temporaries take their
-operands' layout, so every row sum of a block sees a column-major array.
+pivots on indicator data, the studies' blocks) over the last axis and
+takes its row sum as a parameter: a single sample is one 1-D row summed
+exactly, like math.fsum (_exact_sum); a study's block is column-major,
+its rows summed left to right by numpy's own reduction (mc._rowsum).
+Temporaries take their operands' layout, so every row sum of a block sees
+a column-major array.  A square past float64 is inf, without a warning.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ _EXACT_CHUNK = 1 << 16  # terms per bincount pass: every bucket stays below 2^43
 _EXP_BIAS = 1074  # np.frexp exponents of finite doubles lie in [-1073, 1024]
 _FSUM_NEGATIVE_ZERO = math.copysign(1.0, math.fsum([-0.0, -0.0])) < 0.0
 _FINITE_CHUNK = 1 << 16  # values scanned per step of the finiteness check
-_RowSum = Callable[[np.ndarray], np.ndarray]  # sums a matrix over its last axis
+_RowSum = Callable[[np.ndarray], np.ndarray | float]  # sums over the last axis
 
 
 class PivotKind(enum.Enum):
@@ -152,11 +153,6 @@ def _exact_sum(a) -> float:
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
-def _exact_rows(a: np.ndarray) -> np.ndarray:
-    """The exact sum of each row of a matrix: _exact_sum row by row."""
-    return np.fromiter(map(_exact_sum, a), np.float64, len(a))
-
-
 def _check_finite(values: np.ndarray, indices: np.ndarray | None = None) -> None:
     """Raise NonFiniteValue at the first NaN or infinity, naming its record
     (the position in values, or indices[position] when given).  Scans in
@@ -196,10 +192,11 @@ def _row_moments(x: np.ndarray, rowsum: _RowSum,
     of (x - mean)^2, over n, or over n - 1 under the root, with the sums
     taken by rowsum.  The squares are formed in out if given.
     """
-    n = x.shape[1]
+    n = x.shape[-1]
     mean = rowsum(x) / n
-    sq = np.subtract(x, mean[:, None], out=out)
-    np.square(sq, out=sq)
+    sq = np.subtract(x, np.asarray(mean)[..., None], out=out)
+    with np.errstate(over="ignore"):
+        np.square(sq, out=sq)
     css = rowsum(sq)
     return mean, css / n, np.sqrt(css / (n - 1))
 
@@ -207,14 +204,17 @@ def _row_moments(x: np.ndarray, rowsum: _RowSum,
 def _reweighted(w: np.ndarray, x: np.ndarray, m: int, rowsum: _RowSum,
                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row means and divisor-m variances of x reweighted by the counts w:
-    the sub-sample mean and S_{m,n}^2 of each row, formed in out if given."""
+    the sub-sample mean and S_{m,n}^2 of each row, formed in out if given.
+    A zero count times an overflowed square is a NaN that a study's
+    validity mask refuses; a single sample passes its nonzero counts only."""
     rmean = rowsum(np.multiply(w, x, out=out)) / m
-    sq = np.square(np.subtract(x, rmean[:, None], out=out), out=out)
-    return rmean, rowsum(np.multiply(w, sq, out=sq)) / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.square(np.subtract(x, np.asarray(rmean)[..., None], out=out), out=out)
+        return rmean, rowsum(np.multiply(w, sq, out=sq)) / m
 
 
 def _studentized(w: np.ndarray, m: int, data: np.ndarray, center: float | None,
-                 scale2: np.ndarray, rowsum: _RowSum,
+                 scale2: np.ndarray | float, rowsum: _RowSum,
                  out: tuple = (None, None)) -> tuple[np.ndarray, np.ndarray]:
     """The one pivot formula over rows: sum d_i data_i, or sum |d_i|
     (data_i - center) given a center, over sqrt(scale2) * sqrt(sum d_i^2),
@@ -223,7 +223,7 @@ def _studentized(w: np.ndarray, m: int, data: np.ndarray, center: float | None,
     vanishes gets a non-finite value for the caller to refuse or mask.
     The terms are formed in out, two arrays of data's shape, if given."""
     dev = np.divide(w, m, out=out[0])
-    dev -= 1.0 / data.shape[1]
+    dev -= 1.0 / data.shape[-1]
     ssq = rowsum(np.square(dev, out=out[1]))
     if center is None:
         dev *= data
@@ -237,21 +237,20 @@ def _studentized(w: np.ndarray, m: int, data: np.ndarray, center: float | None,
 def _exact_pivot(w: WeightVector, data: np.ndarray, center: float | None,
                  scale2: float, zero_scale: str) -> float:
     """One exactly summed row of _studentized; typed errors where it is undefined."""
-    vals, ssq = _studentized(w.counts[None], w.m, data[None], center,
-                             np.array([scale2]), _exact_rows)
-    if ssq[0] == 0.0:
+    value, ssq = _studentized(w.counts, w.m, data, center, scale2, _exact_sum)
+    if ssq == 0.0:
         raise DegenerateWeights()
     if scale2 <= 0.0:
         raise ZeroScale(zero_scale)
-    return float(vals[0])
+    return float(value)
 
 
 def sample_stats(x) -> SampleStats:
     """Mean and divisor-n variance of a sample with at least two points."""
-    x = _sample(x).reshape(1, -1)
+    x = _sample(x).reshape(-1)
     _check_n(x.size)
-    mean, var, _ = _row_moments(x, _exact_rows)
-    return SampleStats(n=x.size, mean=float(mean[0]), var_biased=float(var[0]))
+    mean, var, _ = _row_moments(x, _exact_sum)
+    return SampleStats(n=x.size, mean=mean, var_biased=var)
 
 
 def randomized_stats_from_nonzero(values_nz: np.ndarray, counts_nz: np.ndarray,
@@ -261,9 +260,7 @@ def randomized_stats_from_nonzero(values_nz: np.ndarray, counts_nz: np.ndarray,
     Shared by the in-memory and out-of-core paths; with matching index
     order the two produce bitwise-identical results.
     """
-    rmean, rvar = _reweighted(np.asarray(counts_nz)[None],
-                              np.asarray(values_nz, dtype=np.float64)[None], m, _exact_rows)
-    return float(rmean[0]), float(rvar[0])
+    return _reweighted(counts_nz, np.asarray(values_nz, dtype=np.float64), m, _exact_sum)
 
 
 def _ratio_estimate(x: np.ndarray, w: WeightVector) -> float | None:
@@ -284,11 +281,12 @@ def randomized_stats(x, w: WeightVector) -> RandomizedStats:
 
 
 def _scale2(x: np.ndarray, w: WeightVector, subsample: bool) -> float:
-    """S_{m,n}^2 if subsample, else S_n^2, of a checked sample: the squared scale."""
-    if subsample:  # zero counts add exact zeros to each exact sum
-        return float(_reweighted(w.counts[None], x[None], w.m, _exact_rows)[1][0])
+    """S_{m,n}^2 (from the nonzero counts) if subsample, else S_n^2: the squared scale."""
+    if subsample:
+        idx, counts_nz = w.nonzero()
+        return randomized_stats_from_nonzero(x[idx], counts_nz, w.m)[1]
     _check_n(x.size)
-    return float(_row_moments(x[None], _exact_rows)[1][0])
+    return _row_moments(x, _exact_sum)[1]
 
 
 def pivot(kind: PivotKind, x, w: WeightVector, mu: float | None = None) -> float:

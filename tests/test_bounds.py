@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from randpivot import (BadMoments, BoundInputs, EpsOutOfRange,
-                       HypothesisViolated, chebyshev_p_s2, hypothesis_margin, rate,
-                       error_bound)
+                       HypothesisViolated, NumericOverflow, chebyshev_p_s2, hypothesis_margin,
+                       rate, error_bound)
 
 
 def _bound_rational(b: BoundInputs, plus_eps2: bool = False) -> Fraction:
@@ -150,6 +150,38 @@ class TestErrorBound:
         b = BoundInputs(n=10, m=10, **{**BASE, "eps": 1.0})
         with pytest.raises(EpsOutOfRange):
             error_bound(b)
+
+
+class TestFloat64Range:
+    """A product that underflows to 0 is refused where the inputs are
+    checked; a term that overflows float64 is refused by name, never
+    returned as inf and never a ZeroDivisionError."""
+
+    def test_underflowing_c_be_rho3_is_refused(self):
+        with pytest.raises(ValueError, match=r"c_be \* rho3 underflows to 0 at "
+                                             r"c_be=1e-200, rho3=1e-200"):
+            BoundInputs(n=30, m=30, **{**BASE, "rho3": 1e-200}, c_be=1e-200)
+
+    @pytest.mark.parametrize("inputs,what", [
+        ({"eps": 1e-200}, r"\(eps1/eps\)\^2 overflows float64 at eps1=0.01, eps=1e-200"),
+        ({"rho3": 1e200, "c_be": 1e200}, r"c_be \* rho3 overflows float64 at c_be=1e\+200"),
+        ({"rho3": 1e-160, "c_be": 1e-155}, r"the margin dn overflows float64 at .*rho3=1e-160"),
+        ({"rho3": 1e150, "c_be": 1e150}, r"pi1 overflows float64 at n=30, m=30, eps=0.1, "
+                                         r"margin dn="),
+        ({"eps": 1e-160, "eps1": 1e-170}, r"pi2 overflows float64 at n=30, m=30, eps=1e-160"),
+    ])
+    def test_overflowing_term_names_its_inputs(self, inputs, what):
+        with pytest.raises(NumericOverflow, match=what) as raised:
+            error_bound(BoundInputs(n=30, m=30, **{**BASE, **inputs}))
+        assert isinstance(raised.value, OverflowError)
+
+    def test_chebyshev_terms(self):
+        with pytest.raises(NumericOverflow, match=r"sigma2\^2 overflows float64 at sigma2=1e\+200"):
+            chebyshev_p_s2(100, 0.5, sigma2=1e200, mu4=3.0)
+        with pytest.raises(NumericOverflow, match=r"eps1\^4 overflows float64 at eps1=1e\+100"):
+            chebyshev_p_s2(100, 1e100, sigma2=1.0, mu4=3.0)
+        with pytest.raises(ValueError, match=r"eps1\^4 underflows to 0 at eps1=1e-100"):
+            chebyshev_p_s2(100, 1e-100, sigma2=1.0, mu4=3.0)
 
 
 class TestChebyshevPS2:

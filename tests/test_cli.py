@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randpivot import PivotKind, coverage_study, mc, parse_dist
 from randpivot.bigdata import write_dataset
@@ -548,3 +551,209 @@ class TestGoldenOutputs:
             assert rows == [[str(twin[k]) for k in header]], key
             checked += 1
         assert checked == len(GOLDEN_GRID)
+
+
+# The property test's grammar.  Numeric options draw the edges of float64
+# and int64 and the non-finite values, beside ordinary values that let a
+# command succeed; integer options draw 1e300 and 2^63 too.  Replication
+# counts stay at most 30: 2^63 replications would be a study of years, not
+# an input to refuse.
+_EDGES = ("0", "1", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "nan", "inf", "-inf",
+          str(2 ** 63))
+_INTS = ("-1", "0", "1", "2", "5", "20", str(2 ** 63), "1e300", "x")
+_COUNTS = ("-1", "0", "1", "2", "30")
+_M = ("equal-n", "0", "1", "2", "5", "24", "-1", str(2 ** 63), "power-delta:0.25",
+      "power-delta:0", "power-delta:nan", "loglog", "fixed:3", "fixed:0", "fixed:1e300", "x")
+_POLICIES = ("power-delta:0.25", "power-delta:0.49", "power-delta:1", "loglog", "fixed:2",
+             "fixed:700", "fixed:0", "7", "x")
+_FAMILIES = ("normal", "uniform", "exponential", "poisson", "binomial", "beta", "lognormal",
+             "lognormal_std", "x")
+_CSVS = ("sample", "huge1", "huge2", "huge3", "empty", "blank", "one", "quoted", "header",
+         "latin1", "missing")
+_DATASETS = ("normal", "huge", "tiny", "garbage", "missing")
+
+
+def _cli_inputs(d: Path) -> None:
+    """The CSVs and datasets the drawn commands read: ordinary ones, ones
+    mixing values near +-1e200 and +-1e300 with small ones, and malformed ones."""
+    sample = [0.5 + (i * 37 % 29) * 0.173 for i in range(12)]
+    (d / "sample.csv").write_text("".join(f"{v!r}\n" for v in sample))
+    (d / "huge1.csv").write_text("1e200\n1\n2\n3\n4\n")
+    (d / "huge2.csv").write_text("-1e300\n0.5\n1e300\n2\n-3\n1e200\n7\n-2e200\n1\n")
+    (d / "huge3.csv").write_text("".join(f"{v!r}\n" for v in sample) + "9e299\n-9e299\n")
+    (d / "empty.csv").write_text("")
+    (d / "blank.csv").write_text("\n \n\n")
+    (d / "one.csv").write_text("3.5\n")
+    (d / "quoted.csv").write_text('"1.5",a\n"2,5",b\n3,"c"\n"4"\n')
+    (d / "header.csv").write_text("a,b\n1,2\n3,4\n5,6\n8,1\n")
+    (d / "latin1.csv").write_bytes(b"1\n\xff\xfe2\n3\n")
+    values = np.array([(i * 7919 % 1009) / 100.0 for i in range(1000)])
+    write_dataset(values, d / "normal.rpv")
+    huge = values.copy()
+    huge[::97] = [1e300, -1e300, 1e200, -1e200, 9e299, -9e299, 1e300, 2e200, -1e300, 3e299,
+                  1e300]
+    write_dataset(huge, d / "huge.rpv")
+    write_dataset(values[:5], d / "tiny.rpv")
+    (d / "garbage.rpv").write_bytes(b"not a dataset at all")
+
+
+@st.composite
+def _argv(draw, command: str, d: Path) -> list[str]:
+    """One argv for command, every option drawn from the grammar above."""
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    def csv_file():
+        return str(d / f"{pick(*_CSVS)}.csv")
+
+    def maybe(flag, *values):
+        return [flag, pick(*values)] if draw(st.booleans()) else []
+
+    def real(*usual):
+        return pick(*usual, *_EDGES)
+
+    sample = ["--data", csv_file(), *maybe("--column", "0", "1", "-1", "b", "x"),
+              *(["--header"] if draw(st.booleans()) else [])]
+    seed = ["--seed", pick("0", "1", "2", "3", "7", "-1")]
+    sided = maybe("--sided", "two", "upper", "lower", "x")
+    if command == "ingest":
+        argv = ["--csv", csv_file(), "--out", str(d / pick("out.rpv", "no/out.rpv")),
+                *maybe("--column", "0", "1", "b"), *maybe("--delimiter", ",", ";", ";;", "")]
+    elif command == "ci-mean":
+        argv = [*sample, "--alpha", real("0.05", "0.5"), *maybe("--variant", "g1", "g2"),
+                "--m", pick(*_M), *sided]
+    elif command == "ci-edf":
+        argv = [*sample, "--x", real("2", "3.5", "1e200"), *maybe("--target", "edf", "df"),
+                "--alpha", real("0.05", "0.5"), "--m", pick(*_M), *sided]
+    elif command == "ci-bigdata":
+        stat = pick("mean", "edf")
+        argv = ["--data", str(d / f"{pick(*_DATASETS)}.rpv"), "--stat", stat,
+                *(["--x", real("3", "5.5")] if stat == "edf" or draw(st.booleans()) else []),
+                "--alpha", real("0.05", "0.5"), "--policy", pick(*_POLICIES), *sided,
+                *maybe("--dkw-eps", "0.02", *_EDGES)]
+    elif command in ("coverage", "proportion", "kdist"):
+        params = draw(st.lists(st.sampled_from(("0", "1", "2", "0.5", *_EDGES)), max_size=3))
+        argv = ["--dist", f"{pick(*_FAMILIES)}:{','.join(params)}", "--n", pick(*_INTS),
+                "--m", pick(*_M), *maybe("--pivot", "t1", "t2", "g1", "g2")]
+        if command == "kdist":
+            argv += ["--reps", pick(*_COUNTS)]
+        else:
+            argv += ["--alpha", real("0.05", "0.5"), *sided,
+                     *maybe("--classical-cutoff", "normal", "student-t")]
+            argv += (["--reps", pick(*_COUNTS)] if command == "coverage" else
+                     ["--outer", pick(*_COUNTS), "--inner", pick(*_COUNTS),
+                      *maybe("--band", "0.9,1", "0.94,0.96", "0.96,0.94", "nan,1", "x")])
+        argv += maybe("--threads", "1", "2", "0")
+    elif command == "bound":
+        argv = ["--n", pick(*_INTS), "--m", pick(*_INTS), "--delta", real("0.5", "0.9"),
+                "--eps", real("0.5", "0.1"), "--eps1", real("0.1", "0.01"),
+                "--eps2", real("0.1", "0.05"), "--rho3", real("2", "1.6"),
+                *(["--p-s2", real("0.01", "0.5")] if draw(st.booleans()) else
+                  ["--sigma2", real("1", "2"), "--mu4", real("3", "10")]),
+                *maybe("--c-be", "0.56", *_EDGES),
+                *(["--plus-eps2"] if draw(st.booleans()) else [])]
+    elif command == "rate":
+        argv = ["--n", pick(*_INTS), "--m", pick(*_INTS), "--kind", pick("a", "b", "c", "d", "x")]
+    else:
+        argv = ["--n", pick(*_INTS), "--policy", pick(*_POLICIES)]
+    return [command, *argv, *seed, "--no-timestamp"]
+
+
+def _check_report(payload: dict, argv: list[str]) -> None:
+    """What every exit-0 report keeps: no NaN, ordered endpoints, EDF
+    endpoints in [0, 1], the m asked for, and infinities only at a one-sided
+    interval's open end or in an interval whose scale overflows float64."""
+    floats = {k: v for k, v in payload.items() if isinstance(v, float)}
+    assert not any(map(math.isnan, floats.values())), payload
+    infinite = {k for k, v in floats.items() if math.isinf(v)}
+    if "lower" in payload:
+        assert payload["lower"] <= payload["upper"], payload
+        if payload["target"] in ("edf_value", "df_value"):
+            assert 0.0 <= payload["lower"] <= payload["upper"] <= 1.0, payload
+        side = payload["sided"]  # the open end, and its raw value if an EDF interval is clamped
+        open_end = {side, f"meta_raw_{side}"} if side != "two" else set()
+        if math.isinf(payload["half_width"]):
+            open_end = {"lower", "upper", "half_width"}
+        assert infinite <= open_end, payload
+    else:
+        assert not infinite, payload
+    if "--m" in argv and argv[0] in ("ci-mean", "ci-edf", "coverage", "proportion", "kdist"):
+        m, n = ((payload["meta_m"], payload["meta_n"]) if argv[0].startswith("ci")
+                else (payload["m"], payload["n"]))
+        asked = argv[argv.index("--m") + 1]
+        if asked == "equal-n":
+            assert m == n, payload
+        elif asked.lstrip("-").isdigit():
+            assert m == int(asked), payload
+
+
+def _run_and_check(argv: list[str]) -> None:
+    """Run argv in-process through main: exit 0, 1 or 2, never a traceback.
+    On exit 0 the JSON report keeps _check_report's rules; otherwise stdout
+    is empty and stderr is one error line (after argparse's usage on exit 2)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    stderr = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, stderr)
+    if code == 0:
+        _check_report(json.loads(out.getvalue()), argv)
+        return
+    assert out.getvalue() == "", argv
+    if code == 1:
+        assert stderr.startswith("randpivot: error: ") and stderr.count("\n") == 1, (argv, stderr)
+    else:
+        errors = [line for line in stderr.splitlines() if ": error: " in line]
+        assert len(errors) == 1 and stderr.endswith(errors[0] + "\n"), (argv, stderr)
+        assert errors[0].startswith("randpivot"), (argv, stderr)
+
+
+_COMMANDS = ("ingest", "ci-mean", "ci-edf", "ci-bigdata", "coverage", "proportion", "kdist",
+             "bound", "rate", "sizing")
+_BOUND = "bound --n 30 --m 30 --delta 0.5 --eps2 0.1"
+
+
+class TestCliProperties:
+    """Every command, on argv drawn from edge values, exits 0, 1 or 2.
+
+    Run in-process through main under the suite's error::RuntimeWarning, so
+    a numpy warning fails as a traceback would (_run_and_check).
+    """
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("cli_inputs")
+        _cli_inputs(d)
+        return d
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_drawn_argv(self, inputs, command):
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(argv=_argv(command, inputs))
+        def check(argv):
+            _run_and_check(argv)
+
+        check()
+
+    @pytest.mark.parametrize("row", [
+        # a scale whose squares overflow float64: an infinite interval, never a
+        # NaN or a warning, and S_mn^2 from the nonzero counts alone
+        "ci-mean --data {dir}/huge1.csv --variant g1 --seed 1",
+        *(f"ci-mean --data {{dir}}/huge1.csv --variant g2 --seed {seed}" for seed in range(1, 7)),
+        "ci-mean --data {dir}/huge2.csv --variant g2 --m 30 --sided lower --seed 3",
+        "ci-bigdata --data {dir}/huge.rpv --policy fixed:700 --seed 1",
+        # a study row whose scale overflows is redrawn, never counted as covered
+        "coverage --dist normal:0,1e300 --n 5 --reps 5 --pivot g1",
+        "kdist --dist exponential:1e-300 --n 5 --reps 5 --pivot t2",
+        "coverage --dist lognormal_std:0,1e-300 --n 5 --reps 5",
+        # bound terms that underflow or overflow float64
+        f"{_BOUND} --eps 0.5 --eps1 0.1 --rho3 1e-200 --c-be 1e-200 --p-s2 0.01",
+        f"{_BOUND} --eps 1e-200 --eps1 0.1 --rho3 2 --p-s2 0.01",
+        f"{_BOUND} --eps 0.5 --eps1 0.1 --rho3 1e150 --c-be 1e150 --p-s2 0.01",
+        f"{_BOUND} --eps 0.5 --eps1 1e-100 --rho3 2 --sigma2 1 --mu4 3",
+    ])
+    def test_edge_argv(self, inputs, row):
+        _run_and_check([*row.format(dir=inputs).split(), "--no-timestamp"])

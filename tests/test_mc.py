@@ -74,6 +74,12 @@ class TestDistributionSpec:
         with pytest.raises(BadParams):
             DistributionSpec("uniform", (3.0, 1.0))
 
+    @pytest.mark.parametrize("text", ["lognormal_std:0,1e-300", "lognormal_std:-1e300,1"])
+    def test_lognormal_std_needs_a_positive_sd(self, text):
+        # its draws are divided by the s.d., which underflows to 0 here
+        with pytest.raises(BadParams, match="bad parameters"):
+            parse_dist(text)
+
     @pytest.mark.parametrize("text", ["normal:inf,1", "normal:nan,1", "normal:0,inf",
                                       "poisson:inf", "exponential:nan", "uniform:-inf,0",
                                       "binomial:10,nan", "beta:inf,2", "lognormal:0,inf"])
@@ -136,11 +142,18 @@ class TestStudentCutoffs:
         assert student_t_cutoff(0.05, 24) == pytest.approx(1.711, abs=5e-4)
         assert student_t_cutoff(0.05, 29) == pytest.approx(1.699, abs=5e-4)
 
+    def test_bitwise_scipy_stats_t_ppf(self):
+        from scipy.stats import t
+        for df in range(1, 200, 7):
+            for alpha in (0.005, 0.025, 0.05, 0.1, 0.25, 0.5):
+                assert student_t_cutoff(alpha, df) == float(t.ppf(1.0 - alpha, df)), (alpha, df)
+
     def test_scipy_stats_loaded_only_on_use(self):
         code = ("import sys, randpivot, randpivot.cli\n"
-                "assert 'scipy.stats' not in sys.modules\n"
+                "assert 'scipy.special' not in sys.modules\n"
                 "print(randpivot.student_t_cutoff(0.05, 19))\n"
-                "assert 'scipy.stats' in sys.modules\n")
+                "assert 'scipy.special' in sys.modules\n"
+                "assert 'scipy.stats' not in sys.modules\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert float(out.stdout) == pytest.approx(1.729, abs=5e-4)
@@ -607,6 +620,11 @@ def _left_to_right(terms: np.ndarray) -> float:
     return functools.reduce(operator.add, terms.tolist(), 0.0)
 
 
+def _exact_rows(a: np.ndarray) -> np.ndarray:
+    """The exact sum of each row of a matrix: pivots._exact_sum row by row."""
+    return np.fromiter(map(pivots._exact_sum, a), np.float64, len(a))
+
+
 def _row_matrix(draw, rows, n):
     """rows x n values on a 1/8 grid in [-1000, 1000], some rows constant."""
     x = np.array(draw(st.lists(st.integers(-8000, 8000), min_size=rows * n,
@@ -650,15 +668,15 @@ class TestRowKernelAgreesWithSingleSample:
             assert mean[i].tobytes() == np.float64(row_mean[i]).tobytes()
             assert var[i].tobytes() == np.float64(row_var[i]).tobytes()
             assert s1[i].tobytes() == np.float64(row_s1[i]).tobytes()
-        exact_var = pivots._row_moments(x, pivots._exact_rows)[1]
+        exact_var = pivots._row_moments(x, _exact_rows)[1]
         for kind in PivotKind:
             vals, tvals, valid = mc._batch_values(kind, x, counts, m, mu)
             center = mu if kind.needs_mu else None
             if kind.uses_subsample_scale:
-                scale2 = pivots._reweighted(counts, x, m, pivots._exact_rows)[1]
+                scale2 = pivots._reweighted(counts, x, m, _exact_rows)[1]
             else:
                 scale2 = exact_var
-            exact, ssq = pivots._studentized(counts, m, x, center, scale2, pivots._exact_rows)
+            exact, ssq = pivots._studentized(counts, m, x, center, scale2, _exact_rows)
             for i in range(rows):
                 w = WeightVector(counts[i].astype(np.int64), m, n)
                 s1_row = row_s1[i]
@@ -707,7 +725,7 @@ class TestRowKernelAgreesWithSingleSample:
             f = f_n if s in ("hat1", "hat2") else f_mn
             scale2 = f * (1.0 - f)
             center = None if s in ("hat1", "hathat1") else f_x
-            exact, ssq = pivots._studentized(counts, m, ind, center, scale2, pivots._exact_rows)
+            exact, ssq = pivots._studentized(counts, m, ind, center, scale2, _exact_rows)
             for i in range(rows):
                 w = WeightVector(counts[i].astype(np.int64), m, n)
                 try:
@@ -758,6 +776,17 @@ class TestStudyInputs:
         with pytest.raises(ValueError):
             proportion_study(NORMAL, 10, kind, outer_reps=2, inner_reps=5,
                              alpha=alpha, sided=sided)
+
+    @pytest.mark.parametrize("kind", list(PivotKind))
+    def test_overflowing_scale_is_redrawn_not_covered(self, kind):
+        # every sample's squares overflow float64: an infinite scale would
+        # make each pivot 0, inside any cutoff, so such rows are invalid
+        huge = parse_dist("normal:0,1e300")
+        for study in (lambda: coverage_study(huge, 5, 5, kind, reps=3, alpha=0.05),
+                      lambda: kolmogorov_distance(kind, huge, 5, 5, reps=3),
+                      lambda: proportion_study(huge, 5, kind, outer_reps=1, inner_reps=3)):
+            with pytest.raises(RandPivotError, match="looks unusable"):
+                study()
 
     @pytest.mark.parametrize("kind", [PivotKind.T2, PivotKind.G2])
     def test_one_redraw_budget(self, kind, monkeypatch):

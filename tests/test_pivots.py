@@ -1,4 +1,5 @@
 """Tests for sample statistics, randomized statistics, and the four pivots."""
+import contextlib
 import math
 from fractions import Fraction
 from unittest import mock
@@ -192,6 +193,71 @@ class TestPivotValues:
             pivot(PivotKind.T2, [1.0, 5.0, 5.0], _w([0, 2, 1]))
         # T1 on the same pair is fine (sample s.d. > 0)
         pivot(PivotKind.T1, [1.0, 5.0, 5.0], _w([0, 2, 1]))
+
+
+@st.composite
+def _wide_sample(draw):
+    """A finite sample with magnitudes up to 1e300, and weight counts that
+    leave some points at zero or are all equal (degenerate)."""
+    n = draw(st.integers(2, 30))
+    value = st.one_of(st.floats(-1e300, 1e300),
+                      st.sampled_from([1e300, -1e300, 1e200, -1e200, 1.5, 0.0, -2.0]))
+    x = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    counts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        counts = [counts[0] or 1] * n
+    counts[0] += sum(counts) == 0
+    return x, _w(counts), draw(value), draw(st.sampled_from(x.tolist()) | value)
+
+
+def _has_nan(value) -> bool:
+    """A NaN anywhere in a float, a tuple, a dict or a result object's fields."""
+    if isinstance(value, float):
+        return math.isnan(value)
+    if hasattr(value, "__dict__"):
+        value = vars(value)
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    return isinstance(value, tuple) and any(map(_has_nan, value))
+
+
+class TestWideSamples:
+    """S_mn^2 has one implementation, on the nonzero counts, and no
+    single-sample call turns a finite sample into a NaN."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_wide_sample(), f_x=st.floats(0.0, 1.0))
+    @example(case=(np.array([1e200, 1.0, 2.0, 3.0, 4.0]), _w([0, 1, 2, 1, 1]), 0.0, 2.0), f_x=0.5)
+    def test_subsample_scale_and_no_nan(self, case, f_x):
+        x, w, mu, at = case
+        rstats = randomized_stats(x, w)
+        exact_pivot, scales = pivots._exact_pivot, []
+
+        def recording_pivot(w, data, center, scale2, zero_scale):
+            scales.append(scale2)
+            return exact_pivot(w, data, center, scale2, zero_scale)
+
+        calls = [lambda: sample_stats(x), lambda: rstats,
+                 lambda: pivots.randomized_stats_from_nonzero(x[w.nonzero()[0]],
+                                                              w.nonzero()[1], w.m)]
+        calls += [lambda k=k: pivot(k, x, w, mu=mu) for k in PivotKind]
+        calls += [lambda v=v, s=s: ci_mu(x, w, 0.05, variant=v, sided=s)
+                  for v in ("g1", "g2") for s in ("two", "upper", "lower")]
+        calls += [lambda s=s: edf_pivot(s, x, w, at, f_x=f_x)
+                  for s in ("hat1", "hat2", "hathat1", "hathat2")]
+        calls += [lambda f=f: f(x, w, at, 0.1) for f in (ci_edf, ci_df)]
+        with mock.patch.object(pivots, "_exact_pivot", recording_pivot):
+            for kind in (PivotKind.T2, PivotKind.G2):
+                scales.clear()
+                with contextlib.suppress(DegenerateWeights, ZeroScale):
+                    pivot(kind, x, w, mu=mu)
+                assert np.float64(scales[0]).tobytes() == np.float64(rstats.rvar).tobytes()
+        for call in calls:
+            try:
+                result = call()
+            except (DegenerateWeights, ZeroScale):
+                continue
+            assert not _has_nan(result), result
 
 
 class TestPivotInvariances:
