@@ -123,8 +123,8 @@ def parse_policy(text: str) -> SizingPolicy:
 
 def critical_z(alpha_half: float) -> float:
     """The z with P(Z >= z) = alpha_half, via the rational inverse-Phi."""
-    if not 0.0 < alpha_half < 1.0:
-        raise ValueError(f"alpha_half must be in (0, 1), got {alpha_half}")
+    if not 0.0 < alpha_half < 1.0 or 1.0 - alpha_half == 1.0:
+        raise ValueError(f"alpha_half must be in (0, 1) with 1 - alpha_half < 1, got {alpha_half}")
     return norm_ppf(1.0 - alpha_half)
 
 
@@ -136,7 +136,10 @@ def _z_for(alpha: float, sided: str) -> float:
     if sided != "two" and alpha > 0.5:
         # one-sided alpha above 1/2 would need a negative half-width
         raise ValueError(f"one-sided alpha must be <= 0.5, got {alpha}")
-    return critical_z(alpha / 2.0 if sided == "two" else alpha)
+    alpha_half = alpha / 2.0 if sided == "two" else alpha
+    if 1.0 - alpha_half == 1.0:
+        raise ValueError(f"alpha={alpha} is too small: 1 - {alpha_half} rounds to 1 in float64")
+    return critical_z(alpha_half)
 
 
 def _assemble(target: str, alpha: float, center: float, half_width: float,
@@ -171,6 +174,8 @@ def _interval(target: str, alpha: float, sided: str,
     half = z * math.sqrt(scale2) * math.sqrt(wstats.sum_sq_dev)
     if ratio:
         half /= wstats.sum_abs_dev
+    if math.isnan(half):  # z = 0 times a width that overflows float64
+        half = math.inf
     return _assemble(target, alpha, center, half, sided, meta)
 
 

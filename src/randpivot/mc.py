@@ -11,6 +11,10 @@ normal data).  Rows with degenerate weights, or a scale that vanishes or
 overflows float64, are redrawn by one helper, at most MAX_REDRAWS draws
 per row, and counted.
 
+Each block is reduced to an integer tally (coverage hits, in-band outers
+or ECDF counts), and a study sums them, so no value outlives its block:
+memory does not grow with the replication count.
+
 Draws come from counter-based streams keyed by (seed, indices), so a
 report never depends on how rows are grouped into blocks or processes.
 coverage_study and kolmogorov_distance key replication r at attempt a by
@@ -202,13 +206,15 @@ def _cutoffs(alpha: float, sided: str, classical_cutoff: str, n: int) -> tuple[f
     raise ValueError(f"classical_cutoff must be 'normal' or 'student_t', got {classical_cutoff!r}")
 
 
-def _covered(values: np.ndarray, cutoff: float, sided: str) -> np.ndarray:
-    """Per-row coverage event: the value below, above or within the cutoff."""
-    if sided == "upper":
-        return values <= cutoff
-    if sided == "lower":
-        return values >= -cutoff
-    return np.abs(values) <= cutoff
+def _in_band(z: float, cutoff: float, sided: str, inner: int, band: tuple[float, float],
+             vals: np.ndarray, tvals: np.ndarray) -> np.ndarray:
+    """The groups of `inner` rows whose share of pivot values meeting z, and
+    of t values meeting cutoff (below, above or within it by sidedness), lies
+    in band.  Coverage is inner=1, band=(1, 1): the covered rows."""
+    v, c = np.array([vals, tvals]), np.array([[z], [cutoff]])
+    hit = v <= c if sided == "upper" else v >= -c if sided == "lower" else np.abs(v) <= c
+    share = hit.reshape(2, -1, inner).sum(axis=2) / inner
+    return ((band[0] <= share) & (share <= band[1])).sum(axis=1)
 
 
 def _counts_matrix(idx: np.ndarray, n: int) -> np.ndarray:
@@ -243,10 +249,11 @@ def _batch_values(kind: PivotKind, x: np.ndarray, w: np.ndarray, m: int, mu: flo
                          & (np.maximum(scale2, s1) < math.inf))
 
 
-def _check_study(d: DistributionSpec, n: int, m: int, kind: PivotKind) -> None:
-    """Refuse, before any draw, the sizes no study takes and the
-    configurations whose every row is invalid, which would otherwise spend
-    the whole redraw budget before failing."""
+def _check_study(d: DistributionSpec, n: int, m: int, kind: PivotKind) -> PivotKind:
+    """The pivot kind, after refusing, before any draw, the sizes no study
+    takes and the configurations whose every row is invalid, which would
+    otherwise spend the whole redraw budget before failing."""
+    kind = PivotKind(kind)
     _check_n(n)
     _check_m(n, m)
     if d.family == "binomial" and d.params[1] in (0.0, 1.0):
@@ -255,20 +262,22 @@ def _check_study(d: DistributionSpec, n: int, m: int, kind: PivotKind) -> None:
         # one index, or two on two points, leaves no sub-sample spread or
         # leaves every weight at m/n
         raise ZeroScale(f"{kind.value} scale is zero for every draw at n={n}, m={m}")
+    return kind
 
 
-def _evaluate_rows(draw, d: DistributionSpec, n: int, m: int, kind: PivotKind,
-                   rows: int, name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pivot and classical t values of `rows` rows, redrawing invalid rows.
+def _evaluate_rows(draw, d: DistributionSpec, n: int, m: int, kind: PivotKind, rows: int,
+                   name: Callable[[int], str],
+                   tally: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """A block's integer tally of `rows` rows' values, redrawing invalid rows.
 
     draw(attempt, which) returns the (sample, counts) matrices of the rows
     numbered `which` at that attempt, and _batch_values' work for them.  A
     row whose weights are degenerate or whose pivot or classical scale
     vanishes or overflows is drawn again, at most MAX_REDRAWS draws in all.
-    Returns both value arrays and the number of redraws.  If rows stay
-    invalid, the error names the first of them by name(row): rows are keyed
-    by their index, so that row and its name do not depend on how rows are
-    split into blocks or chunks.
+    Returns tally(pivot values, classical t values), an integer array, with
+    the redraws appended in its type.  If rows stay invalid, the error names
+    the first of them by name(row): rows are keyed by their index, so that
+    row and its name do not depend on how rows are split into blocks.
     """
     mu = d.true_mean
     vals, tvals = np.empty(rows), np.empty(rows)
@@ -279,7 +288,8 @@ def _evaluate_rows(draw, d: DistributionSpec, n: int, m: int, kind: PivotKind,
         vals[which], tvals[which], ok = _batch_values(kind, x, w, m, mu, work)
         which = which[~ok]
         if which.size == 0:
-            return vals, tvals, redraws
+            counts = tally(vals, tvals)
+            return np.append(counts, counts.dtype.type(redraws))
         redraws += which.size
     raise RandPivotError(
         f"{name(int(which[0]))} had {MAX_REDRAWS} consecutive degenerate draws; "
@@ -321,17 +331,17 @@ _STREAM_ELEMENTS = 128
 _POOL_ELEMENTS = 1 << 20
 
 
-def _replication_chunk(args) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """_evaluate_rows results of replications [start, stop), block by block."""
-    (d, n, m, kind, seed, start, stop) = args
+def _replication_chunk(args) -> np.ndarray:
+    """Summed block tallies and redraws of replications [start, stop)."""
+    (d, n, m, kind, seed, tally, start, stop) = args
     step = max(1, _BLOCK_ELEMENTS // max(n, m))
-    return [_evaluate_rows(partial(_draw_replications, d, n, m, seed, lo), d, n, m, kind,
-                           min(lo + step, stop) - lo, lambda i: f"replication {lo + i}")
-            for lo in range(start, stop, step)]
+    return sum(_evaluate_rows(partial(_draw_replications, d, n, m, seed, lo), d, n, m, kind,
+                              min(lo + step, stop) - lo, lambda i: f"replication {lo + i}", tally)
+               for lo in range(start, stop, step))
 
 
-def _run_chunks(worker, total: int, elements: int, threads: int, *args) -> list:
-    """worker((*args, start, stop)) over about four ranges per thread of range(total).
+def _run_chunks(worker, total: int, elements: int, threads: int, *args) -> np.ndarray:
+    """worker((*args, start, stop)) summed over about four ranges per thread.
 
     elements is the element count of one item of the range.  At threads
     <= 1, or when the study is too small to repay a pool (total *
@@ -343,15 +353,7 @@ def _run_chunks(worker, total: int, elements: int, threads: int, *args) -> list:
     pooled = threads > 1 and total * (elements + _STREAM_ELEMENTS) > _POOL_ELEMENTS
     step = math.ceil(total / min(threads * 4, total)) if pooled else total
     ranges = [(*args, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    return [part for _, part in ordered_map(worker, ranges, threads if len(ranges) > 1 else 0)]
-
-
-def _replications(d: DistributionSpec, n: int, m: int, kind: PivotKind, reps: int,
-                  seed: int, threads: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pivot values, classical t values and redraws of replications 0..reps-1."""
-    parts = _run_chunks(_replication_chunk, reps, max(n, m), threads, d, n, m, kind, seed)
-    vals, tvals, redraws = zip(*(block for part in parts for block in part))
-    return np.concatenate(vals), np.concatenate(tvals), sum(redraws)
+    return sum(part for _, part in ordered_map(worker, ranges, threads if len(ranges) > 1 else 0))
 
 
 def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
@@ -367,14 +369,12 @@ def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
     ratio_mean -/+ z * unit and G = (ratio_mean - mu) / unit, so the
     population mean is covered exactly when G meets the cutoff.
     """
-    pivot_kind = PivotKind(pivot_kind)
-    _check_study(d, n, m, pivot_kind)
+    pivot_kind = _check_study(d, n, m, pivot_kind)
     if reps < 1:
         raise ValueError("reps must be positive")
-    z, cutoff = _cutoffs(alpha, sided, classical_cutoff, n)
-    vals, tvals, redraws = _replications(d, n, m, pivot_kind, reps, seed, threads)
-    hits = int(_covered(vals, z, sided).sum())
-    t_hits = int(_covered(tvals, cutoff, sided).sum())
+    tally = partial(_in_band, *_cutoffs(alpha, sided, classical_cutoff, n), sided, 1, (1, 1))
+    hits, t_hits, redraws = _run_chunks(_replication_chunk, reps, max(n, m), threads,
+                                        d, n, m, pivot_kind, seed, tally).tolist()
     return CoverageReport(
         dist=d.label(), n=n, m=m, pivot=pivot_kind.value, reps=reps,
         alpha=alpha, sided=sided, coverage=hits / reps,
@@ -383,11 +383,10 @@ def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
     )
 
 
-def _proportion_chunk(args) -> tuple[int, int, int]:
-    """In-band counts and redraws of outer replications [start, stop): one
-    kernel call per block of whole outers, in four buffers reused."""
-    (d, n, m, kind, z, cutoff, sided, band, seed, inner, start, stop) = args
-    lo, hi = band
+def _proportion_chunk(args) -> np.ndarray:
+    """Summed block tallies and redraws of outer replications [start, stop):
+    one kernel call per block of whole outers, in four buffers reused."""
+    (d, n, m, kind, seed, inner, tally, start, stop) = args
     step = max(1, _BLOCK_ELEMENTS // (inner * max(n, m)))
     buffers = [np.empty((n, min(step, stop - start) * inner)) for _ in range(4)]
     firsts, offsets = _row_streams(seed, np.arange(start, stop)), np.arange(inner).repeat(m)
@@ -410,17 +409,10 @@ def _proportion_chunk(args) -> tuple[int, int, int]:
             at += k
         return x.T, w.T, [a.T for a in work]
 
-    hits, redraws = [0, 0], 0  # in band: pivot, classical t
-    for first in range(start, stop, step):
-        outers = min(first + step, stop) - first
-        vals, tvals, rd = _evaluate_rows(
-            partial(draw, first), d, n, m, kind, outers * inner,
-            lambda i: f"inner replication {i % inner} of outer replication {first + i // inner}")
-        redraws += rd
-        for j, (v, c) in enumerate(((vals, z), (tvals, cutoff))):
-            cov = np.count_nonzero(_covered(v, c, sided).reshape(outers, inner), axis=1) / inner
-            hits[j] += int(np.count_nonzero((lo <= cov) & (cov <= hi)))
-    return hits[0], hits[1], redraws
+    return sum(_evaluate_rows(
+        partial(draw, first), d, n, m, kind, (min(first + step, stop) - first) * inner,
+        lambda i: f"inner replication {i % inner} of outer replication {first + i // inner}",
+        tally) for first in range(start, stop, step))
 
 
 def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
@@ -438,16 +430,15 @@ def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
     Student t comparator on the same data.
     """
     m = n if m is None else m
-    pivot_kind = PivotKind(pivot_kind)
-    _check_study(d, n, m, pivot_kind)
+    pivot_kind = _check_study(d, n, m, pivot_kind)
     if outer_reps < 1 or inner_reps < 1:
         raise ValueError("outer_reps and inner_reps must be positive")
     if not 0.0 <= band[0] <= band[1] <= 1.0:
         raise ValueError(f"band must satisfy 0 <= lo <= hi <= 1, got {tuple(band)}")
-    z, cutoff = _cutoffs(alpha, sided, classical_cutoff, n)
-    parts = _run_chunks(_proportion_chunk, outer_reps, inner_reps * max(n, m), threads,
-                        d, n, m, pivot_kind, z, cutoff, sided, tuple(band), seed, inner_reps)
-    in_band, t_in_band, redraws = map(sum, zip(*parts))
+    tally = partial(_in_band, *_cutoffs(alpha, sided, classical_cutoff, n), sided, inner_reps, band)
+    in_band, t_in_band, redraws = _run_chunks(
+        _proportion_chunk, outer_reps, inner_reps * max(n, m), threads,
+        d, n, m, pivot_kind, seed, inner_reps, tally).tolist()
     return ProportionReport(
         dist=d.label(), n=n, m=m, pivot=pivot_kind.value,
         outer_reps=outer_reps, inner_reps=inner_reps, alpha=alpha, sided=sided,
@@ -459,6 +450,11 @@ def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
 
 
 KDIST_GRID = np.linspace(-5.0, 5.0, 512)
+
+
+def _ecdf_counts(vals: np.ndarray, tvals: np.ndarray) -> np.ndarray:
+    """kdist's tally: per KDIST_GRID point, the pivot values at or below it."""
+    return np.searchsorted(np.sort(vals), KDIST_GRID, side="right")
 
 
 @cache
@@ -473,10 +469,9 @@ def kolmogorov_distance(pivot_kind: PivotKind, d: DistributionSpec, n: int,
                         m: int, reps: int, seed: int = 0,
                         threads: int = 1) -> float:
     """Sup over a fixed 512-point grid of |ECDF(pivot values) - Phi|."""
-    pivot_kind = PivotKind(pivot_kind)
-    _check_study(d, n, m, pivot_kind)
+    pivot_kind = _check_study(d, n, m, pivot_kind)
     if reps < 1:
         raise ValueError("reps must be positive")
-    values = np.sort(_replications(d, n, m, pivot_kind, reps, seed, threads)[0])
-    ecdf = np.searchsorted(values, KDIST_GRID, side="right") / reps
+    ecdf = _run_chunks(_replication_chunk, reps, max(n, m), threads,
+                       d, n, m, pivot_kind, seed, _ecdf_counts)[:-1] / reps
     return float(np.max(np.abs(ecdf - _kdist_phi())))

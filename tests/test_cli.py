@@ -744,11 +744,16 @@ class TestCliProperties:
         "ci-mean --data {dir}/huge1.csv --variant g1 --seed 1",
         *(f"ci-mean --data {{dir}}/huge1.csv --variant g2 --seed {seed}" for seed in range(1, 7)),
         "ci-mean --data {dir}/huge2.csv --variant g2 --m 30 --sided lower --seed 3",
+        # z = 0 (one-sided alpha 0.5) times that scale: infinite, not 0 * inf = NaN
+        "ci-mean --data {dir}/huge1.csv --alpha 0.5 --sided upper --seed 0",
         "ci-bigdata --data {dir}/huge.rpv --policy fixed:700 --seed 1",
         # a study row whose scale overflows is redrawn, never counted as covered
         "coverage --dist normal:0,1e300 --n 5 --reps 5 --pivot g1",
         "kdist --dist exponential:1e-300 --n 5 --reps 5 --pivot t2",
         "coverage --dist lognormal_std:0,1e-300 --n 5 --reps 5",
+        # an alpha whose 1 - alpha/2 rounds to 1.0, refused by name
+        "ci-mean --data {dir}/huge1.csv --alpha 1e-300",
+        "coverage --dist normal:0,1 --n 5 --reps 5 --alpha 1e-300",
         # bound terms that underflow or overflow float64
         f"{_BOUND} --eps 0.5 --eps1 0.1 --rho3 1e-200 --c-be 1e-200 --p-s2 0.01",
         f"{_BOUND} --eps 1e-200 --eps1 0.1 --rho3 2 --p-s2 0.01",

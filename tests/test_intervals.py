@@ -56,6 +56,20 @@ class TestCriticalZ:
         with pytest.raises(ValueError):
             critical_z(1.0)
 
+    @pytest.mark.parametrize("alpha,sided,alpha_half", [
+        (1e-300, "two", "5e-301"), (1e-16, "two", "5e-17"), (1e-17, "upper", "1e-17")])
+    def test_alpha_whose_complement_rounds_to_one_is_refused_by_name(self, alpha, sided,
+                                                                       alpha_half):
+        # 1 - alpha_half == 1.0 in float64 leaves norm_ppf no value to invert
+        w = draw_weights(5, 5, stream(0))
+        with pytest.raises(ValueError) as exc:
+            ci_mu(np.arange(5.0), w, alpha, sided=sided)
+        assert str(exc.value) == (f"alpha={alpha} is too small: 1 - {alpha_half} "
+                                  "rounds to 1 in float64")
+        with pytest.raises(ValueError, match=f"got {alpha_half}$"):
+            critical_z(float(alpha_half))
+        assert critical_z(2.0 ** -53) > critical_z(1e-15)  # the smallest taken
+
 
 class TestCiMu:
     def test_hand_case(self):

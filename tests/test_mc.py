@@ -4,8 +4,10 @@ import functools
 import json
 import math
 import operator
+import pickle
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -553,21 +555,27 @@ _GROUPING_CELLS = [("poisson:1", 9, PivotKind.G2), ("binomial:10,0.1", 10, Pivot
                    ("binomial:10,0.1", 8, PivotKind.T2)]
 
 
-def _proportion_rows(d, n, kind):
-    """The pivot and t values of every inner row of a proportion study, in
-    row order, as _evaluate_rows returns them at threads=1."""
-    evaluate, rows = mc._evaluate_rows, []
+def _checksum(vals, tvals):
+    """A tally that sums exactly over blocks and chunks and changes when any
+    value does: the wrapping uint64 sums of the bit patterns of each array."""
+    return np.array([vals.view(np.uint64).sum(), tvals.view(np.uint64).sum()])
+
+
+def _tallied_rows(study):
+    """The pivot and t values of every row of study() at threads=1, in row
+    order, as its blocks hand them to their tally (mc._in_band), and the
+    report."""
+    in_band, blocks = mc._in_band, []
 
     def spy(*args):
-        vals, tvals, redraws = evaluate(*args)
-        rows.append((vals, tvals))
-        return vals, tvals, redraws
+        blocks.append(args[-2:])
+        return in_band(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mc, "_evaluate_rows", spy)
-        report = proportion_study(d, n, kind, outer_reps=8, inner_reps=60, seed=5)
+        mp.setattr(mc, "_in_band", spy)
+        report = study()
     assert report.degenerate_count > 0
-    return [np.concatenate(v).tobytes() for v in zip(*rows)]
+    return [np.concatenate(v) for v in zip(*blocks)], report
 
 
 class TestStudyBlocks:
@@ -577,21 +585,31 @@ class TestStudyBlocks:
     @pytest.mark.parametrize("spec,n,kind", _GROUPING_CELLS)
     def test_values_do_not_depend_on_grouping(self, spec, n, kind, monkeypatch):
         # one row a block (budgets 1 and 7), the default budget, and two
-        # processes; the redraws sum some rows alone
+        # processes, which return the checksum tally; the redraws sum some
+        # rows alone
         d, results = parse_dist(spec), []
         for block in (1, 7, mc._BLOCK_ELEMENTS):
             monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
-            results.append(mc._replications(d, n, n, kind, 300, 5, 1))
+            (vals, tvals), report = _tallied_rows(
+                lambda: coverage_study(d, n, n, kind, 300, 0.05, seed=5))
+            results.append((vals, tvals, report.degenerate_count))
         with _in_workers() as pools:
-            results.append(mc._replications(d, n, n, kind, 300, 5, 2))
-        assert pools and results[0][2] > 0
+            pooled = mc._run_chunks(mc._replication_chunk, 300, n, 2, d, n, n, kind, 5, _checksum)
+        assert pools and pooled.dtype == np.uint64
         for vals, tvals, redraws in results:
             assert vals.tobytes() == results[0][0].tobytes()
             assert tvals.tobytes() == results[0][1].tobytes()
             assert redraws == results[0][2]
-        default = _proportion_rows(d, n, kind)  # the default budget, set last above
+        assert pooled.tolist() == [*_checksum(*results[0][:2]).tolist(), results[0][2]]
+
+        def proportion_rows():
+            rows, _ = _tallied_rows(lambda: proportion_study(d, n, kind, outer_reps=8,
+                                                             inner_reps=60, seed=5))
+            return [v.tobytes() for v in rows]
+
+        default = proportion_rows()  # the default budget, set last above
         monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 1)  # one outer replication a block
-        assert _proportion_rows(d, n, kind) == default
+        assert proportion_rows() == default
 
     def test_every_summed_block_is_column_major(self, monkeypatch):
         # a row-major block would be summed pairwise with no other sign
@@ -610,6 +628,52 @@ class TestStudyBlocks:
                                 seed=5).degenerate_count > 0
         rows = [shape[0] for shape in shapes]
         assert min(rows) < max(rows)  # the redraws' smaller blocks were summed too
+
+
+class TestStudyTallies:
+    """Every block is reduced to an integer tally, so no value outlives it."""
+
+    @pytest.mark.parametrize("study", [
+        lambda reps: coverage_study(NORMAL, 5, 5, PivotKind.G1, reps, 0.05),
+        lambda reps: kolmogorov_distance(PivotKind.G1, NORMAL, 5, 5, reps)],
+        ids=["coverage", "kdist"])
+    def test_peak_memory_does_not_grow_with_reps(self, study, monkeypatch):
+        # 64 rows a block, so that both runs are of whole blocks; holding the
+        # values of 4,000 replications would take 64 KB more.  Both runs are
+        # made once untraced, so that numpy's first-use allocations are not
+        # counted.
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 64 * 5)
+        peaks, sizes = [], (200, 4000)
+        for reps in sizes:
+            study(reps)
+        for reps in sizes:
+            tracemalloc.start()
+            try:
+                study(reps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8192, peaks
+
+    @pytest.mark.parametrize("tally", [mc._ecdf_counts, functools.partial(
+        mc._in_band, 1.6, 1.6, "upper", 1, (1, 1))], ids=["kdist", "coverage"])
+    def test_pickled_chunk_result_does_not_grow_with_range(self, tally):
+        sizes = [len(pickle.dumps(mc._replication_chunk(
+            (NORMAL, 5, 5, PivotKind.G1, 0, tally, 0, stop)))) for stop in (10, 3000)]
+        assert sizes[0] == sizes[1] < 5 * 1024, sizes
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_summed_block_ecdf_counts_are_the_global_counts(self, seed):
+        # values on grid points, signed zeros, infinities and NaN included
+        rng, grid = np.random.default_rng(seed), mc.KDIST_GRID
+        values = np.concatenate([rng.normal(0.0, 3.0, 1500), rng.choice(grid, 300),
+                                 rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], 40)])
+        rng.shuffle(values)
+        cuts = np.sort(rng.choice(np.arange(1, values.size), rng.integers(1, 40), replace=False))
+        summed = sum(mc._ecdf_counts(block, block) for block in np.split(values, cuts))
+        want = np.searchsorted(np.sort(values), grid, side="right")
+        assert summed.tolist() == want.tolist()
+        assert want.tolist() == np.count_nonzero(values[:, None] <= grid, axis=0).tolist()
 
 
 EPS = np.finfo(np.float64).eps
