@@ -14,9 +14,10 @@ import sys
 
 # Each submodule with the names the package exports from it.
 _EXPORTS = {
+    "_csv": ("read_csv_column",),
     "bigdata": ("DatasetHandle", "IndexSample", "SubsampleReport", "bigdata_ci_edf",
                 "bigdata_ci_mean", "draw_index_sample", "ingest_csv", "open_dataset",
-                "read_csv_column", "write_dataset"),
+                "write_dataset"),
     "bounds": ("BoundInputs", "BoundResult", "chebyshev_p_s2", "hypothesis_margin", "rate",
                "error_bound"),
     "edf": ("EdfPoint", "ci_df", "ci_edf", "dkw_bound", "edf_pivot", "edf_point"),
@@ -38,7 +39,7 @@ _EXPORTS = {
 # Every lazily loaded name, a submodule's own name included, to its submodule.
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
 
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted(name for name in _MODULE_OF if not name.startswith("_"))
 __version__ = "0.1.0"
 
 

@@ -247,7 +247,7 @@ def _ingest(args: argparse.Namespace) -> Payload:
 
 def _sample_ci(args: argparse.Namespace, interval: Callable[..., ConfidenceInterval]) -> Payload:
     """interval(x, w) of the CSV sample x and weights w drawn for it."""
-    from .bigdata import read_csv_column
+    from ._csv import read_csv_column
     from .pivots import _check_n
     from .rng import stream
     from .weights import draw_weights

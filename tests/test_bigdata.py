@@ -23,7 +23,7 @@ from randpivot import (DatasetFormatError, DatasetTooSmall, MissingColumn,
                        bigdata_ci_edf, bigdata_ci_mean, ci_xbar, draw_index_sample,
                        draw_weights, ingest_csv, open_dataset, randomized_stats,
                        read_csv_column, stream, weight_stats, write_dataset)
-from randpivot import bigdata
+from randpivot import _csv, bigdata
 from randpivot.bigdata import (HEADER_SIZE, MAGIC, MIN_RECORDS, PAGE_SIZE, RECORD_SIZE,
                                VERSION, WINDOW)
 from randpivot.intervals import Fixed, PowerDelta
@@ -183,9 +183,10 @@ class TestBinaryFormat:
 
 def reference_read_csv_column(src, column, header=False, delimiter=","):
     """The row-at-a-time parse that read_csv_column replaced, frozen as the
-    oracle: csv.reader, then strip, float() and isfinite per row."""
+    oracle: csv.reader over the UTF-8 text less a leading byte-order mark,
+    then strip, float() and isfinite per row."""
     values = []
-    with open(src, newline="") as f:
+    with open(src, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f, delimiter=delimiter)
         col_idx = column if isinstance(column, int) else None
         first = True
@@ -299,7 +300,7 @@ def assert_matches_reference(base, text, column, header, delimiter):
     values and dataset bytes, or its error type, row and content, and
     leave no file but the input behind."""
     src, dst = base / "in.csv", base / "out.rpv"
-    with open(src, "w", newline="") as f:
+    with open(src, "w", newline="", encoding="utf-8") as f:
         f.write(text)
     args = (column, header, delimiter)
     try:
@@ -327,8 +328,8 @@ def assert_matches_reference(base, text, column, header, delimiter):
 def pooled():
     """Hand every quote-free block after the header to two worker
     processes, whatever the file's size and the CPUs at hand."""
-    with mock.patch.object(bigdata, "_POOL_BYTES", -1), \
-            mock.patch.object(bigdata.os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+    with mock.patch.object(_csv, "_POOL_BYTES", -1), \
+            mock.patch.object(_csv.os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
         yield
 
 
@@ -381,7 +382,7 @@ class TestCsvReader:
     def test_matches_reference_parse(self, tmp_path_factory, case, data):
         text, column, header, delimiter = case
         block = data.draw(st.integers(1, max(1, len(text) // 3)), label="block")
-        with mock.patch.object(bigdata, "_BLOCK", block):  # many blocks per file
+        with mock.patch.object(_csv, "_BLOCK", block):  # many blocks per file
             assert_matches_reference(tmp_path_factory.mktemp("diff"), text, column, header,
                                      delimiter)
 
@@ -392,8 +393,8 @@ class TestCsvReader:
         text, column, delimiter = case
         block = data.draw(st.integers(1, max(1, len(text) // 12)), label="block")
         task = data.draw(st.integers(1, 3), label="blocks per task")
-        with pooled(), mock.patch.object(bigdata, "_BLOCK", block), \
-                mock.patch.object(bigdata, "_TASK_BLOCKS", task):  # many tasks per file
+        with pooled(), mock.patch.object(_csv, "_BLOCK", block), \
+                mock.patch.object(_csv, "_TASK_BLOCKS", task):  # many tasks per file
             assert_matches_reference(tmp_path_factory.mktemp("pooled"), text, column, True,
                                      delimiter)
 
@@ -410,7 +411,7 @@ class TestCsvReader:
             pools.append(real(*args, **kwargs))
             return pools[-1]
 
-        with pooled(), mock.patch.object(bigdata, "_BLOCK", 1 << 10), \
+        with pooled(), mock.patch.object(_csv, "_BLOCK", 1 << 10), \
                 mock.patch.object(concurrent.futures, "ProcessPoolExecutor", spy):
             with pytest.raises(ParseError) if bad else contextlib.nullcontext():
                 ingest_csv(src, 0, tmp_path / "d.rpv")
@@ -422,8 +423,8 @@ class TestCsvReader:
         src = tmp_path / "in.csv"
         src.write_text("\n".join(map(repr, values.tolist())) + "\n")
         block = 1 << 12
-        budget = 3 * bigdata._TASK_BLOCKS * block  # characters of the tasks held for 2 workers
-        with pooled(), mock.patch.object(bigdata, "_BLOCK", block):
+        budget = 3 * _csv._TASK_BLOCKS * block  # characters of the tasks held for 2 workers
+        with pooled(), mock.patch.object(_csv, "_BLOCK", block):
             read_csv_column(src, 0)  # the pool's modules are loaded once, not per file
             tracemalloc.start()
             try:
@@ -438,7 +439,7 @@ class TestCsvReader:
 
     @pytest.mark.parametrize("bad, error", [("oops", ParseError), ("inf", NonFiniteValue)])
     def test_bad_row_past_the_first_block_keeps_dst(self, tmp_path, bad, error):
-        rows = list(map(repr, stream(5).normal(size=3 * bigdata._BLOCK // 10).tolist()))
+        rows = list(map(repr, stream(5).normal(size=3 * _csv._BLOCK // 10).tolist()))
         at = len(rows) - 7  # a few blocks in
         rows[at] = bad
         src, dst = tmp_path / "in.csv", tmp_path / "d.rpv"
@@ -498,7 +499,7 @@ class TestCsvReader:
         assert_matches_reference(tmp_path, text, column, header, ",")
         if bad:
             return
-        real, seen = bigdata._exact_values, []
+        real, seen = _csv._exact_values, []
 
         def spy(records, *args):
             def noted():
@@ -507,7 +508,7 @@ class TestCsvReader:
                     yield record
             return real(noted(), *args)
 
-        with mock.patch.object(bigdata, "_exact_values", spy):
+        with mock.patch.object(_csv, "_exact_values", spy):
             read_csv_column(tmp_path / "in.csv", column, header)
         header_row = len(list(csv.reader(io.StringIO(head, newline="")))) - 1
         assert [row for row, fields in seen if fields and row > header_row] == []
@@ -521,9 +522,9 @@ class TestCsvReader:
         rows[0] = f'"{rows[0]}"'
         src = tmp_path / "in.csv"
         src.write_text("\n".join(rows) + "\n")
-        with open(src, newline="") as f, mock.patch.object(bigdata, "_BLOCK", 1 << 10):
-            blocks = list(bigdata._blocks(f))
-        real_loadtxt, real_map, parsed, sent, workers = np.loadtxt, bigdata.ordered_map, [], [], []
+        with open(src, newline="") as f, mock.patch.object(_csv, "_BLOCK", 1 << 10):
+            blocks = list(_csv._blocks(f))
+        real_loadtxt, real_map, parsed, sent, workers = np.loadtxt, _csv.ordered_map, [], [], []
 
         def loadtxt(text, *args, **kwargs):
             parsed.append(text.getvalue())
@@ -534,8 +535,8 @@ class TestCsvReader:
             return real_map(fn, (sent.extend(task) or task for task in tasks), n)
 
         with pooled() if pool else contextlib.nullcontext(), \
-                mock.patch.object(bigdata, "_BLOCK", 1 << 10), \
-                mock.patch.object(bigdata, "ordered_map", ordered_map), \
+                mock.patch.object(_csv, "_BLOCK", 1 << 10), \
+                mock.patch.object(_csv, "ordered_map", ordered_map), \
                 mock.patch.object(np, "loadtxt", loadtxt):
             got = read_csv_column(src, 0)
         assert got.tobytes() == values.tobytes()
@@ -553,9 +554,9 @@ class TestCsvReader:
         rows[200] = rows[200].replace('"200.25"', '"oops"')
         text = "\n".join(rows) + "\n"
         with pooled() if pool else contextlib.nullcontext(), \
-                mock.patch.object(bigdata, "_BLOCK", 400):
-            blocks = list(bigdata._blocks(io.StringIO(text, newline="")))
-            failed = [bigdata._block_values(block, 1, ",") is None for block in blocks]
+                mock.patch.object(_csv, "_BLOCK", 400):
+            blocks = list(_csv._blocks(io.StringIO(text, newline="")))
+            failed = [_csv._block_values(block, 1, ",") is None for block in blocks]
             assert failed.index(True) == ["oops" in block for block in blocks].index(True)
             assert failed.count(True) == 1
             assert_matches_reference(tmp_path, text, 1, False, ",")
@@ -570,13 +571,39 @@ class TestCsvReader:
         # ends in the second block, right before the bad row 13
         text = "1.25\n" * 12 + '"\n5"\n' + bad + "\n" + "2.5\n" * 40
         with pooled() if pool else contextlib.nullcontext(), \
-                mock.patch.object(bigdata, "_BLOCK", 62):
-            first = next(bigdata._blocks(io.StringIO(text, newline="")))
-            assert first.endswith('"\n') and bigdata._block_values(first, 0, ",") is None
+                mock.patch.object(_csv, "_BLOCK", 62):
+            first = next(_csv._blocks(io.StringIO(text, newline="")))
+            assert first.endswith('"\n') and _csv._block_values(first, 0, ",") is None
             assert_matches_reference(tmp_path, text, 0, False, ",")
             with pytest.raises(error) as err:
                 read_csv_column(tmp_path / "in.csv", 0)
         assert (err.value.row, err.value.content) == (13, bad)
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["in-process", "pooled"])
+    @pytest.mark.parametrize("text, column, want", [
+        ("\ufeffx,y\n1.5,2\n2.5,3\n", "x", [1.5, 2.5]),
+        ("\ufeff1.5\n2.5\n", 0, [1.5, 2.5]),
+        ("1.5\n\ufeff2.5\n", 0, (1, "\ufeff2.5")),  # a mark past the start is a cell's
+    ], ids=["named column", "no header", "mark past the start"])
+    def test_a_byte_order_mark_is_dropped_only_at_the_start(self, tmp_path, pool, text, column,
+                                                             want):
+        with pooled() if pool else contextlib.nullcontext():
+            assert_matches_reference(tmp_path, text, column, False, ",")
+            if isinstance(want, tuple):
+                with pytest.raises(ParseError) as err:
+                    read_csv_column(tmp_path / "in.csv", column)
+                assert (err.value.row, err.value.content) == want
+            else:
+                assert read_csv_column(tmp_path / "in.csv", column).tolist() == want
+
+    def test_a_pooled_ingest_drops_a_byte_order_mark(self, tmp_path):
+        text = "".join(f"{v!r}\n" for v in stream(9).normal(size=5_000).tolist())
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            (tmp_path / f"{name}.csv").write_text(mark + text, encoding="utf-8")
+        with pooled(), mock.patch.object(_csv, "_BLOCK", 1 << 10):  # many tasks per file
+            for name in ("plain", "marked"):
+                ingest_csv(tmp_path / f"{name}.csv", 0, tmp_path / f"{name}.rpv")
+        assert (tmp_path / "marked.rpv").read_bytes() == (tmp_path / "plain.rpv").read_bytes()
 
     def test_field_limit_error_is_kept(self, tmp_path):
         # a field longer than the csv module's limit fails as it always did,

@@ -118,6 +118,14 @@ class TestCommandFootprint:
         assert "randpivot.bigdata" in footprints[command]
         assert "randpivot.mc" not in footprints[command]
 
+    @pytest.mark.parametrize("command, unused", [
+        ("ci-mean", {"randpivot.bigdata", "mmap", "randpivot.edf"}),
+        ("ci-edf", {"randpivot.bigdata", "mmap"}),
+    ])
+    def test_sample_commands_load_no_dataset_code(self, footprints, command, unused):
+        assert "randpivot._csv" in footprints[command]
+        assert not footprints[command] & unused
+
     def test_no_short_command_loads_a_pool_or_fractions(self, footprints):
         for command, loaded in footprints.items():
             assert not loaded & {"concurrent.futures", "multiprocessing", "fractions"}, command
@@ -129,3 +137,12 @@ def test_only_the_pool_module_names_the_executor():
         text = path.read_text()
         names = "concurrent.futures" in text or "ProcessPoolExecutor" in text
         assert names == (path.name == "_pool.py"), path.name
+
+
+def test_only_the_csv_module_parses_csv():
+    # cli's csv.writer writes output; it parses nothing
+    package = Path(randpivot.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        parses = "csv.reader" in text or "loadtxt" in text
+        assert parses == (path.name == "_csv.py"), path.name

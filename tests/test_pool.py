@@ -50,10 +50,11 @@ def test_closing_after_one_result_stops_the_pool():
 
 
 def test_a_pool_starts_at_the_first_task_and_only_from_two_workers():
-    real, pools = concurrent.futures.ProcessPoolExecutor, []
+    real, pools, contexts = concurrent.futures.ProcessPoolExecutor, [], []
 
-    def spy(*args, **kwargs):
-        pools.append(real(*args, **kwargs))
+    def spy(max_workers, mp_context=None):
+        contexts.append(mp_context)
+        pools.append(real(max_workers, mp_context))
         return pools[-1]
 
     with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", spy):
@@ -63,4 +64,6 @@ def test_a_pool_starts_at_the_first_task_and_only_from_two_workers():
         assert pools == []
         assert list(ordered_map(math.sqrt, [1.0, 4.0], 2)) == [(1.0, 1.0), (4.0, 2.0)]
     assert len(pools) == 1
+    if "fork" in multiprocessing.get_all_start_methods():  # the cuts were measured under fork
+        assert contexts[0].get_start_method() == "fork"
     assert multiprocessing.active_children() == []
