@@ -17,18 +17,18 @@ memory does not grow with the replication count.
 
 Draws come from counter-based streams keyed by (seed, indices), so a
 report never depends on how rows are grouped into blocks or processes.
-coverage_study and kolmogorov_distance key replication r at attempt a by
-stream(seed, r, a), the draws a single-sample pivot or ci_mu call on
-gen_sample then draw_weights would see.  The keys of a block's rows are
-derived in one vectorized pass and one generator is rewound to each, so
-the draws are stream(seed, r, a)'s without a generator built per row.
-A row's resampling indices are draw_indices' values, computed from its
-raw words in one pass over the block (rng._bounded_indices); a row that
-pass flags is drawn again by draw_indices itself.
-proportion_study keys outer replication o by (seed, o) and its redraws
-by (seed, o, a); the attempt-0 keys of a chunk's outer replications come
-from the same vectorized pass, one generator rewound per outer
-replication, and every inner row of that outer is drawn from it.
+Every study draws units of rows: a coverage or kdist replication is a
+unit of one row, a proportion outer replication a unit of inner_reps rows.
+Unit u draws at attempt 0 from stream(seed, u, *tail), tail (0,) for
+coverage and kdist and () for proportion, and the k rows still invalid at
+attempt a from stream(seed, u, a): gen_sample(d, k*n), then
+draw_indices(n, k*m), as a single-sample pivot or ci_mu call on
+gen_sample then draw_weights would see them.  The tails name one stream
+while seed and u fill at most three 32-bit words (seeds below 2^64), so a
+coverage replication is a proportion outer replication of one row.  The
+keys of a run of units come from one vectorized pass, one generator is
+rewound to each, and a block's indices are computed from raw words in one
+pass (rng._bounded_indices); a unit that pass flags is drawn again.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from ._pool import ordered_map
 from .errors import BadParams, RandPivotError, ZeroScale
 from .intervals import SCHEMA_VERSION, _check_m, _z_for
 from .pivots import PivotKind, _check_n, _reweighted, _row_moments, _studentized
-from .rng import _bounded_indices, _row_streams
+from .rng import _bounded_indices, _row_keys, _row_streams, stream
 from .weights import draw_indices
 
 __all__ = [
@@ -57,12 +57,12 @@ MAX_REDRAWS = 100
 
 
 class _Family(NamedTuple):
-    """One row per family: parameter count and check, mean, sampler (p, n, rng)."""
+    """One row per family: parameter count and check, mean, sampler (p, size, rng)."""
 
     arity: int
     valid: Callable[[tuple[float, ...]], bool]
     mean: Callable[[tuple[float, ...]], float]
-    sample: Callable[[tuple[float, ...], int, np.random.Generator], np.ndarray]
+    sample: Callable[[tuple[float, ...], int | tuple[int, ...], np.random.Generator], np.ndarray]
 
 
 def _lognormal_sd(p: tuple[float, ...]) -> float:
@@ -70,7 +70,8 @@ def _lognormal_sd(p: tuple[float, ...]) -> float:
     return _FAMILIES["lognormal"].mean(p) * math.sqrt(math.expm1(p[1] ** 2))
 
 
-def _lognormal_std(p: tuple[float, ...], n: int, rng: np.random.Generator) -> np.ndarray:
+def _lognormal_std(p: tuple[float, ...], n: int | tuple[int, ...],
+                   rng: np.random.Generator) -> np.ndarray:
     return (rng.lognormal(p[0], p[1], n) - _FAMILIES["lognormal"].mean(p)) / _lognormal_sd(p)
 
 
@@ -218,10 +219,12 @@ def _in_band(z: float, cutoff: float, sided: str, inner: int, band: tuple[float,
 
 
 def _counts_matrix(idx: np.ndarray, n: int) -> np.ndarray:
-    """Integer weight counts, one row per row of resampled indices, column-major."""
+    """Integer weight counts, one row per row of resampled indices, column-major.
+    idx (int64) is overwritten: row i's index j becomes its count's place, j * rows + i."""
     rows = idx.shape[0]
-    flat = idx * rows + np.arange(rows, dtype=np.int64)[:, None]
-    return np.bincount(flat.ravel(), minlength=rows * n).reshape(n, rows).T
+    idx *= rows
+    idx += np.arange(rows, dtype=np.int64)[:, None]
+    return np.bincount(idx.ravel(), minlength=rows * n).reshape(n, rows).T
 
 
 def _rowsum(a: np.ndarray) -> np.ndarray:
@@ -297,30 +300,8 @@ def _evaluate_rows(draw, d: DistributionSpec, n: int, m: int, kind: PivotKind, r
     )
 
 
-def _draw_replications(d: DistributionSpec, n: int, m: int, seed: int, first: int,
-                       attempt: int, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Replication r = first + i draws its sample, then its m resampled
-    # indices (as draw_weights would), from the state stream(seed, r,
-    # attempt) starts in: one generator rewound to each row's key.  The
-    # indices are draw_indices' values, computed from each row's raw words
-    # in one pass over the block; a row that pass flags is drawn again,
-    # sample then draw_indices, from its own stream.  Rows are drawn
-    # contiguously, then the block is made column-major for _rowsum.
-    rows = first + which
-    x = np.empty((which.size, n))
-    words = np.empty((which.size, (m + 1) // 2), dtype=np.uint64)
-    for row, rng in enumerate(_row_streams(seed, rows, attempt)):
-        x[row] = gen_sample(d, n, rng)
-        words[row] = rng.bit_generator.random_raw(words.shape[1])
-    idx, flagged = _bounded_indices(words, n, m)
-    for row, rng in zip(np.flatnonzero(flagged), _row_streams(seed, rows[flagged], attempt)):
-        gen_sample(d, n, rng)
-        idx[row] = draw_indices(n, m, rng)
-    return np.asfortranarray(x), _counts_matrix(idx, n), (None, None)
-
-
-# Element budget of a block (at least one whole proportion outer).  Every
-# replication has its own stream, so the block size never changes a result.
+# Element budget of a block (at least one whole unit).  Every unit has its
+# own stream, so the block size never changes a result.
 _BLOCK_ELEMENTS = 1 << 16
 
 # A study is pooled only when its in-process run would take about twice a
@@ -331,29 +312,78 @@ _STREAM_ELEMENTS = 128
 _POOL_ELEMENTS = 1 << 20
 
 
-def _replication_chunk(args) -> np.ndarray:
-    """Summed block tallies and redraws of replications [start, stop)."""
-    (d, n, m, kind, seed, tally, start, stop) = args
-    step = max(1, _BLOCK_ELEMENTS // max(n, m))
-    return sum(_evaluate_rows(partial(_draw_replications, d, n, m, seed, lo), d, n, m, kind,
-                              min(lo + step, stop) - lo, lambda i: f"replication {lo + i}", tally)
-               for lo in range(start, stop, step))
+def _study_chunk(args) -> np.ndarray:
+    """Summed block tallies and redraws of units [start, stop), of `inner`
+    rows each, keyed as the module docstring says.  A block of whole units
+    is one kernel call, in reused buffers; attempt-0 keys are derived a run
+    of whole blocks (at most 1,024 units, or one block) at a time, so memory
+    stays flat in the unit count.  A row that stays invalid is named
+    name.format(unit, row in the unit)."""
+    (d, n, m, kind, seed, inner, tail, name, tally, start, stop) = args
+    units = min(max(1, _BLOCK_ELEMENTS // (inner * max(n, m))), stop - start)
+    run = units * max(1, (_BLOCK_ELEMENTS >> 6) // units)
+    sample = partial(_FAMILIES[d.family].sample, d.params)  # gen_sample(d, ...), looked up once
+    word_buf = np.empty(units * ((inner * m + 1) // 2), dtype=np.uint64)
+    idx_buf = np.empty(units * inner * m, dtype=np.int64)
+    x, *work = (np.empty((n, units * inner)) for _ in range(3))
+    gen = stream(seed)  # rewound to each unit's key in turn
+
+    def draw(first: int, keys: np.ndarray, attempt: int, which: np.ndarray):
+        # Row i of the block is row i % inner of unit first + i // inner.  The
+        # units drawn fill x's rows in order, each sample in its rows' shape
+        # (gen_sample(d, k*n)'s draws); unit j's raw words fill row j of words.
+        sizes = np.bincount(which // inner)
+        drawn = np.flatnonzero(sizes)
+        sizes = sizes[drawn]
+        count, rows = drawn.size, which.size
+        most = inner if rows == count * inner else int(sizes.max())
+        keys = _row_keys(seed, first + drawn, attempt) if attempt else keys  # 0 draws all
+        width = (most * m + 1) // 2
+        words = word_buf[:count * width].reshape(count, width)
+        if most == 1:  # x's rows: one-row slices cost ~5 % of a 100-rep coverage cell
+            samples = x.T[:rows]
+        else:
+            ends = np.cumsum(sizes).tolist()
+            samples = [x.T[lo:hi] for lo, hi in zip([0, *ends], ends)]
+        for view, word, rng in zip(samples, words, _row_streams(gen, keys)):
+            view[...] = sample(view.shape, rng)
+            word[...] = rng.bit_generator.random_raw(width)
+        idx, flagged = _bounded_indices(words, n, most * m,
+                                        idx_buf[:count * most * m].reshape(count, -1))
+        for j, rng in zip(np.flatnonzero(flagged).tolist(), _row_streams(gen, keys[flagged])):
+            k = int(sizes[j])
+            sample(k * n, rng)
+            idx[j, :k * m] = draw_indices(n, k * m, rng)
+        if rows < count * most:  # a redraw: unit j's indices are its first sizes[j] * m
+            idx = idx[np.arange(most * m) < sizes[:, None] * m]
+        return x[:, :rows].T, _counts_matrix(idx.reshape(rows, m), n), [a[:, :rows].T for a in work]
+
+    tallies = 0
+    for lo in range(start, stop, run):
+        keys = _row_keys(seed, np.arange(lo, min(lo + run, stop)), *tail)
+        for first in range(lo, min(lo + run, stop), units):
+            tallies = tallies + _evaluate_rows(
+                partial(draw, first, keys[first - lo:first - lo + units]), d, n, m, kind,
+                (min(first + units, stop) - first) * inner,
+                lambda i: name.format(first + i // inner, i % inner), tally)
+    return tallies
 
 
-def _run_chunks(worker, total: int, elements: int, threads: int, *args) -> np.ndarray:
-    """worker((*args, start, stop)) summed over about four ranges per thread.
+def _run_chunks(total: int, elements: int, threads: int, *args) -> np.ndarray:
+    """_study_chunk((*args, start, stop)) summed over about four ranges per thread.
 
     elements is the element count of one item of the range.  At threads
     <= 1, or when the study is too small to repay a pool (total *
     (elements + _STREAM_ELEMENTS) <= _POOL_ELEMENTS), the whole range is
     one in-process call, so every fixed cost of a call, a block of rows or
-    a process pool is paid once, not per range.  Rows are keyed by index,
+    a process pool is paid once, not per range.  Units are keyed by index,
     so the report is the same.
     """
     pooled = threads > 1 and total * (elements + _STREAM_ELEMENTS) > _POOL_ELEMENTS
     step = math.ceil(total / min(threads * 4, total)) if pooled else total
     ranges = [(*args, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    return sum(part for _, part in ordered_map(worker, ranges, threads if len(ranges) > 1 else 0))
+    return sum(part for _, part in ordered_map(_study_chunk, ranges,
+                                                threads if len(ranges) > 1 else 0))
 
 
 def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
@@ -373,46 +403,14 @@ def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
     if reps < 1:
         raise ValueError("reps must be positive")
     tally = partial(_in_band, *_cutoffs(alpha, sided, classical_cutoff, n), sided, 1, (1, 1))
-    hits, t_hits, redraws = _run_chunks(_replication_chunk, reps, max(n, m), threads,
-                                        d, n, m, pivot_kind, seed, tally).tolist()
+    hits, t_hits, redraws = _run_chunks(reps, max(n, m), threads, d, n, m, pivot_kind, seed,
+                                        1, (0,), "replication {0}", tally).tolist()
     return CoverageReport(
         dist=d.label(), n=n, m=m, pivot=pivot_kind.value, reps=reps,
         alpha=alpha, sided=sided, coverage=hits / reps,
         classical_coverage=t_hits / reps, classical_cutoff=classical_cutoff,
         degenerate_count=redraws, seed=seed,
     )
-
-
-def _proportion_chunk(args) -> np.ndarray:
-    """Summed block tallies and redraws of outer replications [start, stop):
-    one kernel call per block of whole outers, in four buffers reused."""
-    (d, n, m, kind, seed, inner, tally, start, stop) = args
-    step = max(1, _BLOCK_ELEMENTS // (inner * max(n, m)))
-    buffers = [np.empty((n, min(step, stop - start) * inner)) for _ in range(4)]
-    firsts, offsets = _row_streams(seed, np.arange(start, stop)), np.arange(inner).repeat(m)
-
-    def draw(first: int, attempt: int, which: np.ndarray):
-        # Column i holds inner row i % inner of outer first + i // inner.  Outer
-        # o draws its rows in order from the next of firsts (stream(seed, o)) at
-        # attempt 0, stream(seed, o, a) at a: gen_sample(d, k*n), draw_indices(n, k*m).
-        sizes = np.bincount(which // inner)
-        outers = np.flatnonzero(sizes)
-        rngs = firsts if attempt == 0 else _row_streams(seed, first + outers, attempt)
-        x, w, *work = (buf[:, :which.size] for buf in buffers)
-        at = 0
-        for k, rng in zip(sizes[outers].tolist(), rngs):
-            x[:, at:at + k] = gen_sample(d, k * n, rng).reshape(k, n).T
-            idx = draw_indices(n, k * m, rng)
-            idx *= k
-            idx += offsets[:k * m]  # row i's index j is counted at j * k + i
-            w[:, at:at + k] = np.bincount(idx, minlength=n * k).reshape(n, k)
-            at += k
-        return x.T, w.T, [a.T for a in work]
-
-    return sum(_evaluate_rows(
-        partial(draw, first), d, n, m, kind, (min(first + step, stop) - first) * inner,
-        lambda i: f"inner replication {i % inner} of outer replication {first + i // inner}",
-        tally) for first in range(start, stop, step))
 
 
 def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
@@ -437,8 +435,8 @@ def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
         raise ValueError(f"band must satisfy 0 <= lo <= hi <= 1, got {tuple(band)}")
     tally = partial(_in_band, *_cutoffs(alpha, sided, classical_cutoff, n), sided, inner_reps, band)
     in_band, t_in_band, redraws = _run_chunks(
-        _proportion_chunk, outer_reps, inner_reps * max(n, m), threads,
-        d, n, m, pivot_kind, seed, inner_reps, tally).tolist()
+        outer_reps, inner_reps * max(n, m), threads, d, n, m, pivot_kind, seed,
+        inner_reps, (), "inner replication {1} of outer replication {0}", tally).tolist()
     return ProportionReport(
         dist=d.label(), n=n, m=m, pivot=pivot_kind.value,
         outer_reps=outer_reps, inner_reps=inner_reps, alpha=alpha, sided=sided,
@@ -472,6 +470,6 @@ def kolmogorov_distance(pivot_kind: PivotKind, d: DistributionSpec, n: int,
     pivot_kind = _check_study(d, n, m, pivot_kind)
     if reps < 1:
         raise ValueError("reps must be positive")
-    ecdf = _run_chunks(_replication_chunk, reps, max(n, m), threads,
-                       d, n, m, pivot_kind, seed, _ecdf_counts)[:-1] / reps
+    ecdf = _run_chunks(reps, max(n, m), threads, d, n, m, pivot_kind, seed,
+                       1, (0,), "replication {0}", _ecdf_counts)[:-1] / reps
     return float(np.max(np.abs(ecdf - _kdist_phi())))

@@ -132,27 +132,28 @@ def _row_keys(seed: int, rows: np.ndarray, *tail: int) -> np.ndarray:
     return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _row_streams(seed: int, rows: np.ndarray, *tail: int) -> Iterator[Generator]:
-    """For each r in rows, a generator in the state stream(seed, r, *tail) starts in.
+def _row_streams(gen: Generator, keys: np.ndarray) -> Iterator[Generator]:
+    """gen, rewound in turn to the start of the stream of each row of keys.
 
-    One Philox generator is rewound to each row's key with counter 0, an
-    empty buffer and no cached 32-bit half, which is the state Philox
-    takes from a SeedSequence.  Every row gets the same Generator object,
-    so draw a row's values before advancing to the next row.
+    gen's Philox is given the key with counter 0, an empty buffer and no
+    cached 32-bit half, which is the state Philox takes from a
+    SeedSequence.  Every row gets the same Generator object, so draw a
+    row's values before advancing to the next row.
     """
-    bitgen = Philox(key=0)
-    gen = Generator(bitgen)
+    bitgen = gen.bit_generator
     zeros = np.zeros(4, dtype=np.uint64)
-    for key in _row_keys(seed, rows, *tail):
+    for key in keys:
         bitgen.state = {"bit_generator": "Philox",
                         "state": {"counter": zeros, "key": key},
                         "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         yield gen
 
 
-def _bounded_indices(words: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's Generator.integers(0, n, size=m), computed from raw words,
-    and a mask of the rows whose values these are not.
+def _bounded_indices(words: np.ndarray, n: int, m: int,
+                     out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's Generator.integers(0, n, size=m), computed from raw words
+    into out (a C-contiguous int64 array of rows x m), and a mask of the
+    rows whose values these are not.
 
     Row i of words is random_raw(ceil(m / 2)) of a Philox generator with
     no cached 32-bit half.  integers(0, n) with 2 <= n <= 2^32 reads one
@@ -162,10 +163,11 @@ def _bounded_indices(words: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.
     A row holding such a half among its first m is flagged, and must be
     drawn by integers itself; so is every row for n outside [2, 2^32].
     """
-    rows = words.shape[0]
     if not 2 <= n <= 1 << 32:
-        return np.zeros((rows, m), dtype=np.int64), np.ones(rows, dtype=bool)
+        return out, np.ones(words.shape[0], dtype=bool)
     halves = np.ascontiguousarray(words, dtype="<u8").view("<u4")[:, :m]
-    scaled = halves.astype(np.uint64) * np.uint64(n)
+    # dtype names the uint64 loop: numpy < 2 would pick the uint32 one for a small n
+    scaled = np.multiply(halves, np.uint64(n), out=out.view(np.uint64), dtype=np.uint64)
     flagged = (scaled.astype(np.uint32) < (1 << 32) % n).any(axis=1)
-    return (scaled >> np.uint64(32)).view(np.int64), flagged
+    scaled >>= np.uint64(32)
+    return scaled.view(np.int64), flagged

@@ -105,10 +105,9 @@ def draw_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
     Weight vectors and sparse index samples are both built by counting
     this stream, so the dense and out-of-core paths consume the generator
-    identically.  coverage_study and kolmogorov_distance compute these
-    values for a block of rows from raw words (rng._bounded_indices) and
-    call this only for the rows that pass flags; single samples,
-    proportion_study and big-data queries draw through here.
+    identically.  The studies compute these values for a block of units
+    from raw words (rng._bounded_indices) and call this only for the units
+    that pass flags; single samples and big-data queries draw through here.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")

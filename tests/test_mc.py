@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import randpivot.mc as mc
 import randpivot.pivots as pivots
-import randpivot.rng as rng_mod
 from randpivot import (BadParams, DegenerateWeights, DistributionSpec, PivotKind,
                        RandPivotError, TooFewObservations, WeightVector, ZeroScale, ci_mu,
                        coverage_study, critical_z, draw_weights, gen_sample,
@@ -496,6 +495,29 @@ class TestProportionMatchesReplay:
             assert report.degenerate_count == redraws, sided
 
 
+class TestCoverageIsProportionsOneRowCase:
+    """A coverage replication r is a proportion outer replication r of one
+    inner row: the attempt-0 keys (seed, r, 0) and (seed, r) are one key
+    below seed 2^64, redraws are keyed (seed, r, a) by both, and both draw
+    the sample, then the indices.  So band (1, 1) counts the covered rows."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 41, 2**40 + 3, 2**64 - 1])
+    def test_reports_agree(self, seed, threads):
+        d, reps = parse_dist("poisson:1"), 300
+        with _in_workers() as pools:
+            cov = coverage_study(d, 5, 5, PivotKind.G2, reps, 0.05, sided="two", seed=seed,
+                                 classical_cutoff="student_t", threads=threads)
+            prop = proportion_study(d, 5, PivotKind.G2, outer_reps=reps, inner_reps=1,
+                                    band=(1.0, 1.0), seed=seed, sided="two",
+                                    classical_cutoff="student_t", threads=threads)
+        assert len(pools) == (2 if threads > 1 else 0)
+        assert cov.degenerate_count > 30  # the redraw keys are compared too
+        assert cov.coverage == prop.proportion
+        assert cov.classical_coverage == prop.classical_proportion
+        assert cov.degenerate_count == prop.degenerate_count
+
+
 def _never_valid(monkeypatch):
     """Make the row kernel report every row invalid, so every study exhausts
     its redraw budget.  Forked workers inherit the patch."""
@@ -594,7 +616,8 @@ class TestStudyBlocks:
                 lambda: coverage_study(d, n, n, kind, 300, 0.05, seed=5))
             results.append((vals, tvals, report.degenerate_count))
         with _in_workers() as pools:
-            pooled = mc._run_chunks(mc._replication_chunk, 300, n, 2, d, n, n, kind, 5, _checksum)
+            pooled = mc._run_chunks(300, n, 2, d, n, n, kind, 5, 1, (0,), "replication {0}",
+                                    _checksum)
         assert pools and pooled.dtype == np.uint64
         for vals, tvals, redraws in results:
             assert vals.tobytes() == results[0][0].tobytes()
@@ -635,13 +658,14 @@ class TestStudyTallies:
 
     @pytest.mark.parametrize("study", [
         lambda reps: coverage_study(NORMAL, 5, 5, PivotKind.G1, reps, 0.05),
-        lambda reps: kolmogorov_distance(PivotKind.G1, NORMAL, 5, 5, reps)],
-        ids=["coverage", "kdist"])
+        lambda reps: kolmogorov_distance(PivotKind.G1, NORMAL, 5, 5, reps),
+        lambda reps: proportion_study(NORMAL, 5, PivotKind.G1, outer_reps=reps, inner_reps=1)],
+        ids=["coverage", "kdist", "proportion"])
     def test_peak_memory_does_not_grow_with_reps(self, study, monkeypatch):
         # 64 rows a block, so that both runs are of whole blocks; holding the
-        # values of 4,000 replications would take 64 KB more.  Both runs are
-        # made once untraced, so that numpy's first-use allocations are not
-        # counted.
+        # values, or the stream keys, of 4,000 replications would take 64 KB
+        # more.  Both runs are made once untraced, so that numpy's first-use
+        # allocations are not counted.
         monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 64 * 5)
         peaks, sizes = [], (200, 4000)
         for reps in sizes:
@@ -658,8 +682,9 @@ class TestStudyTallies:
     @pytest.mark.parametrize("tally", [mc._ecdf_counts, functools.partial(
         mc._in_band, 1.6, 1.6, "upper", 1, (1, 1))], ids=["kdist", "coverage"])
     def test_pickled_chunk_result_does_not_grow_with_range(self, tally):
-        sizes = [len(pickle.dumps(mc._replication_chunk(
-            (NORMAL, 5, 5, PivotKind.G1, 0, tally, 0, stop)))) for stop in (10, 3000)]
+        sizes = [len(pickle.dumps(mc._study_chunk(
+            (NORMAL, 5, 5, PivotKind.G1, 0, 1, (0,), "replication {0}", tally, 0, stop))))
+            for stop in (10, 3000)]
         assert sizes[0] == sizes[1] < 5 * 1024, sizes
 
     @pytest.mark.parametrize("seed", range(6))
@@ -811,7 +836,7 @@ class TestRowKernelAgreesWithSingleSample:
         x = _row_matrix(data.draw, rows, n)
         idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows * m,
                                           max_size=rows * m))).reshape(rows, m)
-        counts = mc._counts_matrix(idx, n)
+        counts = mc._counts_matrix(idx.copy(), n)  # it overwrites its argument
         assert counts.dtype == np.int64 and counts.shape == (rows, n)
         for i in range(rows):
             assert np.array_equal(counts[i], np.bincount(idx[i], minlength=n))
@@ -859,13 +884,13 @@ class TestStudyInputs:
         # by the row engine, for every study.
         _never_valid(monkeypatch)
         calls = []
-        row_keys = rng_mod._row_keys
+        row_keys = mc._row_keys
 
         def counting_keys(seed, rows, *tail):
             calls.extend((seed, r, *tail) for r in np.asarray(rows).tolist())
             return row_keys(seed, rows, *tail)
 
-        monkeypatch.setattr(rng_mod, "_row_keys", counting_keys)
+        monkeypatch.setattr(mc, "_row_keys", counting_keys)
         studies = [
             lambda: coverage_study(NORMAL, 5, 5, kind, reps=1, alpha=0.05),
             lambda: kolmogorov_distance(kind, NORMAL, 5, 5, reps=1),
@@ -883,7 +908,7 @@ class TestStudyInputs:
                                            (3, 10**11, ValueError)])
     def test_sizes_checked_before_any_draw(self, n, m, error, monkeypatch):
         calls = []
-        monkeypatch.setattr(rng_mod, "_row_keys", lambda *key: calls.append(key))
+        monkeypatch.setattr(mc, "_row_keys", lambda *key: calls.append(key))
         studies = [
             lambda: coverage_study(NORMAL, n, m, PivotKind.G1, reps=5, alpha=0.05),
             lambda: kolmogorov_distance(PivotKind.G1, NORMAL, n, m, reps=5),
@@ -918,7 +943,7 @@ class TestStudyInputs:
     def test_unusable_configuration_refused_before_any_draw(self, spec, n, m, kind, match,
                                                             monkeypatch):
         calls = []
-        monkeypatch.setattr(rng_mod, "_row_keys", lambda *key: calls.append(key))
+        monkeypatch.setattr(mc, "_row_keys", lambda *key: calls.append(key))
         d = parse_dist(spec)
         studies = [
             lambda: coverage_study(d, n, m, kind, reps=5, alpha=0.05),
@@ -1060,8 +1085,8 @@ def _flag_also(monkeypatch, extra):
     counts = {"flagged": 0, "drawn": 0}
     bounded = mc._bounded_indices
 
-    def flagging(words, n, m):
-        idx, flagged = bounded(words, n, m)
+    def flagging(words, n, m, out):
+        idx, flagged = bounded(words, n, m, out)
         flagged |= extra(words.shape[0])
         counts["flagged"] += int(flagged.sum())
         return idx, flagged
@@ -1076,9 +1101,9 @@ def _flag_also(monkeypatch, extra):
 
 
 class TestIndexFallback:
-    """coverage_study and kolmogorov_distance take each row's indices from
-    its raw words, and draw with draw_indices exactly the rows that pass
-    flags, so the reports do not depend on which rows fall back."""
+    """Every study takes each unit's indices from its raw words, and draws
+    with draw_indices exactly the units that pass flags, so the reports do
+    not depend on which units fall back."""
 
     studies = [
         lambda: coverage_study(NORMAL, 20, 20, PivotKind.G1, 300, 0.05, seed=4),
@@ -1086,6 +1111,8 @@ class TestIndexFallback:
                                sided="two", seed=5),  # redraws most rows
         lambda: kolmogorov_distance(PivotKind.G2, parse_dist("poisson:1"), 5, 7, 300, seed=6),
         lambda: kolmogorov_distance(PivotKind.T1, parse_dist("beta:2,3"), 9, 24, 300, seed=7),
+        lambda: proportion_study(parse_dist("binomial:10,0.1"), 3, PivotKind.T2, outer_reps=20,
+                                 inner_reps=40, seed=9),  # redraws rows of many outers
     ]
 
     @pytest.mark.parametrize("extra", [lambda rows: np.zeros(rows, dtype=bool),

@@ -73,13 +73,28 @@ class TestRowStreams:
         rows = np.arange(first, first + count)
         for family, spec in FAMILY_SPECS.items():
             d = parse_dist(spec)
-            for r, gen in zip(rows.tolist(), rng._row_streams(seed, rows, attempt)):
+            for r, gen in zip(rows.tolist(), rng._row_streams(
+                    rng.stream(0), rng._row_keys(seed, rows, attempt))):
                 want = rng.stream(seed, r, attempt)
                 assert gen_sample(d, n, gen).tobytes() == gen_sample(d, n, want).tobytes(), family
                 assert draw_indices(n, m, gen).tobytes() == draw_indices(n, m, want).tobytes()
                 # a draw that leaves a cached 32-bit half must not leak into the next row
                 assert gen.integers(0, 7, 3, dtype=np.int32).tobytes() == \
                     want.integers(0, 7, 3, dtype=np.int32).tobytes()
+
+
+def test_a_zero_last_path_entry_is_the_pools_padding():
+    # SeedSequence pads its pool of four 32-bit words with zero words, so a
+    # last path entry 0 names the stream without it while the seed and the
+    # index fill at most three words; a seed of 2^64 fills three alone
+    def first_words(*key):
+        return rng.stream(*key).bit_generator.random_raw(4).tolist()
+
+    for seed in (0, 7, 2**32 - 1, 2**40 + 3, 2**64 - 1):
+        for u in (0, 5, 2**32 - 1):
+            assert first_words(seed, u, 0) == first_words(seed, u), (seed, u)
+    for u in (0, 5):
+        assert first_words(2**64 + 5, u, 0) != first_words(2**64 + 5, u)
 
 
 # Ranges of every kind integers(0, n) draws from with 32-bit halves: the
@@ -100,7 +115,7 @@ class TestBoundedIndices:
     def test_unflagged_rows_are_integers_values(self, keys, n, m):
         words = np.array([Philox(key=k).random_raw((m + 1) // 2) for k in keys],
                          dtype=np.uint64).reshape(len(keys), -1)
-        got, flagged = rng._bounded_indices(words, n, m)
+        got, flagged = rng._bounded_indices(words, n, m, np.empty((len(keys), m), np.int64))
         want = np.array([Generator(Philox(key=k)).integers(0, n, size=m) for k in keys])
         assert got.dtype == np.int64 and got.shape == want.shape
         assert np.array_equal(got[~flagged], want[~flagged])
@@ -112,7 +127,7 @@ class TestBoundedIndices:
         # at n = 2^31 + 1 a half is rejected with probability about 1/2, so
         # about 3 in 4 rows of two halves are flagged; the others are integers'
         words = np.array([Philox(key=k).random_raw(1) for k in range(64)], dtype=np.uint64)
-        got, flagged = rng._bounded_indices(words, 2**31 + 1, 2)
+        got, flagged = rng._bounded_indices(words, 2**31 + 1, 2, np.empty((64, 2), np.int64))
         assert 32 <= flagged.sum() < 64
         for k in np.flatnonzero(~flagged):
             want = Generator(Philox(key=int(k))).integers(0, 2**31 + 1, size=2)
@@ -121,7 +136,7 @@ class TestBoundedIndices:
     @pytest.mark.parametrize("n", [1, 2**32 + 1, 2**40])
     def test_rows_outside_the_32_bit_branch_all_flagged(self, n):
         words = np.arange(12, dtype=np.uint64).reshape(3, 4)
-        assert rng._bounded_indices(words, n, 7)[1].all()
+        assert rng._bounded_indices(words, n, 7, np.empty((3, 7), np.int64))[1].all()
 
 
 # Specs that reach the samplers' other branches: binomial's BTPE, Poisson's
