@@ -6,12 +6,12 @@ Binary layout (documented in the README, bit-exact):
 
 Because the randomized mean and variance need only the records whose
 weight is nonzero, a confidence interval for the full-data mean touches
-m draws' worth of distinct records instead of all n.  The reader maps the
-file one aligned WINDOW (4 MiB) at a time, only the windows that hold a
-sampled record, and gathers the records with one numpy fancy index per
-window, so a fetch costs about its records and never maps the whole file.
-It is instrumented (records, pages, bytes, windows mapped) so that
-frugality is checkable.
+m draws' worth of distinct records instead of all n.  Record r lies in
+the file's 8-byte slot r + 2, so one searchsorted over the first records
+of aligned WINDOWs (4 MiB) splits a fetch by window.  Only the windows
+that hold a sampled record are mapped, one at a time, each gathered into
+its slice of the output: a fetch costs about its records, never maps the
+whole file, and counts records, pages, bytes and windows mapped.
 """
 from __future__ import annotations
 
@@ -48,6 +48,9 @@ RECORD_SIZE = 8
 PAGE_SIZE = 4096  # bytes; the unit in which a fetch is counted
 WINDOW = 1 << 22  # bytes mapped at a time, at offsets aligned to this size
 MIN_RECORDS = 16
+_SLOT0 = HEADER_SIZE // RECORD_SIZE  # the file's 8-byte slot that holds record 0
+_WINDOW_SHIFT = (WINDOW // RECORD_SIZE).bit_length() - 1  # log2 of the slots per window
+_PAGE_SHIFT = (PAGE_SIZE // RECORD_SIZE).bit_length() - 1  # log2 of the slots per page
 
 
 @dataclass
@@ -134,10 +137,11 @@ class DatasetHandle:
         """Fetch the records at sorted distinct indices.
 
         Returns the values in the given (ascending) order plus I/O stats.
-        The indices are grouped by the aligned WINDOW of the file their
-        record lies in.  Each window that holds one is mapped read-only,
-        gathered from through np.frombuffer, and unmapped before the next,
-        so no more than WINDOW bytes of the file are mapped at once.  A
+        Record r lies in file slot r + 2, whose shifts give its window and
+        page, and one np.searchsorted over the windows' first records
+        bounds their runs.  Each window that holds one is mapped read-only,
+        gathered into its run's slice of the output and unmapped before the
+        next, so no more than WINDOW bytes of the file are mapped at once.  A
         whole-file map would leave every page faulted in, together with
         the kernel's fault-around neighbours, counted in the process's
         peak resident set.  Before mapping, the open file's size is checked:
@@ -154,37 +158,36 @@ class DatasetHandle:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return np.empty(0, dtype=np.float64), ReadStats()
-        if (np.diff(indices) <= 0).any():
+        if (indices[1:] <= indices[:-1]).any():
             raise ValueError("indices must be strictly increasing")
         if indices[0] < 0 or indices[-1] >= self.count:
             raise ValueError("index out of range")
 
-        offsets = HEADER_SIZE + indices * RECORD_SIZE
-        windows = offsets // WINDOW
-        cuts = np.flatnonzero(np.diff(windows)) + 1
-        bounds = np.concatenate(([0], cuts, [indices.size])).tolist()
-        slots = (offsets - windows * WINDOW) // RECORD_SIZE  # records never straddle
-        pages = offsets // PAGE_SIZE
+        first, last = ((int(indices[i]) + _SLOT0) >> _WINDOW_SHIFT for i in (0, -1))
+        bounds = np.searchsorted(indices, (np.arange(first, last + 2) << _WINDOW_SHIFT) - _SLOT0)
+        plan = [(w, lo, hi) for w, lo, hi in zip(range(first, last + 1), bounds.tolist(),
+                                                  bounds[1:].tolist()) if lo < hi]
+        slots = indices + _SLOT0
+        pages = slots >> _PAGE_SHIFT
+        touched = int(np.count_nonzero(pages[1:] != pages[:-1])) + 1
+        del pages  # so a fetch holds at most slots, values and one window's gather
+        slots &= (1 << _WINDOW_SHIFT) - 1  # each record's slot in its window
 
         values = np.empty(indices.size, dtype=np.float64)
         with open(self.path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
-            if int(offsets[-1]) + RECORD_SIZE > size:
+            if HEADER_SIZE + (int(indices[-1]) + 1) * RECORD_SIZE > size:
                 raise DatasetFormatError(f"{self.path}: truncated to {size} bytes")
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                start = int(windows[lo]) * WINDOW
+            for w, lo, hi in plan:
+                start = w * WINDOW
                 length = min(WINDOW, size - start)
                 with mmap.mmap(f.fileno(), length, access=mmap.ACCESS_READ,
                                offset=start) as window:
                     records = np.frombuffer(window, dtype="<f8", count=length // RECORD_SIZE)
                     values[lo:hi] = records[slots[lo:hi]]
                     del records  # the map cannot close while a view exports it
-        touched = int(np.count_nonzero(np.diff(pages))) + 1
-        stats = ReadStats(records_read=int(indices.size),
-                          bytes_read=touched * PAGE_SIZE,
-                          read_calls=len(bounds) - 1,
-                          pages_touched=touched)
-        return values, stats
+        return values, ReadStats(records_read=int(indices.size), bytes_read=touched * PAGE_SIZE,
+                                 read_calls=len(plan), pages_touched=touched)
 
 
 def _write_records(chunks: Iterable[np.ndarray], dst: str | Path) -> DatasetHandle:
@@ -266,12 +269,16 @@ def draw_index_sample(n: int, m: int, rng: np.random.Generator) -> IndexSample:
     """Sparse multinomial(m; 1/n, ..., 1/n) draw.
 
     Counts the same uniform index stream as weights.draw_weights, so the
-    dense and sparse paths are interchangeable draw for draw.
+    dense and sparse paths are interchangeable draw for draw.  The draws are
+    sorted in place and each run of equal indices is flagged at its first
+    draw: np.unique(draws, return_counts=True) as int64, bitwise.
     """
     idx = draw_indices(n, m, rng)
-    indices, counts = np.unique(idx, return_counts=True)
-    return IndexSample(indices=indices.astype(np.int64),
-                       counts=counts.astype(np.int64), m=m, n=n)
+    idx.sort()
+    first = np.ones(m + 1, dtype=bool)  # the first of each run of equal indices, then m
+    np.not_equal(idx[1:], idx[:-1], out=first[1:m])
+    bounds = np.flatnonzero(first)
+    return IndexSample(indices=idx[bounds[:-1]], counts=np.diff(bounds), m=m, n=n)
 
 
 def _query(h: DatasetHandle, policy: SizingPolicy, rng: np.random.Generator,

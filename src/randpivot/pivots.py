@@ -23,6 +23,7 @@ a column-major array.  A square past float64 is inf, without a warning.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass, field
@@ -115,16 +116,18 @@ def _exact_sum(a) -> float:
     chunk, np.bincount sums the halves per exponent; every partial sum is
     an integer below 2^43, so exact.  The int64 chunk totals (exact up to
     2^36 terms) are combined in Python integers and rounded once by int/int
-    true division, which is correctly rounded, like fsum.  Short input,
-    non-finite terms and sums that could overflow go to math.fsum, so the
-    result and any exception are fsum's own.  An exact zero takes fsum's
+    true division, which is correctly rounded, like fsum.  Short input goes
+    to fsum, and non-finite terms give fsum's nan, inf or error.  Where fsum
+    would raise OverflowError midway, the exact sum still rounds once: to
+    +-inf only if it lies past float64.  An exact zero takes fsum's
     sign without a walk over the terms: -0.0 only for terms that are all
     -0.0, and only where this interpreter's fsum keeps that sign (3.11's
     returns 0.0).
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if a.size < _EXACT_MIN_TERMS:
-        return math.fsum(a.tolist())
+        with contextlib.suppress(OverflowError):  # else summed exactly below
+            return math.fsum(a.tolist())
     buckets = 2 * _EXP_BIAS + 1
     hi = np.zeros(buckets, dtype=np.int64)
     lo = np.zeros(buckets, dtype=np.int64)
@@ -134,23 +137,22 @@ def _exact_sum(a) -> float:
         top = np.trunc(np.ldexp(mant, -26))
         exp += _EXP_BIAS
         h = np.bincount(exp, top, buckets)
-        if not np.isfinite(h).all():
-            return math.fsum(a)
+        if not np.isfinite(h).all():  # fsum's result from its non-finite terms alone
+            return math.fsum(a[~np.isfinite(a)].tolist())
         hi += h.astype(np.int64)
         lo += np.bincount(exp, mant - np.ldexp(top, 26), buckets).astype(np.int64)
     used = np.flatnonzero(hi | lo)
     if used.size == 0:  # every term is a zero
         return -0.0 if _FSUM_NEGATIVE_ZERO and np.signbit(a).all() else 0.0
-    # |sum| < size * 2^(top exponent) <= 2^1022 rules out fsum's
-    # intermediate overflow
-    if used[-1] - _EXP_BIAS + a.size.bit_length() > 1022:
-        return math.fsum(a)
     base = int(used[0])
     total = 0
     for e, h, l in zip(used.tolist(), hi[used].tolist(), lo[used].tolist()):
         total += ((h << 26) + l) << (e - base)
     shift = base - _EXP_BIAS - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+    try:
+        return float(total << shift) if shift >= 0 else total / (1 << -shift)
+    except OverflowError:  # the sum rounds past float64
+        return math.inf if total > 0 else -math.inf
 
 
 def _check_finite(values: np.ndarray, indices: np.ndarray | None = None) -> None:
@@ -220,7 +222,8 @@ def _studentized(w: np.ndarray, m: int, data: np.ndarray, center: float | None,
     (data_i - center) given a center, over sqrt(scale2) * sqrt(sum d_i^2),
     with d_i = w_i/m - 1/n from each row of the (integer) counts w.
     Returns the values and each row's sum d_i^2; a row where either
-    vanishes gets a non-finite value for the caller to refuse or mask.
+    vanishes gets a non-finite value for the caller to refuse or mask, and
+    a quotient past float64 is +-inf.
     The terms are formed in out, two arrays of data's shape, if given."""
     dev = np.divide(w, m, out=out[0])
     dev -= 1.0 / data.shape[-1]
@@ -230,7 +233,7 @@ def _studentized(w: np.ndarray, m: int, data: np.ndarray, center: float | None,
     else:  # ssq is taken, so dev's buffer takes the numerator's terms
         np.abs(dev, out=dev)
         dev *= np.subtract(data, center, out=out[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return rowsum(dev) / (np.sqrt(scale2) * np.sqrt(ssq)), ssq
 
 

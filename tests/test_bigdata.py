@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randpivot import (DatasetFormatError, DatasetTooSmall, MissingColumn,
@@ -28,6 +28,7 @@ from randpivot.bigdata import (HEADER_SIZE, MAGIC, MIN_RECORDS, PAGE_SIZE, RECOR
                                VERSION, WINDOW)
 from randpivot.intervals import Fixed, PowerDelta
 from randpivot.pivots import _EXACT_MIN_TERMS, randomized_stats_from_nonzero
+from randpivot.weights import draw_indices
 
 
 def windows_of(indices):
@@ -652,6 +653,22 @@ class TestIndexSample:
         assert expected == pytest.approx(31128, abs=5)
 
 
+class TestIndexSampleRuns:
+    """The sorted draws' runs are np.unique's distinct indices and counts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 10**6), m=st.integers(1, 10**5), seed=st.integers(0, 2**64 - 1))
+    @example(n=1, m=1, seed=0)
+    @example(n=1, m=10**5, seed=1)
+    @example(n=10**6, m=1, seed=2)
+    def test_equals_unique_bitwise(self, n, m, seed):
+        sample = draw_index_sample(n, m, stream(seed))
+        want = np.unique(draw_indices(n, m, stream(seed)), return_counts=True)
+        for got, expected in zip((sample.indices, sample.counts), want):
+            assert got.dtype == expected.dtype == np.int64
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestBigdataCiMean:
     def test_equivalence_with_in_memory_path(self, tmp_path):
         # same seed: the file route and the dense in-memory route agree bitwise
@@ -835,6 +852,43 @@ class TestRangedReads:
         for indices in ([0, 5, RANGED_N - 1], [990, 1005], [1000]):
             with pytest.raises(DatasetFormatError):
                 h.read_records(np.array(indices))
+
+
+LAST_OF_WINDOW_0 = WINDOW // RECORD_SIZE - 3  # bytes WINDOW - 8 to WINDOW
+
+
+class TestWindowPlan:
+    """Fetches at the windows' edges, and the memory of a dense fetch."""
+
+    @pytest.mark.parametrize("indices, windows, pages", [
+        ([0], 1, 1),
+        ([LAST_OF_WINDOW_0], 1, 1),  # page 1023, the last of window 0
+        ([LAST_OF_WINDOW_0 + 1], 1, 1),  # page 1024, the first of window 1
+        ([RANGED_N - 1], 1, 1),  # page 2126, in the partial window 2
+        ([0, LAST_OF_WINDOW_0], 1, 2),
+        ([LAST_OF_WINDOW_0, LAST_OF_WINDOW_0 + 1], 2, 2),
+        ([0, LAST_OF_WINDOW_0, LAST_OF_WINDOW_0 + 1, RANGED_N - 1], 3, 4),
+    ])
+    def test_window_edges(self, ranged_file, ranged_values, indices, windows, pages):
+        h = open_dataset(ranged_file)
+        with recorded_mappings() as maps:
+            values, stats = h.read_records(np.array(indices))
+        assert values.tobytes() == ranged_values[indices].tobytes()
+        assert (stats.read_calls, len(maps), stats.pages_touched) == (windows, windows, pages)
+        assert stats.bytes_read == pages * PAGE_SIZE
+        if RANGED_N - 1 in indices:
+            assert maps[-1] == (2 * WINDOW, HEADER_SIZE + RECORD_SIZE * RANGED_N - 2 * WINDOW)
+
+    def test_fetch_memory_is_bounded_by_the_output(self, ranged_file):
+        h = open_dataset(ranged_file)
+        indices = np.arange(0, RANGED_N, 3)
+        tracemalloc.start()
+        try:
+            values, _ = h.read_records(indices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * values.nbytes  # the output alone is values.nbytes
 
 
 class TestReport:

@@ -765,3 +765,16 @@ class TestCliProperties:
     ])
     def test_edge_argv(self, inputs, row):
         _run_and_check([*row.format(dir=inputs).split(), "--no-timestamp"])
+
+    def test_fsum_overflow_gives_the_infinite_interval(self, tmp_path):
+        # fsum's partial sum of the first two squares passes float64 before it
+        # meets the infinite third; the exact sum is inf, so [-inf, inf] at exit 0
+        src = tmp_path / "wide.csv"
+        src.write_text("0.0\n0.0\n2.8442255724327534e154\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["ci-mean", "--data", str(src), "--no-timestamp"]) == 0
+        report = json.loads(out.getvalue())
+        assert (report["lower"], report["upper"], report["half_width"]) == (
+            -math.inf, math.inf, math.inf)
+        _check_report(report, ["ci-mean"])

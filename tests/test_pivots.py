@@ -228,6 +228,9 @@ class TestWideSamples:
     @settings(max_examples=200, deadline=None)
     @given(case=_wide_sample(), f_x=st.floats(0.0, 1.0))
     @example(case=(np.array([1e200, 1.0, 2.0, 3.0, 4.0]), _w([0, 1, 2, 1, 1]), 0.0, 2.0), f_x=0.5)
+    # fsum's partial sums of the squares pass float64 before the infinite one
+    @example(case=(np.array([0.0, 0.0, 2.8442255724327534e154]), _w([0, 1, 2]), 0.0, 0.0),
+             f_x=0.5)
     def test_subsample_scale_and_no_nan(self, case, f_x):
         x, w, mu, at = case
         rstats = randomized_stats(x, w)
@@ -346,6 +349,23 @@ def summed(f, a):
         return type(exc), str(exc)
 
 
+def rounded_sum(a):
+    """math.fsum(a); where fsum raises OverflowError, its result from the
+    non-finite terms alone, or else the exact sum of the terms as Fractions
+    rounded once, +-inf past float64."""
+    try:
+        return math.fsum(a)
+    except OverflowError:
+        special = [x for x in a if not math.isfinite(x)]
+        if special:
+            return math.fsum(special)
+        exact = sum(map(Fraction, a))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+
+
 SUM_SIZES = st.one_of(
     st.sampled_from([0, 1, _EXACT_MIN_TERMS - 1, _EXACT_MIN_TERMS, _EXACT_MIN_TERMS + 1,
                      _EXACT_CHUNK - 1, _EXACT_CHUNK, _EXACT_CHUNK + 1, 2 * _EXACT_CHUNK + 3]),
@@ -384,7 +404,7 @@ class TestExactSum:
             a = a.copy()
             for value, at in specials:
                 a[at % a.size] = value
-        assert summed(_exact_sum, a) == summed(math.fsum, a)
+        assert summed(_exact_sum, a) == summed(rounded_sum, a)
 
     def test_named_cases(self):
         n = 2 * _EXACT_MIN_TERMS
@@ -396,6 +416,8 @@ class TestExactSum:
             np.concatenate([np.full(n, -1.5), np.full(n, -0.0), np.full(n, 1.5)]),
             np.full(n, 1e308),                                 # intermediate overflow
             np.concatenate([[1e308, 1e308], np.full(n, -1e308)]),
+            np.array([1e308, 1e308, -1e308]),                  # ... to a finite sum
+            np.array([1e308, 1e308, np.inf]),                  # ... before an infinity
             np.concatenate([[np.inf, -np.inf], np.ones(n)]),   # ValueError
             np.concatenate([[np.nan], np.ones(n)]),
             np.concatenate([[np.inf], np.ones(n)]),
@@ -403,7 +425,9 @@ class TestExactSum:
             np.concatenate([[2.0**-1074, 1.0, 2.0**53], np.full(n, 2.0**-60)]),  # ties
         ]
         for a in cases:
-            assert summed(_exact_sum, a) == summed(math.fsum, a)
+            assert summed(_exact_sum, a) == summed(rounded_sum, a)
+        assert _exact_sum([1e308, 1e308, -1e308]) == 1e308
+        assert _exact_sum(np.full(n, -1e308)) == -math.inf
 
     @pytest.mark.parametrize("a", [
         np.full(2 * _EXACT_MIN_TERMS, -0.0),
