@@ -142,20 +142,6 @@ def _z_for(alpha: float, sided: str) -> float:
     return critical_z(alpha_half)
 
 
-def _assemble(target: str, alpha: float, center: float, half_width: float,
-              sided: str, meta: dict[str, Any]) -> ConfidenceInterval:
-    lower = center - half_width
-    upper = center + half_width
-    if sided == "upper":
-        upper = math.inf
-    elif sided == "lower":
-        lower = -math.inf
-    return ConfidenceInterval(
-        target=target, level=1.0 - alpha, lower=lower, upper=upper,
-        center=center, half_width=half_width, sided=sided, meta=meta,
-    )
-
-
 def _interval(target: str, alpha: float, sided: str,
               center_scale2: Callable[[], tuple[float, float]], wstats: WeightStats,
               meta: dict[str, Any], ratio: bool = False) -> ConfidenceInterval:
@@ -176,7 +162,12 @@ def _interval(target: str, alpha: float, sided: str,
         half /= wstats.sum_abs_dev
     if math.isnan(half):  # z = 0 times a width that overflows float64
         half = math.inf
-    return _assemble(target, alpha, center, half, sided, meta)
+    return ConfidenceInterval(
+        target=target, level=1.0 - alpha,
+        lower=-math.inf if sided == "lower" else center - half,
+        upper=math.inf if sided == "upper" else center + half,
+        center=center, half_width=half, sided=sided, meta=meta,
+    )
 
 
 def ci_mu(x, w: WeightVector, alpha: float, variant: str = "g1",

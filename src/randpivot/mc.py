@@ -19,16 +19,14 @@ Draws come from counter-based streams keyed by (seed, indices), so a
 report never depends on how rows are grouped into blocks or processes.
 Every study draws units of rows: a coverage or kdist replication is a
 unit of one row, a proportion outer replication a unit of inner_reps rows.
-Unit u draws at attempt 0 from stream(seed, u, *tail), tail (0,) for
-coverage and kdist and () for proportion, and the k rows still invalid at
-attempt a from stream(seed, u, a): gen_sample(d, k*n), then
+Unit u draws its k rows still invalid at attempt a (all of them at
+attempt 0) from stream(seed, u, a): gen_sample(d, k*n), then
 draw_indices(n, k*m), as a single-sample pivot or ci_mu call on
-gen_sample then draw_weights would see them.  The tails name one stream
-while seed and u fill at most three 32-bit words (seeds below 2^64), so a
-coverage replication is a proportion outer replication of one row.  The
-keys of a run of units come from one vectorized pass, one generator is
-rewound to each, and a block's indices are computed from raw words in one
-pass (rng._bounded_indices); a unit that pass flags is drawn again.
+gen_sample then draw_weights would see them.  So a coverage replication
+is a proportion outer replication of one row.  The keys of a run of units
+come from one vectorized pass, one generator is rewound to each, and a
+block's indices are computed from raw words in one pass
+(rng._bounded_indices); a unit that pass flags is drawn again.
 """
 from __future__ import annotations
 
@@ -314,12 +312,12 @@ _POOL_ELEMENTS = 1 << 20
 
 def _study_chunk(args) -> np.ndarray:
     """Summed block tallies and redraws of units [start, stop), of `inner`
-    rows each, keyed as the module docstring says.  A block of whole units
-    is one kernel call, in reused buffers; attempt-0 keys are derived a run
-    of whole blocks (at most 1,024 units, or one block) at a time, so memory
-    stays flat in the unit count.  A row that stays invalid is named
-    name.format(unit, row in the unit)."""
-    (d, n, m, kind, seed, inner, tail, name, tally, start, stop) = args
+    rows each, unit u at attempt a drawn from stream(seed, u, a).  A block
+    of whole units is one kernel call, in reused buffers; attempt-0 keys
+    are derived a run of whole blocks (at most 1,024 units, or one block)
+    at a time, so memory stays flat in the unit count.  A row that stays
+    invalid is named name.format(unit, row in the unit)."""
+    (d, n, m, kind, seed, inner, name, tally, start, stop) = args
     units = min(max(1, _BLOCK_ELEMENTS // (inner * max(n, m))), stop - start)
     run = units * max(1, (_BLOCK_ELEMENTS >> 6) // units)
     sample = partial(_FAMILIES[d.family].sample, d.params)  # gen_sample(d, ...), looked up once
@@ -360,7 +358,7 @@ def _study_chunk(args) -> np.ndarray:
 
     tallies = 0
     for lo in range(start, stop, run):
-        keys = _row_keys(seed, np.arange(lo, min(lo + run, stop)), *tail)
+        keys = _row_keys(seed, np.arange(lo, min(lo + run, stop)), 0)
         for first in range(lo, min(lo + run, stop), units):
             tallies = tallies + _evaluate_rows(
                 partial(draw, first, keys[first - lo:first - lo + units]), d, n, m, kind,
@@ -404,7 +402,7 @@ def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
         raise ValueError("reps must be positive")
     tally = partial(_in_band, *_cutoffs(alpha, sided, classical_cutoff, n), sided, 1, (1, 1))
     hits, t_hits, redraws = _run_chunks(reps, max(n, m), threads, d, n, m, pivot_kind, seed,
-                                        1, (0,), "replication {0}", tally).tolist()
+                                        1, "replication {0}", tally).tolist()
     return CoverageReport(
         dist=d.label(), n=n, m=m, pivot=pivot_kind.value, reps=reps,
         alpha=alpha, sided=sided, coverage=hits / reps,
@@ -421,11 +419,11 @@ def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
                      threads: int = 1) -> ProportionReport:
     """Fraction of outer replications whose inner coverage lands in band.
 
-    Each outer replication o (stream (seed, o)) runs inner_reps fresh
-    (sample, weights) pairs -- one weight draw per data replication -- and
-    estimates a coverage probability; the report gives the fraction of
-    those estimates inside the band, for the pivot and for the classical
-    Student t comparator on the same data.
+    Each outer replication o (stream(seed, o, attempt)) runs inner_reps
+    fresh (sample, weights) pairs -- one weight draw per data replication
+    -- and estimates a coverage probability; the report gives the fraction
+    of those estimates inside the band, for the pivot and for the
+    classical Student t comparator on the same data.
     """
     m = n if m is None else m
     pivot_kind = _check_study(d, n, m, pivot_kind)
@@ -436,7 +434,7 @@ def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
     tally = partial(_in_band, *_cutoffs(alpha, sided, classical_cutoff, n), sided, inner_reps, band)
     in_band, t_in_band, redraws = _run_chunks(
         outer_reps, inner_reps * max(n, m), threads, d, n, m, pivot_kind, seed,
-        inner_reps, (), "inner replication {1} of outer replication {0}", tally).tolist()
+        inner_reps, "inner replication {1} of outer replication {0}", tally).tolist()
     return ProportionReport(
         dist=d.label(), n=n, m=m, pivot=pivot_kind.value,
         outer_reps=outer_reps, inner_reps=inner_reps, alpha=alpha, sided=sided,
@@ -471,5 +469,5 @@ def kolmogorov_distance(pivot_kind: PivotKind, d: DistributionSpec, n: int,
     if reps < 1:
         raise ValueError("reps must be positive")
     ecdf = _run_chunks(reps, max(n, m), threads, d, n, m, pivot_kind, seed,
-                       1, (0,), "replication {0}", _ecdf_counts)[:-1] / reps
+                       1, "replication {0}", _ecdf_counts)[:-1] / reps
     return float(np.max(np.abs(ecdf - _kdist_phi())))

@@ -160,8 +160,6 @@ def _check_finite(values: np.ndarray, indices: np.ndarray | None = None) -> None
     (the position in values, or indices[position] when given).  Scans in
     chunks, so the temporary mask stays small however long values is."""
     flat = values.reshape(-1)
-    if flat.size <= _FINITE_CHUNK and np.isfinite(flat).all():
-        return  # one call for a short array; the scan below finds a bad value
     for start in range(0, flat.size, _FINITE_CHUNK):
         finite = np.isfinite(flat[start:start + _FINITE_CHUNK])
         if not finite.all():

@@ -6,10 +6,10 @@ integer path (replication index, attempt number, ...).  Streams for
 distinct paths are statistically independent, and results depend only on
 (seed, path), never on thread or process layout.
 
-A block of rows keyed (seed, r, *tail) for many r need not build one
+A block of rows keyed (seed, r, attempt) for many r need not build one
 generator per row: _row_keys derives all their keys in one vectorized
 pass, and _row_streams rewinds one generator to each key in turn.  Both
-give exactly the draws stream(seed, r, *tail) gives.  Nor need each row
+give exactly the draws stream(seed, r, attempt) gives.  Nor need each row
 call Generator.integers for its resampling indices: _bounded_indices
 computes integers' values from the rows' raw words in one pass over the
 block, and flags the rare rows integers itself must draw.  _row_keys and
@@ -100,22 +100,22 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> _SHIFT)
 
 
-def _row_keys(seed: int, rows: np.ndarray, *tail: int) -> np.ndarray:
-    """The Philox keys of stream(seed, r, *tail) for each r in rows.
+def _row_keys(seed: int, rows: np.ndarray, attempt: int) -> np.ndarray:
+    """The Philox keys of stream(seed, r, attempt) for each r in rows.
 
     Row i of the (rows, 2) uint64 result is
-    SeedSequence(entropy=(seed, rows[i], *tail)).generate_state(2, np.uint64).
+    SeedSequence(entropy=(seed, rows[i], attempt)).generate_state(2, np.uint64).
     The hash runs on uint32 arrays with one column per row, so its
     wrap-around arithmetic is numpy's silent array overflow, and the three
     hashmix calls that mix one pool word into the others are one
     broadcast op.  Row indices outside [0, 2^32) (not one entropy word)
-    and keys of more than four entropy words (a seed of 2^64 or more, or a
-    long tail) go through SeedSequence itself.
+    and keys of more than four entropy words (a seed of 2^64 or more, or
+    an attempt of 2^32 or more) go through SeedSequence itself.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    entropy = _words(seed) + [None] + [w for t in tail for w in _words(t)]
+    entropy = _words(seed) + [None] + _words(attempt)
     if len(entropy) > _POOL or np.any(rows >> 32):
-        return np.array([SeedSequence(entropy=tuple(map(_key_part, (seed, r, *tail))))
+        return np.array([SeedSequence(entropy=tuple(map(_key_part, (seed, r, attempt))))
                          .generate_state(2, np.uint64) for r in rows],
                         dtype=np.uint64).reshape(-1, 2)
     index = rows.astype(np.uint32)

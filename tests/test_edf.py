@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randpivot import (DegenerateWeights, MissingF, WeightVector, ZeroScale,
-                       ci_df, ci_edf, critical_z, dkw_bound, draw_weights,
+from randpivot import (ConfidenceInterval, DegenerateWeights, MissingF, WeightVector,
+                       ZeroScale, ci_df, ci_edf, critical_z, dkw_bound, draw_weights,
                        edf_pivot, edf_point, enumerate_weight_vectors, stream,
                        weight_stats)
 
@@ -38,6 +38,14 @@ def _check_clamped(ci, raw):
     else:
         assert ci.meta == {**raw.meta, "clamped": True, "raw_lower": raw.lower,
                            "raw_upper": raw.upper}
+
+
+def _raw_interval(target, alpha, center, half, sided, meta):
+    """The unclamped interval center -/+ half, open on the side sided leaves."""
+    return ConfidenceInterval(target, 1.0 - alpha,
+                              -math.inf if sided == "lower" else center - half,
+                              math.inf if sided == "upper" else center + half,
+                              center, half, sided, meta)
 
 
 def _w(counts):
@@ -230,7 +238,6 @@ class TestCiEdf:
     @settings(max_examples=200, deadline=None)
     @given(edf_inputs())
     def test_clamp_invariants(self, case):
-        from randpivot.intervals import _assemble
         x, w, at, alpha, sided = case
         try:
             ci = ci_edf(x, w, at, alpha, sided)
@@ -239,8 +246,8 @@ class TestCiEdf:
         p, ws = edf_point(x, w, at), weight_stats(w)
         z = critical_z(alpha / 2.0 if sided == "two" else alpha)
         half = z * math.sqrt(p.s2_mn) * math.sqrt(ws.sum_sq_dev)
-        raw = _assemble("edf_value", alpha, p.f_mn, half, sided,
-                        {"n": w.n, "m": w.m, "pivot": "hathat1", "x": at})
+        raw = _raw_interval("edf_value", alpha, p.f_mn, half, sided,
+                            {"n": w.n, "m": w.m, "pivot": "hathat1", "x": at})
         _check_clamped(ci, raw)
 
     def test_zero_scale_at_extremes(self):
@@ -275,7 +282,6 @@ class TestCiDf:
     def test_equals_route_through_edf_point(self, case):
         # center f_hat, half width z * sqrt(s2_mn) * sqrt(ssq) / sum|d|,
         # then clamped into [0, 1]
-        from randpivot.intervals import _assemble
         x, w, at, alpha, sided = case
         ws = weight_stats(w)
         if ws.degenerate:
@@ -289,8 +295,8 @@ class TestCiDf:
             return
         z = critical_z(alpha / 2.0 if sided == "two" else alpha)
         half = z * math.sqrt(p.s2_mn) * math.sqrt(ws.sum_sq_dev) / ws.sum_abs_dev
-        raw = _assemble("df_value", alpha, p.f_hat, half, sided,
-                        {"n": w.n, "m": w.m, "pivot": "hathat2", "x": at})
+        raw = _raw_interval("df_value", alpha, p.f_hat, half, sided,
+                            {"n": w.n, "m": w.m, "pivot": "hathat2", "x": at})
         _check_clamped(ci_df(x, w, at, alpha, sided), raw)
 
     def test_alpha_near_one_collapses_to_f_hat(self):

@@ -127,7 +127,7 @@ class TestCiMu:
     def test_equals_route_through_randomized_stats(self):
         # center from randomized_stats(...).ratio_mean, scale from
         # sample_stats (g1) or randomized_stats(...).rsd (g2)
-        from randpivot.intervals import _assemble
+        from randpivot.intervals import ConfidenceInterval
         from randpivot.pivots import sample_stats
         rng = stream(12)
         for n, m in [(5, 5), (15, 40), (30, 30), (100, 20)]:
@@ -144,8 +144,9 @@ class TestCiMu:
                             ci_mu(x, w, 0.1, variant)
                         continue
                     half = critical_z(0.05) * scale * math.sqrt(ws.sum_sq_dev) / ws.sum_abs_dev
-                    old = _assemble("population_mean", 0.1, r.ratio_mean, half, "two",
-                                    {"n": n, "m": m, "pivot": variant})
+                    c = r.ratio_mean
+                    old = ConfidenceInterval("population_mean", 0.9, c - half, c + half, c,
+                                             half, "two", {"n": n, "m": m, "pivot": variant})
                     assert ci_mu(x, w, 0.1, variant) == old
 
     def test_width_scales_linearly_with_data(self):

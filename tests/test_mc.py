@@ -441,7 +441,7 @@ class TestRowEngineMatchesSingleSampleApi:
 def _proportion_replay(d, n, kind, outer, inner, seed, band, alpha=0.05):
     """Outer replications drawn one generator per draw, as proportion_study keys them.
 
-    Outer o draws its inner rows from stream(seed, o), and the rows still
+    Outer o draws its inner rows from stream(seed, o, 0), and the rows still
     invalid at attempt a from stream(seed, o, a): first gen_sample(d, k*n),
     then draw_indices(n, k*m), counted row by row.  Returns per sidedness
     the (in-band, classical in-band) counts, and the redraw count.
@@ -453,7 +453,7 @@ def _proportion_replay(d, n, kind, outer, inner, seed, band, alpha=0.05):
         vals, tvals = np.empty(inner), np.empty(inner)
         which = np.arange(inner)
         for attempt in range(mc.MAX_REDRAWS):
-            rng = stream(seed, o, attempt) if attempt else stream(seed, o)
+            rng = stream(seed, o, attempt)
             k = which.size
             x = gen_sample(d, k * n, rng).reshape(k, n)
             idx = draw_indices(n, k * n, rng).reshape(k, n)
@@ -478,9 +478,9 @@ class TestProportionMatchesReplay:
     @pytest.mark.parametrize("kind", list(PivotKind))
     @pytest.mark.parametrize("spec,n,band", [("normal:0,1", 20, (0.93, 0.97)),
                                              ("poisson:1", 5, (0.85, 0.97))])
-    def test_report_equals_replay(self, spec, n, band, kind):
+    def test_report_equals_replay(self, spec, n, band, kind, seed=43):
         d = parse_dist(spec)
-        outer, inner, seed = 30, 100, 43
+        outer, inner = 30, 100
         in_band, redraws = _proportion_replay(d, n, kind, outer, inner, seed, band)
         # some outers land in the band and some out, and the poisson cell
         # redraws, so a key or a count taken from the wrong outer or row
@@ -494,15 +494,19 @@ class TestProportionMatchesReplay:
             assert report.classical_proportion == t_hits / outer, sided
             assert report.degenerate_count == redraws, sided
 
+    def test_report_equals_replay_at_a_seed_of_five_words(self):
+        # seed, outer index and attempt fill five 32-bit words, so the keys
+        # take SeedSequence's own hash, attempt 0 included
+        self.test_report_equals_replay("poisson:1", 5, (0.85, 0.97), PivotKind.G2, 2**64 + 5)
+
 
 class TestCoverageIsProportionsOneRowCase:
     """A coverage replication r is a proportion outer replication r of one
-    inner row: the attempt-0 keys (seed, r, 0) and (seed, r) are one key
-    below seed 2^64, redraws are keyed (seed, r, a) by both, and both draw
-    the sample, then the indices.  So band (1, 1) counts the covered rows."""
+    inner row: both key attempt a of r as (seed, r, a), and both draw the
+    sample, then the indices.  So band (1, 1) counts the covered rows."""
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("seed", [0, 41, 2**40 + 3, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 41, 2**40 + 3, 2**64 - 1, 2**64 + 5, 2**70])
     def test_reports_agree(self, seed, threads):
         d, reps = parse_dist("poisson:1"), 300
         with _in_workers() as pools:
@@ -616,7 +620,7 @@ class TestStudyBlocks:
                 lambda: coverage_study(d, n, n, kind, 300, 0.05, seed=5))
             results.append((vals, tvals, report.degenerate_count))
         with _in_workers() as pools:
-            pooled = mc._run_chunks(300, n, 2, d, n, n, kind, 5, 1, (0,), "replication {0}",
+            pooled = mc._run_chunks(300, n, 2, d, n, n, kind, 5, 1, "replication {0}",
                                     _checksum)
         assert pools and pooled.dtype == np.uint64
         for vals, tvals, redraws in results:
@@ -683,7 +687,7 @@ class TestStudyTallies:
         mc._in_band, 1.6, 1.6, "upper", 1, (1, 1))], ids=["kdist", "coverage"])
     def test_pickled_chunk_result_does_not_grow_with_range(self, tally):
         sizes = [len(pickle.dumps(mc._study_chunk(
-            (NORMAL, 5, 5, PivotKind.G1, 0, 1, (0,), "replication {0}", tally, 0, stop))))
+            (NORMAL, 5, 5, PivotKind.G1, 0, 1, "replication {0}", tally, 0, stop))))
             for stop in (10, 3000)]
         assert sizes[0] == sizes[1] < 5 * 1024, sizes
 
@@ -886,9 +890,9 @@ class TestStudyInputs:
         calls = []
         row_keys = mc._row_keys
 
-        def counting_keys(seed, rows, *tail):
-            calls.extend((seed, r, *tail) for r in np.asarray(rows).tolist())
-            return row_keys(seed, rows, *tail)
+        def counting_keys(seed, rows, attempt):
+            calls.extend((seed, r, attempt) for r in np.asarray(rows).tolist())
+            return row_keys(seed, rows, attempt)
 
         monkeypatch.setattr(mc, "_row_keys", counting_keys)
         studies = [

@@ -16,8 +16,8 @@ FAMILY_SPECS = {"binomial": "binomial:10,0.3", "poisson": "poisson:1.5",
                 "beta": "beta:2,5", "uniform": "uniform:-1,4"}
 
 
-def _reference_keys(seed, rows, tail):
-    return np.array([SeedSequence(entropy=(seed, r, *tail)).generate_state(2, np.uint64)
+def _reference_keys(seed, rows, attempt):
+    return np.array([SeedSequence(entropy=(seed, r, attempt)).generate_state(2, np.uint64)
                      for r in rows], dtype=np.uint64).reshape(-1, 2)
 
 
@@ -30,35 +30,35 @@ class TestRowKeys:
     @given(seed=st.integers(0, 2**70),
            rows=st.lists(st.integers(0, 2**32 - 1), max_size=24),
            big=st.lists(st.integers(2**32, 2**62), max_size=2),
-           tail=st.lists(st.integers(0, 2**40), max_size=2))
-    @example(seed=0, rows=list(range(10)), big=[], tail=[])  # proportion's (seed, o)
-    @example(seed=2**32 - 1, rows=[2**32 - 1] * 5, big=[2**32], tail=[2**32 - 1])
-    @example(seed=2**64 + 3, rows=list(range(2**32 - 6, 2**32)), big=[], tail=[2**32, 7])
-    def test_keys_equal_seed_sequence(self, seed, rows, big, tail):
+           attempt=st.integers(0, 2**40))
+    @example(seed=0, rows=list(range(10)), big=[], attempt=0)  # every study's first draw
+    @example(seed=2**32 - 1, rows=[2**32 - 1] * 5, big=[2**32], attempt=2**32 - 1)
+    @example(seed=2**64 + 3, rows=list(range(2**32 - 6, 2**32)), big=[], attempt=7)
+    def test_keys_equal_seed_sequence(self, seed, rows, big, attempt):
         # rows below 2^32 take the vectorized pass, however few; any row
         # of 2^32 or more sends the call to SeedSequence
         for block in (rows, rows + big):
-            got = rng._row_keys(seed, np.array(block, dtype=np.int64), *tail)
+            got = rng._row_keys(seed, np.array(block, dtype=np.int64), attempt)
             assert got.dtype == np.uint64 and got.shape == (len(block), 2)
-            assert got.tobytes() == _reference_keys(seed, block, tail).tobytes()
+            assert got.tobytes() == _reference_keys(seed, block, attempt).tobytes()
 
     def test_vectorized_pass_taken_for_single_rows(self, monkeypatch):
-        cases = [(0, 0, (0,)), (7, 2**32 - 1, ()), (2**96, 5, (2**32, 1))]
-        want = [_reference_keys(seed, [r], tail) for seed, r, tail in cases]
-        for (seed, r, tail), keys in zip(cases, want):
-            got = rng._row_keys(seed, np.array([r]), *tail)
+        cases = [(0, 0, 0), (7, 2**32 - 1, 99), (2**96, 5, 2**32)]
+        want = [_reference_keys(seed, [r], attempt) for seed, r, attempt in cases]
+        for (seed, r, attempt), keys in zip(cases, want):
+            got = rng._row_keys(seed, np.array([r]), attempt)
             assert got.tobytes() == keys.tobytes()
         monkeypatch.setattr(rng, "SeedSequence", None)  # keys of four words or fewer need none
-        for (seed, r, tail), keys in zip(cases[:2], want):
-            assert rng._row_keys(seed, np.array([r]), *tail).tobytes() == keys.tobytes()
+        for (seed, r, attempt), keys in zip(cases[:2], want):
+            assert rng._row_keys(seed, np.array([r]), attempt).tobytes() == keys.tobytes()
 
     def test_negative_entries_rejected_like_seed_sequence(self):
         # stream and the row keys refuse a negative entry with one message
         message = "a stream's seed and path must be non-negative, got -1"
-        for seed, rows, tail in [(-1, np.arange(10), (0,)), (3, np.array([-1] + [0] * 9), (0,)),
-                                 (3, np.arange(4), (-1,))]:
+        for seed, rows, attempt in [(-1, np.arange(10), 0), (3, np.array([-1] + [0] * 9), 0),
+                                    (3, np.arange(4), -1)]:
             with pytest.raises(ValueError, match=message):
-                rng._row_keys(seed, rows, *tail)
+                rng._row_keys(seed, rows, attempt)
         for key in [(-1,), (3, -1), (3, 0, -1)]:
             with pytest.raises(ValueError, match=message):
                 rng.stream(*key)
@@ -86,7 +86,8 @@ class TestRowStreams:
 def test_a_zero_last_path_entry_is_the_pools_padding():
     # SeedSequence pads its pool of four 32-bit words with zero words, so a
     # last path entry 0 names the stream without it while the seed and the
-    # index fill at most three words; a seed of 2^64 fills three alone
+    # index fill at most three words; a seed of 2^64 fills three alone.  So
+    # below seed 2^64 a unit's first draw, stream(seed, u, 0), is stream(seed, u)
     def first_words(*key):
         return rng.stream(*key).bit_generator.random_raw(4).tolist()
 
