@@ -7,17 +7,18 @@ distinct paths are statistically independent, and results depend only on
 (seed, path), never on thread or process layout.
 
 A block of rows keyed (seed, r, attempt) for many r need not build one
-generator per row: _row_keys derives all their keys in one vectorized
-pass, and _row_streams rewinds one generator to each key in turn.  Both
-give exactly the draws stream(seed, r, attempt) gives.  Nor need each row
-call Generator.integers for its resampling indices: _bounded_indices
-computes integers' values from the rows' raw words in one pass over the
-block, and flags the rare rows integers itself must draw.  _row_keys and
-_bounded_indices replicate numpy (its SeedSequence hash and its bounded
-integer rule) only for these per-row keys.
+generator per row: _row_keys derives all their keys, however long, in one
+vectorized pass, and _row_streams rewinds one generator to each key in
+turn.  Both give exactly the draws stream(seed, r, attempt) gives.  Nor
+need each row call Generator.integers for its resampling indices:
+_bounded_indices computes integers' values from the rows' raw words in
+one pass over the block, and flags the rare rows integers itself must
+draw.  _row_keys and _bounded_indices replicate numpy (its SeedSequence
+hash and its bounded integer rule) only for these per-row keys.
 """
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -54,40 +55,36 @@ _SHIFT = np.uint32(16)
 _POOL = 4
 
 
-def _hash_constants(init: int, mult: int, count: int) -> tuple[list[int], list[int]]:
-    """The xor and the multiply constants of the first count hashmix
-    calls from the hash constant init."""
-    xor, mul, h = [], [], init
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The xor and the multiply constants of the first count hashmix calls
+    from the hash constant init, shaped (2, count, 1) to broadcast over rows."""
+    chain = [init]
     for _ in range(count):
-        xor.append(h)
-        h = h * mult & _MASK32
-        mul.append(h)
-    return xor, mul
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array([chain[:-1], chain[1:]], dtype=np.uint32)[:, :, None]
 
 
-def _column(values: list[int]) -> np.ndarray:
-    """values shaped (len, 1), to broadcast over rows."""
-    return np.array(values, dtype=np.uint32)[:, None]
+_FILL = tuple(_hash_constants(_INIT_A, _MULT_A, _POOL))
+_OUTPUT = tuple(_hash_constants(_INIT_B, _MULT_B, _POOL))
 
 
-_A = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
-# Calls 0-3 hash the entropy into the pool; calls 4 + 3s + (0, 1, 2) mix
-# pool word s into the other three, given here with a zero constant at
-# row s, whose result is discarded.
-_FILL = tuple(_column(c[:_POOL]) for c in _A)
-_SPREAD = [tuple(_column(c[k:k + s] + [0] + c[k + s:k + _POOL - 1]) for c in _A)
-           for s, k in ((s, _POOL + s * (_POOL - 1)) for s in range(_POOL))]
-_OUTPUT = tuple(_column(c) for c in _hash_constants(_INIT_B, _MULT_B, _POOL))
+@functools.cache
+def _steps(length: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The hashmix constants of each mixing step for an entropy of length
+    words.  Calls 0-3 of the chain (_FILL) hash the entropy into the pool.
+    Step p < 4 is calls 4 + 3p + (0, 1, 2), which mix pool word p into the
+    other three, given with a zero constant at row p, whose result is
+    discarded; step p >= 4 is calls 4p + (0, 1, 2, 3), which mix entropy
+    word p into each pool word."""
+    chain = _hash_constants(_INIT_A, _MULT_A, _POOL * max(length, _POOL))[:, _POOL:]
+    table = np.insert(chain, np.arange(0, _POOL * _POOL, _POOL), 0, axis=1)
+    return [tuple(step) for step in table.reshape(2, -1, _POOL, 1).swapaxes(0, 1)]
 
 
 def _words(value: int) -> list[int]:
     """The little-endian 32-bit words SeedSequence splits an entropy int into."""
     value = _key_part(value)
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _hashmix(value: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -100,36 +97,49 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> _SHIFT)
 
 
-def _row_keys(seed: int, rows: np.ndarray, attempt: int) -> np.ndarray:
-    """The Philox keys of stream(seed, r, attempt) for each r in rows.
-
-    Row i of the (rows, 2) uint64 result is
-    SeedSequence(entropy=(seed, rows[i], attempt)).generate_state(2, np.uint64).
-    The hash runs on uint32 arrays with one column per row, so its
-    wrap-around arithmetic is numpy's silent array overflow, and the three
-    hashmix calls that mix one pool word into the others are one
-    broadcast op.  Row indices outside [0, 2^32) (not one entropy word)
-    and keys of more than four entropy words (a seed of 2^64 or more, or
-    an attempt of 2^32 or more) go through SeedSequence itself.
-    """
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    entropy = _words(seed) + [None] + _words(attempt)
-    if len(entropy) > _POOL or np.any(rows >> 32):
-        return np.array([SeedSequence(entropy=tuple(map(_key_part, (seed, r, attempt))))
-                         .generate_state(2, np.uint64) for r in rows],
-                        dtype=np.uint64).reshape(-1, 2)
-    index = rows.astype(np.uint32)
-    pool = np.zeros((_POOL, rows.size), dtype=np.uint32)
-    for i, word in enumerate(entropy):
-        pool[i] = index if word is None else word
-    pool = _hashmix(pool, _FILL)
-    for s, consts in enumerate(_SPREAD):
-        mixed = _mix(pool, _hashmix(pool[s], consts))
-        mixed[s] = pool[s]
+def _keys(head: list[int], index: list[np.ndarray], tail: list[int]) -> np.ndarray:
+    """SeedSequence(entropy=head + index + tail).generate_state(2, np.uint64)
+    for each key, where index holds int64 arrays of one word per key and
+    head and tail the words every key shares."""
+    words = head + index + tail
+    entropy = np.zeros((max(len(words), _POOL), index[0].size), dtype=np.uint32)
+    for i, word in enumerate(words):
+        entropy[i] = word
+    pool = _hashmix(entropy[:_POOL], _FILL)
+    for p, consts in enumerate(_steps(len(words))):
+        source = pool[p] if p < _POOL else entropy[p]
+        mixed = _mix(pool, _hashmix(source, consts))
+        if p < _POOL:
+            mixed[p] = source
         pool = mixed
     state = _hashmix(pool, _OUTPUT)
     # generate_state(2, np.uint64) reads the 32-bit words as little-endian pairs
     return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _row_keys(seed: int, rows: np.ndarray, attempt: int) -> np.ndarray:
+    """The Philox keys of stream(seed, r, attempt) for each r in rows.
+
+    Row i of the (rows, 2) uint64 result is
+    SeedSequence(entropy=(seed, rows[i], attempt)).generate_state(2, np.uint64),
+    for a seed, row and attempt of any size, in one pass.  The hash runs
+    on uint32 arrays with one column per row: every operand is an array,
+    since numpy warns when a uint32 scalar product wraps, and the hashmix
+    calls of one mixing step are one broadcast op.  A row of 2^32 or more
+    is two entropy words, which moves the attempt's words, so those rows
+    are a second group, hashed by a second run of the pass.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    head, tail = _words(seed), _words(attempt)
+    high = rows >> 32
+    if not high.any():
+        return _keys(head, [rows], tail)
+    _key_part(rows.min())  # refuses a negative row, whose high word is nonzero
+    wide = high != 0
+    keys = np.empty((rows.size, 2), dtype=np.uint64)
+    keys[~wide] = _keys(head, [rows[~wide]], tail)
+    keys[wide] = _keys(head, [rows[wide] & _MASK32, high[wide]], tail)
+    return keys
 
 
 def _row_streams(gen: Generator, keys: np.ndarray) -> Iterator[Generator]:

@@ -494,10 +494,12 @@ class TestProportionMatchesReplay:
             assert report.classical_proportion == t_hits / outer, sided
             assert report.degenerate_count == redraws, sided
 
-    def test_report_equals_replay_at_a_seed_of_five_words(self):
-        # seed, outer index and attempt fill five 32-bit words, so the keys
-        # take SeedSequence's own hash, attempt 0 included
-        self.test_report_equals_replay("poisson:1", 5, (0.85, 0.97), PivotKind.G2, 2**64 + 5)
+    @pytest.mark.parametrize("seed", [2**64 + 5, 2**96 + 7, 2**200 + 1])
+    def test_report_equals_replay_at_a_seed_of_five_words_or_more(self, seed):
+        # seed, outer index and attempt fill five, six and nine 32-bit
+        # words, so the keys run the steps that mix one, two and five
+        # entropy words past the pool of four, attempt 0 included
+        self.test_report_equals_replay("poisson:1", 5, (0.85, 0.97), PivotKind.G2, seed)
 
 
 class TestCoverageIsProportionsOneRowCase:
@@ -506,7 +508,8 @@ class TestCoverageIsProportionsOneRowCase:
     sample, then the indices.  So band (1, 1) counts the covered rows."""
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("seed", [0, 41, 2**40 + 3, 2**64 - 1, 2**64 + 5, 2**70])
+    @pytest.mark.parametrize("seed", [0, 41, 2**40 + 3, 2**64 - 1, 2**64 + 5, 2**70,
+                                      2**200 + 1])
     def test_reports_agree(self, seed, threads):
         d, reps = parse_dist("poisson:1"), 300
         with _in_workers() as pools:

@@ -27,30 +27,32 @@ def test_every_family_has_a_spec():
 
 class TestRowKeys:
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**70),
+    @given(seed=st.integers(0, 2**200),
            rows=st.lists(st.integers(0, 2**32 - 1), max_size=24),
            big=st.lists(st.integers(2**32, 2**62), max_size=2),
-           attempt=st.integers(0, 2**40))
+           attempt=st.integers(0, 2**70))
     @example(seed=0, rows=list(range(10)), big=[], attempt=0)  # every study's first draw
     @example(seed=2**32 - 1, rows=[2**32 - 1] * 5, big=[2**32], attempt=2**32 - 1)
     @example(seed=2**64 + 3, rows=list(range(2**32 - 6, 2**32)), big=[], attempt=7)
+    @example(seed=2**96, rows=[0, 2**32 - 1, 7], big=[2**32, 2**62], attempt=3)
+    @example(seed=2**200 + 1, rows=[2**32 - 1, 1], big=[2**40], attempt=2**70)
     def test_keys_equal_seed_sequence(self, seed, rows, big, attempt):
-        # rows below 2^32 take the vectorized pass, however few; any row
-        # of 2^32 or more sends the call to SeedSequence
-        for block in (rows, rows + big):
+        # every key, however many words, takes the one vectorized pass; a
+        # block that mixes rows below and above 2^32 hashes each word
+        # count as its own group, in the block's order
+        for block in (rows, rows + big, big + rows):
             got = rng._row_keys(seed, np.array(block, dtype=np.int64), attempt)
             assert got.dtype == np.uint64 and got.shape == (len(block), 2)
             assert got.tobytes() == _reference_keys(seed, block, attempt).tobytes()
 
-    def test_vectorized_pass_taken_for_single_rows(self, monkeypatch):
-        cases = [(0, 0, 0), (7, 2**32 - 1, 99), (2**96, 5, 2**32)]
-        want = [_reference_keys(seed, [r], attempt) for seed, r, attempt in cases]
-        for (seed, r, attempt), keys in zip(cases, want):
-            got = rng._row_keys(seed, np.array([r]), attempt)
-            assert got.tobytes() == keys.tobytes()
-        monkeypatch.setattr(rng, "SeedSequence", None)  # keys of four words or fewer need none
-        for (seed, r, attempt), keys in zip(cases[:2], want):
-            assert rng._row_keys(seed, np.array([r]), attempt).tobytes() == keys.tobytes()
+    def test_no_key_takes_seed_sequence(self, monkeypatch):
+        cases = [(0, [0], 0), (7, [2**32 - 1], 99), (2**96, [5], 2**32),
+                 (2**200 + 1, [3, 2**40, 9], 2**70)]
+        want = [_reference_keys(seed, rows, attempt) for seed, rows, attempt in cases]
+        monkeypatch.setattr(rng, "SeedSequence", None)  # no key, however long, needs it
+        for (seed, rows, attempt), keys in zip(cases, want):
+            got = rng._row_keys(seed, np.array(rows, dtype=np.int64), attempt)
+            assert got.tobytes() == keys.tobytes(), (seed, rows, attempt)
 
     def test_negative_entries_rejected_like_seed_sequence(self):
         # stream and the row keys refuse a negative entry with one message
