@@ -8,8 +8,8 @@ in.  pivot() is one row of the same kernel, summed exactly.  The
 block's row moments also give each row's classical Student t value
 (divisor n-1, whose exact cutoffs t_{alpha,n-1} are exact-size under
 normal data).  Rows with degenerate weights, or a scale that vanishes or
-overflows float64, are redrawn by one helper, at most MAX_REDRAWS draws
-per row, and counted.
+overflows float64, are redrawn within their block, at most MAX_REDRAWS
+draws per row, and counted.
 
 Each block is reduced to an integer tally (coverage hits, in-band outers
 or ECDF counts), and a study sums them, so no value outlives its block:
@@ -266,38 +266,6 @@ def _check_study(d: DistributionSpec, n: int, m: int, kind: PivotKind) -> PivotK
     return kind
 
 
-def _evaluate_rows(draw, d: DistributionSpec, n: int, m: int, kind: PivotKind, rows: int,
-                   name: Callable[[int], str],
-                   tally: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """A block's integer tally of `rows` rows' values, redrawing invalid rows.
-
-    draw(attempt, which) returns the (sample, counts) matrices of the rows
-    numbered `which` at that attempt, and _batch_values' work for them.  A
-    row whose weights are degenerate or whose pivot or classical scale
-    vanishes or overflows is drawn again, at most MAX_REDRAWS draws in all.
-    Returns tally(pivot values, classical t values), an integer array, with
-    the redraws appended in its type.  If rows stay invalid, the error names
-    the first of them by name(row): rows are keyed by their index, so that
-    row and its name do not depend on how rows are split into blocks.
-    """
-    mu = d.true_mean
-    vals, tvals = np.empty(rows), np.empty(rows)
-    which = np.arange(rows)
-    redraws = 0
-    for attempt in range(MAX_REDRAWS):
-        x, w, work = draw(attempt, which)
-        vals[which], tvals[which], ok = _batch_values(kind, x, w, m, mu, work)
-        which = which[~ok]
-        if which.size == 0:
-            counts = tally(vals, tvals)
-            return np.append(counts, counts.dtype.type(redraws))
-        redraws += which.size
-    raise RandPivotError(
-        f"{name(int(which[0]))} had {MAX_REDRAWS} consecutive degenerate draws; "
-        f"the configuration {d.label()}, n={n}, m={m} looks unusable"
-    )
-
-
 # Element budget of a block (at least one whole unit).  Every unit has its
 # own stream, so the block size never changes a result.
 _BLOCK_ELEMENTS = 1 << 16
@@ -311,12 +279,20 @@ _POOL_ELEMENTS = 1 << 20
 
 
 def _study_chunk(args) -> np.ndarray:
-    """Summed block tallies and redraws of units [start, stop), of `inner`
-    rows each, unit u at attempt a drawn from stream(seed, u, a).  A block
-    of whole units is one kernel call, in reused buffers; attempt-0 keys
-    are derived a run of whole blocks (at most 1,024 units, or one block)
-    at a time, so memory stays flat in the unit count.  A row that stays
-    invalid is named name.format(unit, row in the unit)."""
+    """Summed block tallies of units [start, stop), of `inner` rows each,
+    with the redraws appended in the tallies' type.
+
+    Unit u at attempt a is drawn from stream(seed, u, a).  A block of whole
+    units is one kernel call, in reused buffers; attempt-0 keys are derived
+    a run of whole blocks (at most 1,024 units, or one block) at a time, so
+    memory stays flat in the unit count.  A row whose weights are degenerate
+    or whose pivot or classical scale vanishes or overflows is drawn again,
+    at most MAX_REDRAWS draws in all; the block is then reduced to
+    tally(pivot values, classical t values), an integer array.  If rows stay
+    invalid, the error names the first of them, block row i, as
+    name.format(unit, row in the unit): rows are keyed by their unit, so
+    that row and its name do not depend on how units are split into blocks.
+    """
     (d, n, m, kind, seed, inner, name, tally, start, stop) = args
     units = min(max(1, _BLOCK_ELEMENTS // (inner * max(n, m))), stop - start)
     run = units * max(1, (_BLOCK_ELEMENTS >> 6) // units)
@@ -356,28 +332,43 @@ def _study_chunk(args) -> np.ndarray:
             idx = idx[np.arange(most * m) < sizes[:, None] * m]
         return x[:, :rows].T, _counts_matrix(idx.reshape(rows, m), n), [a[:, :rows].T for a in work]
 
-    tallies = 0
+    mu, tallies, redraws = d.true_mean, 0, 0
     for lo in range(start, stop, run):
         keys = _row_keys(seed, np.arange(lo, min(lo + run, stop)), 0)
         for first in range(lo, min(lo + run, stop), units):
-            tallies = tallies + _evaluate_rows(
-                partial(draw, first, keys[first - lo:first - lo + units]), d, n, m, kind,
-                (min(first + units, stop) - first) * inner,
-                lambda i: name.format(first + i // inner, i % inner), tally)
-    return tallies
+            rows = (min(first + units, stop) - first) * inner
+            vals, tvals = np.empty(rows), np.empty(rows)
+            which = np.arange(rows)
+            for attempt in range(MAX_REDRAWS):
+                rows_x, w, rows_work = draw(first, keys[first - lo:first - lo + units],
+                                            attempt, which)
+                vals[which], tvals[which], ok = _batch_values(kind, rows_x, w, m, mu, rows_work)
+                which = which[~ok]
+                if which.size == 0:
+                    break
+                redraws += which.size
+            else:
+                i = int(which[0])
+                raise RandPivotError(
+                    f"{name.format(first + i // inner, i % inner)} had {MAX_REDRAWS} "
+                    f"consecutive degenerate draws; the configuration {d.label()}, "
+                    f"n={n}, m={m} looks unusable")
+            tallies = tallies + tally(vals, tvals)
+    return np.append(tallies, tallies.dtype.type(redraws))
 
 
-def _run_chunks(total: int, elements: int, threads: int, *args) -> np.ndarray:
+def _run_chunks(total: int, threads: int, *args) -> np.ndarray:
     """_study_chunk((*args, start, stop)) summed over about four ranges per thread.
 
-    elements is the element count of one item of the range.  At threads
-    <= 1, or when the study is too small to repay a pool (total *
-    (elements + _STREAM_ELEMENTS) <= _POOL_ELEMENTS), the whole range is
-    one in-process call, so every fixed cost of a call, a block of rows or
-    a process pool is paid once, not per range.  Units are keyed by index,
-    so the report is the same.
+    args are (d, n, m, kind, seed, inner, name, tally): a unit of the range
+    draws inner * max(n, m) elements.  At threads <= 1, or when the study is
+    too small to repay a pool (total * (inner * max(n, m) + _STREAM_ELEMENTS)
+    <= _POOL_ELEMENTS), the whole range is one in-process call, so every
+    fixed cost of a call, a block of rows or a process pool is paid once,
+    not per range.  Units are keyed by index, so the report is the same.
     """
-    pooled = threads > 1 and total * (elements + _STREAM_ELEMENTS) > _POOL_ELEMENTS
+    n, m, inner = args[1], args[2], args[5]
+    pooled = threads > 1 and total * (inner * max(n, m) + _STREAM_ELEMENTS) > _POOL_ELEMENTS
     step = math.ceil(total / min(threads * 4, total)) if pooled else total
     ranges = [(*args, lo, min(lo + step, total)) for lo in range(0, total, step)]
     return sum(part for _, part in ordered_map(_study_chunk, ranges,
@@ -401,8 +392,8 @@ def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,
     if reps < 1:
         raise ValueError("reps must be positive")
     tally = partial(_in_band, *_cutoffs(alpha, sided, classical_cutoff, n), sided, 1, (1, 1))
-    hits, t_hits, redraws = _run_chunks(reps, max(n, m), threads, d, n, m, pivot_kind, seed,
-                                        1, "replication {0}", tally).tolist()
+    hits, t_hits, redraws = _run_chunks(reps, threads, d, n, m, pivot_kind, seed, 1,
+                                        "replication {0}", tally).tolist()
     return CoverageReport(
         dist=d.label(), n=n, m=m, pivot=pivot_kind.value, reps=reps,
         alpha=alpha, sided=sided, coverage=hits / reps,
@@ -433,8 +424,8 @@ def proportion_study(d: DistributionSpec, n: int, pivot_kind: PivotKind,
         raise ValueError(f"band must satisfy 0 <= lo <= hi <= 1, got {tuple(band)}")
     tally = partial(_in_band, *_cutoffs(alpha, sided, classical_cutoff, n), sided, inner_reps, band)
     in_band, t_in_band, redraws = _run_chunks(
-        outer_reps, inner_reps * max(n, m), threads, d, n, m, pivot_kind, seed,
-        inner_reps, "inner replication {1} of outer replication {0}", tally).tolist()
+        outer_reps, threads, d, n, m, pivot_kind, seed, inner_reps,
+        "inner replication {1} of outer replication {0}", tally).tolist()
     return ProportionReport(
         dist=d.label(), n=n, m=m, pivot=pivot_kind.value,
         outer_reps=outer_reps, inner_reps=inner_reps, alpha=alpha, sided=sided,
@@ -468,6 +459,6 @@ def kolmogorov_distance(pivot_kind: PivotKind, d: DistributionSpec, n: int,
     pivot_kind = _check_study(d, n, m, pivot_kind)
     if reps < 1:
         raise ValueError("reps must be positive")
-    ecdf = _run_chunks(reps, max(n, m), threads, d, n, m, pivot_kind, seed,
-                       1, "replication {0}", _ecdf_counts)[:-1] / reps
+    ecdf = _run_chunks(reps, threads, d, n, m, pivot_kind, seed, 1, "replication {0}",
+                       _ecdf_counts)[:-1] / reps
     return float(np.max(np.abs(ecdf - _kdist_phi())))

@@ -184,20 +184,30 @@ class TestCoverageStudy:
 
     def test_pool_only_above_the_cut(self):
         # a replication of n = 5 costs 5 + 128 elements: 2,000 reps are a
-        # quarter of mc._POOL_ELEMENTS, and 7,900 reps just exceed it
+        # quarter of mc._POOL_ELEMENTS, and 7,900 reps just exceed it.  An
+        # outer replication of 400 rows costs 400 * 5 + 128 = 2,128: 492
+        # outers stay below the cut, and 493 just exceed it.
         d = parse_dist("poisson:1")
+
+        def outers(count, threads=1):
+            return proportion_study(d, 5, PivotKind.G2, outer_reps=count, inner_reps=400,
+                                    seed=3, threads=threads)
+
         want = (coverage_study(d, 5, 5, PivotKind.G2, 2000, 0.05, seed=3),
                 kolmogorov_distance(PivotKind.G2, d, 5, 5, 2000, seed=3),
                 proportion_study(d, 5, PivotKind.G2, outer_reps=10, inner_reps=40, seed=3),
-                coverage_study(d, 5, 5, PivotKind.G2, 7900, 0.05, seed=3))
+                outers(492),
+                coverage_study(d, 5, 5, PivotKind.G2, 7900, 0.05, seed=3), outers(493))
         with _in_workers(mc._POOL_ELEMENTS) as pools:
             small = (coverage_study(d, 5, 5, PivotKind.G2, 2000, 0.05, seed=3, threads=2),
                      kolmogorov_distance(PivotKind.G2, d, 5, 5, 2000, seed=3, threads=2),
                      proportion_study(d, 5, PivotKind.G2, outer_reps=10, inner_reps=40,
-                                      seed=3, threads=2))
+                                      seed=3, threads=2),
+                     outers(492, threads=2))
             assert not pools
-            large = coverage_study(d, 5, 5, PivotKind.G2, 7900, 0.05, seed=3, threads=2)
-        assert len(pools) == 1 and (*small, large) == want
+            large = (coverage_study(d, 5, 5, PivotKind.G2, 7900, 0.05, seed=3, threads=2),
+                     outers(493, threads=2))
+        assert len(pools) == 2 and (*small, *large) == want
 
     def test_degenerate_redraw_counted(self):
         # n = m = 2: the weight draw (1,1) is degenerate with probability 1/2,
@@ -437,6 +447,38 @@ class TestRowEngineMatchesSingleSampleApi:
             check(threads=2)
         assert len(pools) == 2
 
+    def test_exhausted_budget_names_a_later_unit(self, monkeypatch):
+        # The kernel finds every row valid in the study's first block (the
+        # one whose first row is unit 0's first row) and the last two rows of
+        # every other call invalid, so a later block keeps its last two rows
+        # invalid until the budget is spent.  Those rows are named by their
+        # unit, past the first: in-process, 40 elements make blocks of 8
+        # coverage replications or 2 proportion outers of 4 rows; at
+        # threads=2 the unit opens the second range.
+        batch_values, first_row = mc._batch_values, gen_sample(NORMAL, 5, stream(0, 0, 0))
+
+        def valid_in_first_block(kind, x, *args):
+            vals, tvals, valid = batch_values(kind, x, *args)
+            if not np.array_equal(x[0], first_row):
+                valid[-2:] = False
+            return vals, tvals, valid
+
+        monkeypatch.setattr(mc, "_batch_values", valid_in_first_block)
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 40)
+        msg = ("{} had 100 consecutive degenerate draws; the configuration "
+               "normal(0,1), n=5, m=5 looks unusable")
+        for threads, unit, outer in ((1, 14, 3), (2, 2, 1)):
+            with _in_workers() as pools:
+                with pytest.raises(RandPivotError) as exc:
+                    coverage_study(NORMAL, 5, 5, PivotKind.T2, 16, 0.05, threads=threads)
+                assert str(exc.value) == msg.format(f"replication {unit}")
+                with pytest.raises(RandPivotError) as exc:
+                    proportion_study(NORMAL, 5, PivotKind.T2, outer_reps=4, inner_reps=4,
+                                     threads=threads)
+                assert str(exc.value) == msg.format(
+                    f"inner replication 2 of outer replication {outer}")
+            assert len(pools) == (2 if threads > 1 else 0)
+
 
 def _proportion_replay(d, n, kind, outer, inner, seed, band, alpha=0.05):
     """Outer replications drawn one generator per draw, as proportion_study keys them.
@@ -623,7 +665,7 @@ class TestStudyBlocks:
                 lambda: coverage_study(d, n, n, kind, 300, 0.05, seed=5))
             results.append((vals, tvals, report.degenerate_count))
         with _in_workers() as pools:
-            pooled = mc._run_chunks(300, n, 2, d, n, n, kind, 5, 1, "replication {0}",
+            pooled = mc._run_chunks(300, 2, d, n, n, kind, 5, 1, "replication {0}",
                                     _checksum)
         assert pools and pooled.dtype == np.uint64
         for vals, tvals, redraws in results:
