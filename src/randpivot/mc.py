@@ -301,6 +301,7 @@ def _study_chunk(args) -> np.ndarray:
     idx_buf = np.empty(units * inner * m, dtype=np.int64)
     x, *work = (np.empty((n, units * inner)) for _ in range(3))
     gen = stream(seed)  # rewound to each unit's key in turn
+    raw = gen.bit_generator.random_raw
 
     def draw(first: int, keys: np.ndarray, attempt: int, which: np.ndarray):
         # Row i of the block is row i % inner of unit first + i // inner.  The
@@ -319,15 +320,15 @@ def _study_chunk(args) -> np.ndarray:
         else:
             ends = np.cumsum(sizes).tolist()
             samples = [x.T[lo:hi] for lo, hi in zip([0, *ends], ends)]
-        for view, word, rng in zip(samples, words, _row_streams(gen, keys)):
-            view[...] = sample(view.shape, rng)
-            word[...] = rng.bit_generator.random_raw(width)
+        for view, word, _ in zip(samples, words, _row_streams(gen, keys)):
+            view[...] = sample(view.shape, gen)
+            word[...] = raw(width)
         idx, flagged = _bounded_indices(words, n, most * m,
                                         idx_buf[:count * most * m].reshape(count, -1))
-        for j, rng in zip(np.flatnonzero(flagged).tolist(), _row_streams(gen, keys[flagged])):
+        for j, _ in zip(np.flatnonzero(flagged).tolist(), _row_streams(gen, keys[flagged])):
             k = int(sizes[j])
-            sample(k * n, rng)
-            idx[j, :k * m] = draw_indices(n, k * m, rng)
+            sample(k * n, gen)
+            idx[j, :k * m] = draw_indices(n, k * m, gen)
         if rows < count * most:  # a redraw: unit j's indices are its first sizes[j] * m
             idx = idx[np.arange(most * m) < sizes[:, None] * m]
         return x[:, :rows].T, _counts_matrix(idx.reshape(rows, m), n), [a[:, :rows].T for a in work]

@@ -9,12 +9,13 @@ distinct paths are statistically independent, and results depend only on
 A block of rows keyed (seed, r, attempt) for many r need not build one
 generator per row: _row_keys derives all their keys, however long, in one
 vectorized pass, and _row_streams rewinds one generator to each key in
-turn.  Both give exactly the draws stream(seed, r, attempt) gives.  Nor
-need each row call Generator.integers for its resampling indices:
-_bounded_indices computes integers' values from the rows' raw words in
-one pass over the block, and flags the rare rows integers itself must
-draw.  _row_keys and _bounded_indices replicate numpy (its SeedSequence
-hash and its bounded integer rule) only for these per-row keys.
+turn by setting numpy's public bit_generator.state from Python ints.  Both
+give exactly the draws stream(seed, r, attempt) gives.  Nor need each row
+call Generator.integers for its resampling indices: _bounded_indices
+computes integers' values from the rows' raw words in one pass over the
+block, and flags the rare rows integers itself must draw.  _row_keys and
+_bounded_indices replicate numpy (its SeedSequence hash and its bounded
+integer rule) only for these per-row keys.
 """
 from __future__ import annotations
 
@@ -148,14 +149,16 @@ def _row_streams(gen: Generator, keys: np.ndarray) -> Iterator[Generator]:
     gen's Philox is given the key with counter 0, an empty buffer and no
     cached 32-bit half, which is the state Philox takes from a
     SeedSequence.  Every row gets the same Generator object, so draw a
-    row's values before advancing to the next row.
+    row's values before advancing to the next row.  A rewind sets the public
+    bit_generator.state from one reused dict of Python ints, since the setter
+    reads each entry by index, which on a uint64 array builds a numpy scalar.
     """
     bitgen = gen.bit_generator
-    zeros = np.zeros(4, dtype=np.uint64)
-    for key in keys:
-        bitgen.state = {"bit_generator": "Philox",
-                        "state": {"counter": zeros, "key": key},
-                        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys.tolist():
+        state["state"]["key"] = key
+        bitgen.state = state
         yield gen
 
 

@@ -19,7 +19,6 @@ import pytest
 from randpivot import PivotKind, coverage_study, enumerate_weight_vectors, parse_dist
 
 ALPHA = 0.05
-Z = NormalDist().inv_cdf(1.0 - ALPHA)  # the upper cutoff of pivot and classical t
 
 
 def _binomial_pmf(size: int, p: float) -> dict[int, float]:
@@ -56,11 +55,15 @@ def _student_t(x: tuple, mu: float) -> float:
     return (mean - mu) / (s / math.sqrt(n))
 
 
-def _exact_cell(pmf: dict[int, float], n: int, kind: PivotKind) -> tuple[float, float, float]:
+def _exact_cell(pmf: dict[int, float], n: int, kind: PivotKind,
+                sided: str) -> tuple[float, float, float]:
     """Exact pivot coverage, classical coverage and redraws per replication
-    of an upper-sided study at m = n, by enumeration of every data vector
-    and every count vector.  mu is the mean of the support."""
+    of an upper- or two-sided study at m = n, by enumeration of every data
+    vector and every count vector.  mu is the mean of the support; pivot and
+    classical t share the normal cutoff z, met below z or within +/-z."""
     mu = sum(k * p for k, p in pmf.items())
+    z = NormalDist().inv_cdf(1.0 - (ALPHA / 2.0 if sided == "two" else ALPHA))
+    meets = (lambda v: abs(v) <= z) if sided == "two" else (lambda v: v <= z)
     weights = [(w, float(p)) for w, p in enumerate_weight_vectors(n, n)]
     valid = hit = t_hit = 0.0
     for x in itertools.product(pmf, repeat=n):
@@ -70,23 +73,23 @@ def _exact_cell(pmf: dict[int, float], n: int, kind: PivotKind) -> tuple[float, 
             if value is None:
                 continue
             valid += px * pw
-            hit += px * pw * (value <= Z)
-            t_hit += px * pw * (_student_t(x, mu) <= Z)
+            hit += px * pw * meets(value)
+            t_hit += px * pw * meets(_student_t(x, mu))
     return hit / valid, t_hit / valid, (1.0 - valid) / valid
 
 
-BINOMIAL = parse_dist("binomial:2,0.5")
-
-
-@pytest.mark.parametrize("kind,want", [
-    (PivotKind.G1, (0.92408, 0.86555, 0.1869)),
-    (PivotKind.T2, (0.91595, 0.86530, 0.4713))])
-def test_coverage_study_matches_exact_cell(kind, want):
-    reps, n = 20_000, 4
-    coverage, classical, redraws = _exact_cell(_binomial_pmf(2, 0.5), n, kind)
+@pytest.mark.parametrize("size,p,n,kind,sided,want", [
+    (2, 0.5, 4, PivotKind.G1, "upper", (0.92408, 0.86555, 0.1869)),
+    (2, 0.5, 4, PivotKind.T2, "upper", (0.91595, 0.86530, 0.4713)),
+    (2, 0.5, 4, PivotKind.G1, "two", (0.88815, 0.93277, 0.1869)),
+    (3, 0.3, 5, PivotKind.G2, "upper", (0.87814, 0.92981, 0.18706))])
+def test_coverage_study_matches_exact_cell(size, p, n, kind, sided, want):
+    reps = 20_000
+    coverage, classical, redraws = _exact_cell(_binomial_pmf(size, p), n, kind, sided)
     # the enumeration agrees with an independent one, to its quoted digits
     assert (coverage, classical, redraws) == pytest.approx(want, abs=5e-5)
-    report = coverage_study(BINOMIAL, n, n, kind, reps, ALPHA, seed=1)
+    report = coverage_study(parse_dist(f"binomial:{size},{p}"), n, n, kind, reps, ALPHA,
+                            sided=sided, seed=1)
     for got, exact in ((report.coverage, coverage), (report.classical_coverage, classical)):
         se = math.sqrt(exact * (1.0 - exact) / reps)
         assert abs(got - exact) <= 4.0 * se, (got, exact, (got - exact) / se)

@@ -85,6 +85,30 @@ class TestRowStreams:
                     want.integers(0, 7, 3, dtype=np.int32).tobytes()
 
 
+def test_rewind_to_edge_keys_from_a_used_state():
+    # keys at uint64's extremes and top bit pass intact through the rewind's
+    # Python ints, and a rewind drops a cached 32-bit half and a part-used
+    # buffer left by the previous row's draws
+    drawn = rng.stream(3)
+    drawn.integers(0, 7, dtype=np.int32)  # one half of the buffer's first word
+    used = drawn.bit_generator.state
+    assert used["has_uint32"] == 1 and used["buffer_pos"] == 1
+    keys = [(0, 0), (2**63, 1), (2**64 - 1, 2**64 - 1)]
+    cases = [(key, spec) for key in keys for spec in FAMILY_SPECS.values()]
+    gen = rng.stream(0)
+    rewound = rng._row_streams(gen, np.array([key for key, _ in cases], dtype=np.uint64))
+    for key, spec in cases:
+        gen.bit_generator.state = used
+        assert next(rewound) is gen
+        want = Generator(Philox(key=np.array(key, dtype=np.uint64)))
+        d = parse_dist(spec)
+        assert gen_sample(d, 7, gen).tobytes() == gen_sample(d, 7, want).tobytes(), (key, spec)
+        # n = 8 rejects no 32-bit half, so a stale cached half, even 0, would show
+        assert draw_indices(8, 9, gen).tobytes() == draw_indices(8, 9, want).tobytes()
+        assert gen.bit_generator.random_raw(5).tolist() == \
+            want.bit_generator.random_raw(5).tolist()
+
+
 def test_a_zero_last_path_entry_is_the_pools_padding():
     # SeedSequence pads its pool of four 32-bit words with zero words, so a
     # last path entry 0 names the stream without it while the seed and the
