@@ -1,6 +1,7 @@
 """The package's one process pool: an ordered map over worker processes."""
 from __future__ import annotations
 
+import pickle
 from collections import deque
 from typing import Any, Callable, Iterable, Iterator
 
@@ -15,11 +16,13 @@ def ordered_map(fn: Callable[[Any], Any], tasks: Iterable[Any],
     running or queued per worker), and the pool is shut down, its queued
     tasks cancelled, on every way out, the consumer closing this generator
     included.  fn must be importable (a module-level function or a partial
-    of one): on Python 3.11 an fn that cannot be pickled can hang shutdown().
+    of one): on Python 3.11 an fn that cannot be pickled can hang shutdown(),
+    so it is pickled once, and its error raised, before a pool starts.
     """
     if workers < 2:
         yield from ((task, fn(task)) for task in tasks)
         return
+    pickle.dumps(fn)
     pool, held = None, deque()
     try:
         for task in tasks:

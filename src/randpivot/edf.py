@@ -57,8 +57,15 @@ def _f_mn(counts: np.ndarray, indicators: np.ndarray, m: int) -> float:
     return float((counts * indicators).sum()) / m
 
 
+def _check_x(x: float) -> None:
+    """Refuse a NaN evaluation point, at which every indicator is 0; +-inf are points."""
+    if math.isnan(x):
+        raise ValueError(f"x must not be NaN, got {x}")
+
+
 def _edf_values(x_data, x: float, w: WeightVector) -> tuple[np.ndarray, float, float]:
     """The indicators 1(x_i <= x) of a checked sample, F_n(x) and F_mn(x)."""
+    _check_x(x)
     ind = (_sample(x_data, w) <= x).astype(np.float64)
     idx, counts_nz = w.nonzero()
     return ind, float(ind.sum()) / w.n, _f_mn(counts_nz, ind[idx], w.m)

@@ -40,17 +40,51 @@ def pages_of(indices):
     return len({(HEADER_SIZE + i * RECORD_SIZE) // PAGE_SIZE for i in indices})
 
 
+READERS = ["span", "window"]  # one mapping per fetch; one per window, as on Windows
+
+
 @contextlib.contextmanager
-def recorded_mappings():
-    """Wrap mmap.mmap for the reader; collect (offset, length) per mapping."""
-    real, maps = mmap.mmap, []
+def recorded_mappings(reader="span", at_release=lambda: None):
+    """Spy on the reader's mappings and releases: collect the file's
+    (offset, length) per mapping and per window released, and call
+    at_release before each release and before each mapping closes.  The
+    "window" reader runs with mmap.MADV_DONTNEED deleted, as on Windows."""
+    real, maps, releases = mmap.mmap, [], []
 
-    def wrapped(fileno, length, **kwargs):
-        maps.append((kwargs["offset"], length))
-        return real(fileno, length, **kwargs)
+    class Spy(real):
+        def __new__(cls, fileno, length, **kwargs):
+            mapped = super().__new__(cls, fileno, length, **kwargs)
+            mapped.start = kwargs["offset"]
+            maps.append((mapped.start, length))
+            return mapped
 
-    with mock.patch.object(bigdata.mmap, "mmap", wrapped):
-        yield maps
+        def madvise(self, option, start, length):
+            assert option == mmap.MADV_DONTNEED
+            at_release()
+            releases.append((self.start + start, length))
+            return super().madvise(option, start, length)
+
+        def __exit__(self, *exc):
+            at_release()
+            return super().__exit__(*exc)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if reader == "window":
+            patch.delattr(mmap, "MADV_DONTNEED")
+        patch.setattr(bigdata.mmap, "mmap", Spy)
+        yield maps, releases
+
+
+def gathered_windows(reader, maps, releases, size):
+    """The (offset, length) of each window a fetch gathered: its releases
+    within the one mapping of the span, or its one mapping per window."""
+    if reader == "window":
+        assert releases == []
+        return maps
+    assert len(maps) == 1 and releases
+    start, end = releases[0][0], min(releases[-1][0] + WINDOW, size)
+    assert maps == [(start, end - start)]
+    return releases
 
 
 class TestBinaryFormat:
@@ -775,6 +809,20 @@ class TestBigdataCiEdf:
         with pytest.raises(ZeroScale):
             bigdata_ci_edf(h, -5.0, 0.05, Fixed(50), stream(0))
 
+    def test_nan_x_is_refused_before_any_fetch(self, tmp_path):
+        h = write_dataset(np.arange(100.0), tmp_path / "d.rpv")
+        with mock.patch.object(bigdata, "draw_index_sample") as draw, \
+                mock.patch.object(bigdata.DatasetHandle, "read_records") as fetch:
+            with pytest.raises(ValueError, match=r"^x must not be NaN, got nan$"):
+                bigdata_ci_edf(h, math.nan, 0.05, Fixed(50), stream(0))
+        assert draw.call_count == fetch.call_count == 0
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    def test_infinite_x_is_a_point(self, tmp_path, x):
+        h = write_dataset(np.arange(100.0), tmp_path / "d.rpv")
+        with pytest.raises(ZeroScale, match=rf"^hathat1 scale is zero at x={x}$"):
+            bigdata_ci_edf(h, x, 0.05, Fixed(50), stream(0))
+
     def test_width_scales_like_one_over_sqrt_m(self, tmp_path):
         # half width ~ z * sqrt(F(1-F)) * sqrt((1-1/n)/m): m = 1000 on a big
         # file gives width on the 1/sqrt(1000) scale
@@ -811,34 +859,39 @@ def index_sets():
 
 
 class TestRangedReads:
+    @pytest.mark.parametrize("reader", READERS)
     @settings(max_examples=150, deadline=None)
     @given(index_sets())
     def test_values_and_counts_follow_the_range_rule(self, ranged_file, ranged_values,
-                                                     indices):
+                                                     reader, indices):
         h = open_dataset(ranged_file)
-        with recorded_mappings() as maps:
+        size = ranged_file.stat().st_size
+        with recorded_mappings(reader) as (maps, releases):
             values, stats = h.read_records(np.array(indices, dtype=np.int64))
+        windows = gathered_windows(reader, maps, releases, size)
         assert (values == ranged_values[indices]).all()
-        assert stats.read_calls == windows_of(indices) == len(maps)
+        assert stats.read_calls == windows_of(indices) == len(windows)
         assert stats.pages_touched == pages_of(indices)
         assert stats.bytes_read == PAGE_SIZE * pages_of(indices)
         assert stats.records_read == len(indices)
-        size = ranged_file.stat().st_size
-        assert [offset for offset, _ in maps] == sorted(
+        assert [offset for offset, _ in windows] == sorted(
             {(HEADER_SIZE + i * RECORD_SIZE) // WINDOW * WINDOW for i in indices})
-        for offset, length in maps:
+        for offset, length in [*maps, *windows]:
             assert offset % mmap.ALLOCATIONGRANULARITY == 0 and offset % PAGE_SIZE == 0
-            assert 0 < length <= WINDOW
-            assert offset + length <= size
+            assert 0 < length and offset + length <= size
+        for offset, length in windows:
+            assert length == min(WINDOW, size - offset)
 
-    def test_dense_sample_reads_whole_blocks(self, ranged_file, ranged_values):
+    @pytest.mark.parametrize("reader", READERS)
+    def test_dense_sample_reads_whole_blocks(self, ranged_file, ranged_values, reader):
         h = open_dataset(ranged_file)
         indices = np.arange(0, RANGED_N, 3)
-        with recorded_mappings() as maps:
-            values, stats = h.read_records(indices)
         file_bytes = HEADER_SIZE + RANGED_N * RECORD_SIZE
-        assert stats.read_calls == len(maps) == math.ceil(file_bytes / WINDOW)
-        assert [length for _, length in maps] == [WINDOW, WINDOW, file_bytes - 2 * WINDOW]
+        with recorded_mappings(reader) as (maps, releases):
+            values, stats = h.read_records(indices)
+        windows = gathered_windows(reader, maps, releases, file_bytes)
+        assert stats.read_calls == len(windows) == math.ceil(file_bytes / WINDOW)
+        assert windows == [(0, WINDOW), (WINDOW, WINDOW), (2 * WINDOW, file_bytes - 2 * WINDOW)]
         # every page holds a record of a stride-3 sample
         assert stats.pages_touched == math.ceil(file_bytes / PAGE_SIZE)
         assert stats.bytes_read == PAGE_SIZE * stats.pages_touched
@@ -871,15 +924,41 @@ class TestWindowPlan:
         ([LAST_OF_WINDOW_0, LAST_OF_WINDOW_0 + 1], 2, 2),
         ([0, LAST_OF_WINDOW_0, LAST_OF_WINDOW_0 + 1, RANGED_N - 1], 3, 4),
     ])
-    def test_window_edges(self, ranged_file, ranged_values, indices, windows, pages):
+    @pytest.mark.parametrize("reader", READERS)
+    def test_window_edges(self, ranged_file, ranged_values, reader, indices, windows, pages):
         h = open_dataset(ranged_file)
-        with recorded_mappings() as maps:
+        file_bytes = HEADER_SIZE + RECORD_SIZE * RANGED_N
+        with recorded_mappings(reader) as (maps, releases):
             values, stats = h.read_records(np.array(indices))
+        gathered = gathered_windows(reader, maps, releases, file_bytes)
         assert values.tobytes() == ranged_values[indices].tobytes()
-        assert (stats.read_calls, len(maps), stats.pages_touched) == (windows, windows, pages)
+        assert (stats.read_calls, len(gathered), stats.pages_touched) == (windows, windows, pages)
         assert stats.bytes_read == pages * PAGE_SIZE
         if RANGED_N - 1 in indices:
-            assert maps[-1] == (2 * WINDOW, HEADER_SIZE + RECORD_SIZE * RANGED_N - 2 * WINDOW)
+            assert gathered[-1] == (2 * WINDOW, file_bytes - 2 * WINDOW)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads RssFile from /proc/self/status")
+    def test_at_most_one_window_is_resident(self, tmp_path):
+        # a dense fetch touches every page of 9 windows; before each release,
+        # and before the mapping closes, the process holds at most the window
+        # in hand (and fault-around pages) of the file
+        n = 8 * WINDOW // RECORD_SIZE + 1000
+        h = write_dataset(np.arange(float(n)), tmp_path / "big.rpv")
+
+        def rss_file():
+            with open("/proc/self/status") as f:
+                line = next(line for line in f if line.startswith("RssFile:"))
+            return int(line.split()[1]) * 1024
+
+        indices = np.arange(0, n, 64)  # 8 records a page
+        base, readings = rss_file(), []
+        with recorded_mappings(at_release=lambda: readings.append(rss_file() - base)) as (
+                maps, releases):
+            values, stats = h.read_records(indices)
+        assert max(readings) <= 2 * WINDOW, [r / 2**20 for r in readings]
+        assert (values == indices).all()
+        assert stats.read_calls == len(releases) == 9 and len(maps) == 1 and len(readings) == 10
 
     def test_fetch_memory_is_bounded_by_the_output(self, ranged_file):
         h = open_dataset(ranged_file)

@@ -358,6 +358,16 @@ class TestExitCodes:
             assert capsys.readouterr().err == ("randpivot: error: hathat1 scale is zero "
                                                "at x=2.0\n")
 
+    @pytest.mark.parametrize("command", [("ci-edf",), ("ci-bigdata", "--stat", "edf")])
+    def test_nan_x_is_1(self, tmp_path, sample_csv, command):
+        data = sample_csv
+        if command[0] == "ci-bigdata":
+            data = tmp_path / "d.rpv"
+            write_dataset([0.1 * i for i in range(200)], data)
+        res = run_cli(*command, "--data", str(data), "--x", "nan", "--no-timestamp", expect=1)
+        assert res.stdout == ""
+        assert res.stderr == "randpivot: error: x must not be NaN, got nan\n"
+
     def test_bigdata_non_finite_dkw_eps_is_1(self, tmp_path):
         data = tmp_path / "d.rpv"
         write_dataset([0.1 * i for i in range(200)], data)

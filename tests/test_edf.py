@@ -321,6 +321,34 @@ class TestCiDf:
         assert 0.91 <= hits / reps <= 0.98
 
 
+_AT_POINT = {
+    "edf_point": lambda x, w, at: edf_point(x, w, at),
+    **{f"edf_pivot.{s}": (lambda x, w, at, s=s: edf_pivot(s, x, w, at, f_x=0.5))
+       for s in ("hat1", "hat2", "hathat1", "hathat2")},
+    "ci_edf": lambda x, w, at: ci_edf(x, w, at, 0.05),
+    "ci_df": lambda x, w, at: ci_df(x, w, at, 0.05),
+}
+
+
+class TestEvaluationPoint:
+    """NaN meets no indicator 1(x_i <= x), so it is refused by name at every
+    entry point; +-inf are points, where F_n is 1 or 0."""
+
+    @pytest.mark.parametrize("call", _AT_POINT)
+    def test_nan_is_refused(self, call):
+        with pytest.raises(ValueError, match=r"^x must not be NaN, got nan$"):
+            _AT_POINT[call]([1.0, 2.0, 4.0], _w([1, 2, 0]), math.nan)
+
+    @pytest.mark.parametrize("at, f", [(math.inf, 1.0), (-math.inf, 0.0)])
+    def test_infinities_keep_their_answers(self, at, f):
+        x, w = [1.0, 2.0, 4.0], _w([1, 2, 0])
+        p = edf_point(x, w, at)
+        assert (p.x, p.f_n, p.f_mn, p.f_hat) == (at, f, f, f)
+        for call in set(_AT_POINT) - {"edf_point"}:
+            with pytest.raises(ZeroScale, match=rf"scale is zero at x={at}$"):
+                _AT_POINT[call](x, w, at)
+
+
 class TestDkw:
     def test_value_at_1e6(self):
         assert dkw_bound(10**6, 0.002) == pytest.approx(2.0 * math.exp(-8.0), rel=1e-15)

@@ -16,7 +16,8 @@ from statistics import NormalDist
 
 import pytest
 
-from randpivot import PivotKind, coverage_study, enumerate_weight_vectors, parse_dist
+from randpivot import (PivotKind, coverage_study, enumerate_weight_vectors, parse_dist,
+                       proportion_study)
 
 ALPHA = 0.05
 
@@ -93,9 +94,30 @@ def test_coverage_study_matches_exact_cell(size, p, n, kind, sided, want):
     for got, exact in ((report.coverage, coverage), (report.classical_coverage, classical)):
         se = math.sqrt(exact * (1.0 - exact) / reps)
         assert abs(got - exact) <= 4.0 * se, (got, exact, (got - exact) / se)
-    # a replication's redraws are geometric: mean q/p and variance q/p^2,
-    # with p = P(valid) = 1 / (1 + redraws) and q = 1 - p
+    _check_redraws(report.degenerate_count, reps, redraws)
+
+
+def _check_redraws(count: int, rows: int, redraws: float) -> None:
+    """A row's redraws are geometric: mean q/p and variance q/p^2, with
+    p = P(valid) = 1 / (1 + redraws) and q = 1 - p; count sums `rows` of them."""
     p = 1.0 / (1.0 + redraws)
-    sd = math.sqrt(reps * (1.0 - p)) / p
-    assert abs(report.degenerate_count - reps * redraws) <= 4.0 * sd, \
-        (report.degenerate_count, reps * redraws, sd)
+    sd = math.sqrt(rows * (1.0 - p)) / p
+    assert abs(count - rows * redraws) <= 4.0 * sd, (count, rows * redraws, sd)
+
+
+def test_proportion_study_matches_exact_cell():
+    # Each inner row is an independent valid row, so an outer replication's
+    # hits are binomial(inner, coverage) and it lands in band with the exact
+    # probability sum over lo <= j/inner <= hi of C(inner, j) p^j (1-p)^(inner-j).
+    # The band's edges are the shares 17/20 and 19/20 themselves, so a strict
+    # comparison at either edge moves the proportion by many SEs.
+    outer, inner, band = 4_000, 20, (0.85, 0.95)
+    coverage, classical, redraws = _exact_cell(_binomial_pmf(2, 0.5), 4, PivotKind.G1, "upper")
+    report = proportion_study(parse_dist("binomial:2,0.5"), 4, PivotKind.G1, outer, inner,
+                              band, ALPHA, seed=1, sided="upper")
+    for got, p in ((report.proportion, coverage), (report.classical_proportion, classical)):
+        exact = sum(math.comb(inner, j) * p ** j * (1.0 - p) ** (inner - j)
+                    for j in range(inner + 1) if band[0] <= j / inner <= band[1])
+        se = math.sqrt(exact * (1.0 - exact) / outer)
+        assert abs(got - exact) <= 4.0 * se, (got, exact, (got - exact) / se)
+    _check_redraws(report.degenerate_count, outer * inner, redraws)

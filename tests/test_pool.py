@@ -1,11 +1,13 @@
 """Tests for the package's one process pool, _pool.ordered_map.
 
-Every fn here is importable: on Python 3.11 a task whose fn cannot be
-pickled can leave the pool's shutdown() waiting forever.
+Every fn that reaches a pool here is importable: on Python 3.11 a task
+whose fn cannot be pickled can leave the pool's shutdown() waiting
+forever, so ordered_map refuses such an fn before a pool starts.
 """
 import concurrent.futures
 import math
 import multiprocessing
+import pickle
 from unittest import mock
 
 import pytest
@@ -66,4 +68,16 @@ def test_a_pool_starts_at_the_first_task_and_only_from_two_workers():
     assert len(pools) == 1
     if "fork" in multiprocessing.get_all_start_methods():  # the cuts were measured under fork
         assert contexts[0].get_start_method() == "fork"
+    assert multiprocessing.active_children() == []
+
+
+def test_an_unpicklable_fn_is_refused_before_a_pool_starts():
+    pools = []
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor",
+                           lambda *args: pools.append(args)):
+        # Python 3.11 raises AttributeError for a local object, later ones PicklingError
+        with pytest.raises((pickle.PicklingError, AttributeError), match="Can't pickle"):
+            list(ordered_map(lambda x: x, [1.0, 4.0], 2))
+        assert list(ordered_map(lambda x: x, [1.0, 4.0], 1)) == [(1.0, 1.0), (4.0, 4.0)]
+    assert pools == []
     assert multiprocessing.active_children() == []
