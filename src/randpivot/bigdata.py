@@ -32,7 +32,7 @@ from ._csv import _column_chunks, read_csv_column
 from .bounds import rate
 from .errors import DatasetFormatError, DatasetTooSmall
 from .edf import _check_x, _f_mn, ci_edf_from_stats, dkw_bound
-from .intervals import ConfidenceInterval, SizingPolicy, ci_xbar, subsample_size
+from .intervals import ConfidenceInterval, SizingPolicy, _z_for, ci_xbar, subsample_size
 from .pivots import RandomizedStats, _check_finite, randomized_stats_from_nonzero
 from .weights import WeightStats, draw_indices, stats_from_nonzero
 
@@ -302,9 +302,11 @@ def _query(h: DatasetHandle, policy: SizingPolicy, rng: np.random.Generator,
            interval: Callable[[IndexSample, np.ndarray, WeightStats], ConfidenceInterval],
            dkw_eps: float | None = None) -> tuple[ConfidenceInterval, SubsampleReport]:
     """Size, draw, read and check the sub-sample; then interval(sample,
-    values, weight stats) and the report of what was touched."""
+    values, weight stats) and the report of what was touched.  Bad
+    arguments are refused before the draw, so before any fetch."""
     if h.count < MIN_RECORDS:
         raise DatasetTooSmall(f"{h.count} records; need at least {MIN_RECORDS}")
+    dkw = None if dkw_eps is None else dkw_bound(h.count, dkw_eps)
     m = subsample_size(h.count, policy)
     sample = draw_index_sample(h.count, m, rng)
     values, stats = h.read_records(sample.indices)
@@ -313,7 +315,7 @@ def _query(h: DatasetHandle, policy: SizingPolicy, rng: np.random.Generator,
     report = SubsampleReport(
         n=sample.n, m=sample.m, policy=str(policy), distinct_records=sample.distinct,
         **asdict(stats), rate_bound=rate(sample.n, sample.m, "D"),
-        dkw=None if dkw_eps is None else dkw_bound(sample.n, dkw_eps),
+        dkw=dkw,
     )
     return ci, report
 
@@ -322,6 +324,8 @@ def bigdata_ci_mean(h: DatasetHandle, alpha: float, policy: SizingPolicy,
                     rng: np.random.Generator,
                     sided: str = "two") -> tuple[ConfidenceInterval, SubsampleReport]:
     """Interval for the full-data mean, touching only the sub-sampled records."""
+    _z_for(alpha, sided)
+
     def interval(sample, values, wstats):
         rstats = RandomizedStats(*randomized_stats_from_nonzero(values, sample.counts, sample.m))
         return ci_xbar(rstats, wstats, alpha, sided=sided, n=sample.n, m=sample.m)
@@ -338,6 +342,7 @@ def bigdata_ci_edf(h: DatasetHandle, x: float, alpha: float, policy: SizingPolic
     min(1, 2 exp(-2 n eps^2)) quantifying how far F_n can sit from F.
     """
     _check_x(x)
+    _z_for(alpha, sided)
 
     def interval(sample, values, wstats):
         return ci_edf_from_stats(_f_mn(sample.counts, values <= x, sample.m), wstats, x,

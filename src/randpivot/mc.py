@@ -225,11 +225,13 @@ def _counts_matrix(idx: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(idx.ravel(), minlength=rows * n).reshape(n, rows).T
 
 
-def _rowsum(a: np.ndarray) -> np.ndarray:
-    """The studies' row sum: each row of a column-major block left to right
-    from 0.0.  numpy reduces two or more such rows one column at a time from
-    its 0.0 start, but sums a lone row pairwise, so that row is accumulated
-    (+ 0.0 gives a row of -0.0 the reduction's +0.0)."""
+def _rowsum(*operands, terms=None, out=None) -> np.ndarray:
+    """The studies' row sum of terms(*operands, out=out), formed in the
+    caller's work buffer, or of the one operand: each row of a column-major
+    block left to right from 0.0.  numpy reduces two or more such rows one
+    column at a time from its 0.0 start, but sums a lone row pairwise, so
+    that row is accumulated (+ 0.0 gives a row of -0.0 the reduction's +0.0)."""
+    a = operands[0] if terms is None else terms(*operands, out=out)
     if len(a) > 1:
         return np.add.reduce(a, axis=-1)
     return np.add.accumulate(a, axis=-1)[:, -1] + 0.0

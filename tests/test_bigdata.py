@@ -834,6 +834,46 @@ class TestBigdataCiEdf:
         assert ci.half_width == pytest.approx(want, rel=0.15)
 
 
+_ALPHA_2 = r"^alpha must be in \(0, 1\), got 2\.0$"
+_BOGUS_SIDE = r"^sided must be one of \('two', 'upper', 'lower'\), got 'bogus'$"
+_EPS = r"^eps must be positive and finite$"
+
+
+class TestArgumentsBeforeFetch:
+    """A query refuses bad alpha, sided and dkw_eps before it draws or
+    fetches a record, with the messages the interval functions give."""
+
+    @pytest.mark.parametrize("query,message", [
+        (lambda h: bigdata_ci_mean(h, 2.0, Fixed(50), stream(0)), _ALPHA_2),
+        (lambda h: bigdata_ci_mean(h, 0.05, Fixed(50), stream(0), sided="bogus"), _BOGUS_SIDE),
+        (lambda h: bigdata_ci_edf(h, 3.0, 2.0, Fixed(50), stream(0)), _ALPHA_2),
+        (lambda h: bigdata_ci_edf(h, 3.0, 0.05, Fixed(50), stream(0), sided="bogus"),
+         _BOGUS_SIDE),
+        *((lambda h, eps=eps: bigdata_ci_edf(h, 3.0, 0.05, Fixed(50), stream(0), dkw_eps=eps),
+           _EPS) for eps in (math.nan, 0.0, -1.0, math.inf)),
+    ], ids=["mean-alpha", "mean-sided", "edf-alpha", "edf-sided",
+            "dkw-nan", "dkw-0", "dkw-neg", "dkw-inf"])
+    def test_refused_before_any_draw_or_fetch(self, tmp_path, query, message):
+        h = write_dataset(np.arange(100.0), tmp_path / "d.rpv")
+        with mock.patch.object(bigdata, "draw_index_sample") as draw, \
+                mock.patch.object(bigdata.DatasetHandle, "read_records") as fetch:
+            with pytest.raises(ValueError, match=message):
+                query(h)
+        assert draw.call_count == fetch.call_count == 0
+
+    def test_cli_alpha_2_is_1_before_any_fetch(self, tmp_path, capsys):
+        from randpivot.cli import main
+
+        data = tmp_path / "d.rpv"
+        write_dataset(np.arange(200.0), data)
+        with mock.patch.object(bigdata.DatasetHandle, "read_records") as fetch:
+            assert main(["ci-bigdata", "--data", str(data), "--alpha", "2",
+                         "--no-timestamp"]) == 1
+        assert fetch.call_count == 0
+        assert capsys.readouterr() == ("", "randpivot: error: alpha must be in (0, 1), "
+                                           "got 2.0\n")
+
+
 # Long enough for fetches to cross WINDOW boundaries twice.
 RANGED_N = 2 * WINDOW // RECORD_SIZE + 40_000
 

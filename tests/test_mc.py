@@ -687,10 +687,16 @@ class TestStudyBlocks:
         # a row-major block would be summed pairwise with no other sign
         rowsum, shapes = mc._rowsum, []
 
-        def spy(a):
+        def summed(a):
             assert len(a) == 1 or a.strides[0] == a.itemsize, (a.shape, a.strides)
             shapes.append(a.shape)
-            return rowsum(a)
+            return a
+
+        def spy(*operands, terms=None, out=None):
+            if terms is None:
+                return rowsum(summed(operands[0]))
+            return rowsum(*operands, out=out,
+                          terms=lambda *args, out: summed(terms(*args, out=out)))
 
         monkeypatch.setattr(mc, "_rowsum", spy)
         d = parse_dist("binomial:10,0.1")
@@ -758,9 +764,11 @@ def _left_to_right(terms: np.ndarray) -> float:
     return functools.reduce(operator.add, terms.tolist(), 0.0)
 
 
-def _exact_rows(a: np.ndarray) -> np.ndarray:
-    """The exact sum of each row of a matrix: pivots._exact_sum row by row."""
-    return np.fromiter(map(pivots._exact_sum, a), np.float64, len(a))
+def _exact_rows(*operands, terms=None, out=None) -> np.ndarray:
+    """The exact sum of each row of a matrix, or of terms(*operands) over
+    the operands broadcast to rows: pivots._exact_sum row by row."""
+    rows = zip(*np.broadcast_arrays(*operands))
+    return np.array([pivots._exact_sum(*row, terms=terms) for row in rows])
 
 
 def _row_matrix(draw, rows, n):

@@ -429,6 +429,80 @@ class TestExactSum:
         assert _exact_sum([1e308, 1e308, -1e308]) == 1e308
         assert _exact_sum(np.full(n, -1e308)) == -math.inf
 
+    @pytest.mark.parametrize("e", [-1022, 0, 997, 1007])
+    def test_full_buckets(self, e):
+        # a chunk of equal terms with every mantissa bit set: the largest
+        # load of one bucket, at the subnormal edge, at 1, at the largest
+        # field summed in floats and at the largest field below 2^1008
+        term = math.ldexp(2.0 - 2.0**-52, e)
+        for sign in (1.0, -1.0):
+            a = np.full(_EXACT_CHUNK, sign * term)
+            assert summed(_exact_sum, a) == summed(rounded_sum, a)
+            a[-1] = 0.0  # one chunk, then a lone term in the next
+            a = np.append(a, sign * term)
+            assert summed(_exact_sum, a) == summed(rounded_sum, a)
+        # full chunks of alternate signs: each sign's bucket fills over two
+        # chunks, past float64 at 2^1007, and the total is 1.0
+        chunk = np.full(_EXACT_CHUNK, term)
+        a = np.concatenate([chunk, -chunk, chunk, -chunk, [1.0]])
+        assert summed(_exact_sum, a) == summed(rounded_sum, a) == ("ok", (1.0).hex())
+
+    def test_huge_terms_cancel_beside_tiny_ones(self):
+        # terms in 2^1008 .. 2^1023 that cancel to a finite total, in one
+        # chunk with terms of 2^-1074 scale
+        rng = np.random.default_rng(5)
+        n = 3 * _EXACT_MIN_TERMS
+        huge = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(1008, 1024, n))
+        tiny = rng.integers(-50, 50, n) * 2.0**-1074
+        a = rng.permutation(np.concatenate([huge, -huge, [1e308, 3.0], tiny]))
+        assert summed(_exact_sum, a) == summed(rounded_sum, a)
+        assert _exact_sum(a) == float(sum(map(Fraction, a.tolist())))
+        b = rng.permutation(np.concatenate([huge, -huge[1:], tiny]))  # one huge term left
+        assert summed(_exact_sum, b) == summed(rounded_sum, b)
+
+    @pytest.mark.parametrize("flush", [1, 2])
+    def test_bucket_sums_flushed_between_chunks(self, flush):
+        # the float bucket sums are moved to integers every _EXACT_FLUSH
+        # chunks (2^26 terms); a smaller flush shows the hand-over
+        rng = np.random.default_rng(9)
+        a = summands("wide", 3 * _EXACT_CHUNK + 5, rng)
+        want = summed(rounded_sum, a)
+        with mock.patch.object(pivots, "_EXACT_FLUSH", flush):
+            assert summed(_exact_sum, a) == want
+            assert summed(_exact_sum, np.concatenate([a, -a, [2.0**-1074]])) == (
+                "ok", (2.0**-1074).hex())
+
+    @pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
+    def test_non_finite_only_in_the_last_chunk(self, special):
+        a = np.random.default_rng(6).standard_normal(3 * _EXACT_CHUNK + 17)
+        a[-5] = special
+        assert summed(_exact_sum, a) == summed(rounded_sum, a)
+        a[7] = -special  # inf - inf in fsum: its ValueError, whatever the chunk
+        assert summed(_exact_sum, a) == summed(rounded_sum, a)
+
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_subnormal_normal_boundary(self, signs):
+        # 2^-1022 +- 2^-1074: the largest subnormal and the two smallest
+        # normals share the grid of 2^-1074 across their two exponent fields
+        rng = np.random.default_rng(7)
+        edge = np.array([2.0**-1022 - 2.0**-1074, 2.0**-1022, 2.0**-1022 + 2.0**-1074])
+        a = rng.choice(edge, 2 * _EXACT_MIN_TERMS) * rng.choice(signs, 2 * _EXACT_MIN_TERMS)
+        assert summed(_exact_sum, a) == summed(rounded_sum, a)
+
+    def test_reweighted_moments_over_chunks_are_fraction_sums(self):
+        # the terms formed a chunk at a time are the terms numpy forms in
+        # one pass, and their sums are exact, rounded once
+        rng = np.random.default_rng(8)
+        x = rng.lognormal(0.0, 1.0, 200_003)
+        counts = rng.integers(1, 5, x.size)
+        m = int(counts.sum())
+        assert x.size > 3 * _EXACT_CHUNK
+        rmean, rvar = pivots.randomized_stats_from_nonzero(x, counts, m)
+        exact = sum(map(Fraction, (counts * x).tolist()))
+        assert rmean == float(exact) / m
+        exact = sum(map(Fraction, (counts * (x - rmean) ** 2).tolist()))
+        assert rvar == float(exact) / m
+
     @pytest.mark.parametrize("a", [
         np.full(2 * _EXACT_MIN_TERMS, -0.0),
         np.full(2 * _EXACT_MIN_TERMS, 3.0) - 3.0,
