@@ -164,7 +164,10 @@ class DatasetHandle:
         The stats count what the page cache serves: ``read_calls`` is the
         number of windows gathered and released, ``pages_touched`` the
         distinct 4 KiB pages that hold a fetched record, and ``bytes_read``
-        is pages_touched * PAGE_SIZE.
+        is pages_touched * PAGE_SIZE.  A window is gathered by ndarray.take
+        straight into the output in mode="clip" (mode="raise" gathers into a
+        temporary first), which the order, range and size checks before any
+        mapping keep from clipping.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
@@ -198,7 +201,8 @@ class DatasetHandle:
                                offset=start) as mapped:
                     records = np.frombuffer(mapped, dtype="<f8", count=length // RECORD_SIZE)
                     for w, lo, hi in steps:
-                        values[lo:hi] = records[slots[lo:hi]]
+                        # in place; the checks above keep clip mode from ever clipping
+                        records.take(slots[lo:hi], out=values[lo:hi], mode="clip")
                         if release is not None:
                             at = w * WINDOW - start
                             mapped.madvise(release, at, min(WINDOW, length - at))
@@ -288,14 +292,16 @@ def draw_index_sample(n: int, m: int, rng: np.random.Generator) -> IndexSample:
     Counts the same uniform index stream as weights.draw_weights, so the
     dense and sparse paths are interchangeable draw for draw.  The draws are
     sorted in place and each run of equal indices is flagged at its first
-    draw: np.unique(draws, return_counts=True) as int64, bitwise.
+    draw: np.unique(draws, return_counts=True) as int64, bitwise.  For
+    n <= 2^31 the draws are made, sorted and compared as int32 (the same
+    stream at half the bytes); only the distinct indices are widened.
     """
-    idx = draw_indices(n, m, rng)
+    idx = draw_indices(n, m, rng, np.int32 if n <= 1 << 31 else np.int64)
     idx.sort()
     first = np.ones(m + 1, dtype=bool)  # the first of each run of equal indices, then m
     np.not_equal(idx[1:], idx[:-1], out=first[1:m])
     bounds = np.flatnonzero(first)
-    return IndexSample(indices=idx[bounds[:-1]], counts=np.diff(bounds), m=m, n=n)
+    return IndexSample(idx[bounds[:-1]].astype(np.int64), np.diff(bounds), m, n)
 
 
 def _query(h: DatasetHandle, policy: SizingPolicy, rng: np.random.Generator,

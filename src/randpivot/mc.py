@@ -81,9 +81,9 @@ _FAMILIES = {
                        lambda p, n, rng: rng.poisson(p[0], n).astype(np.float64)),
     "lognormal": _Family(2, lambda p: p[1] > 0, lambda p: math.exp(p[0] + 0.5 * p[1] ** 2),
                          lambda p, n, rng: rng.lognormal(p[0], p[1], n)),
-    # an s.d. that underflows to 0 would make every standardized draw 0/0
-    "lognormal_std": _Family(2, lambda p: p[1] > 0 and _lognormal_sd(p) > 0.0, lambda p: 0.0,
-                             _lognormal_std),
+    # an s.d. that underflows to 0 would make every standardized draw 0/0, an infinite one 0
+    "lognormal_std": _Family(2, lambda p: p[1] > 0 and 0.0 < _lognormal_sd(p) < math.inf,
+                             lambda p: 0.0, _lognormal_std),
     "exponential": _Family(1, lambda p: p[0] > 0, lambda p: 1.0 / p[0],
                            lambda p, n, rng: rng.exponential(1.0 / p[0], n)),
     "normal": _Family(2, lambda p: p[1] > 0, lambda p: p[0],
@@ -111,7 +111,11 @@ class DistributionSpec:
         row = _FAMILIES[fam]
         if len(p) != row.arity:
             raise BadParams(f"{fam} takes {row.arity} parameters, got {len(p)}")
-        if not all(map(math.isfinite, p)) or not row.valid(p):
+        try:  # a mean that overflows, or an s.d. for lognormal_std, is refused too
+            ok = all(map(math.isfinite, p)) and row.valid(p) and math.isfinite(row.mean(p))
+        except OverflowError:
+            ok = False
+        if not ok:
             raise BadParams(f"bad parameters {p} for family {fam}")
 
     @property

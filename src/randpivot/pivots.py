@@ -243,9 +243,9 @@ def _row_moments(x: np.ndarray, rowsum: _RowSum,
     taken by rowsum.  The squares are formed in out if given.
     """
     n = x.shape[-1]
-    mean = rowsum(x) / n
-    sq = np.subtract(x, np.asarray(mean)[..., None], out=out)
     with np.errstate(over="ignore"):
+        mean = rowsum(x) / n
+        sq = np.subtract(x, np.asarray(mean)[..., None], out=out)
         np.square(sq, out=sq)
     css = rowsum(sq)
     return mean, css / n, np.sqrt(css / (n - 1))
@@ -265,8 +265,8 @@ def _reweighted(w: np.ndarray, x: np.ndarray, m: int, rowsum: _RowSum,
     w (x - mean)^2 formed by rowsum, in out if it uses it.  A zero count
     times an overflowed square is a NaN that a study's validity mask
     refuses; a single sample passes its nonzero counts only."""
-    rmean = rowsum(w, x, terms=np.multiply, out=out) / m
     with np.errstate(over="ignore", invalid="ignore"):
+        rmean = rowsum(w, x, terms=np.multiply, out=out) / m
         return rmean, rowsum(w, x, np.asarray(rmean)[..., None], terms=_weighted_squares,
                              out=out) / m
 

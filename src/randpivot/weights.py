@@ -100,7 +100,7 @@ class WeightStats:
         return self._max_ratio
 
 
-def draw_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+def draw_indices(n: int, m: int, rng: np.random.Generator, dtype=np.int64) -> np.ndarray:
     """m uniform draws from {0, ..., n-1}; the raw resampling stream.
 
     Weight vectors and sparse index samples are both built by counting
@@ -108,10 +108,12 @@ def draw_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     identically.  The studies compute these values for a block of units
     from raw words (rng._bounded_indices) and call this only for the units
     that pass flags; single samples and big-data queries draw through here.
+    dtype=np.int32 (n <= 2^31) gives the same values and generator state as
+    int64: below 2^32 numpy draws both from the same 32-bit words.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    return rng.integers(0, n, size=m)
+    return rng.integers(0, n, size=m, dtype=dtype)
 
 
 def draw_weights(n: int, m: int, rng: np.random.Generator) -> WeightVector:
@@ -139,10 +141,15 @@ def stats_from_nonzero(counts_nz: np.ndarray, n: int, m: int) -> WeightStats:
     the same multiset total as all n elementwise terms: each result is
     bitwise their fsum, as the exact pivot kernel takes it.  Both the dense
     and the sparse (big-data) paths go through here, which keeps the two
-    bitwise identical.
+    bitwise identical.  Only the counts other than 1 are binned, and the
+    ones (nearly all of a sparse sample's) added by size: np.bincount
+    stalls on repeated bins.
     """
-    hist = np.bincount(np.asarray(counts_nz, dtype=np.int64), minlength=1)
-    hist[0] += n - len(counts_nz)
+    counts = np.asarray(counts_nz, dtype=np.int64)
+    rest = counts[counts != 1]
+    hist = np.bincount(rest, minlength=2)
+    hist[0] += n - counts.size
+    hist[1] += counts.size - rest.size
     seen = hist.nonzero()[0]
     inv_n = 1.0 / n
     fm = float(m)

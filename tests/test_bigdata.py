@@ -704,6 +704,20 @@ class TestIndexSampleRuns:
             assert got.dtype == expected.dtype == np.int64
             assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [2, 17, 2**31 - 1, 2**31, 2**31 + 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 + 3])
+    def test_32_bit_draws_keep_the_int64_stream(self, n, seed):
+        # int32 draws up to n = 2^31, int64 past it: the int64 stream's runs,
+        # and the generator left as the int64 draw leaves it
+        got, want = stream(seed), stream(seed)
+        sample = draw_index_sample(n, 1000, got)
+        expected = np.unique(draw_indices(n, 1000, want), return_counts=True)
+        for array, reference in zip((sample.indices, sample.counts), expected):
+            assert array.dtype == reference.dtype == np.int64
+            assert array.tobytes() == reference.tobytes()
+        assert got.bit_generator.random_raw(8).tolist() == want.bit_generator.random_raw(8).tolist()
+        assert got.integers(0, n, 8).tolist() == want.integers(0, n, 8).tolist()
+
 
 class TestBigdataCiMean:
     def test_equivalence_with_in_memory_path(self, tmp_path):
@@ -786,11 +800,14 @@ class TestReadPattern:
         assert stats.read_calls == 1
 
     def test_requires_sorted_unique(self, tmp_path):
+        # the gather's clip mode relies on these checks
         h = write_dataset(np.arange(100.0), tmp_path / "d.rpv")
-        with pytest.raises(ValueError):
-            h.read_records(np.array([3, 3]))
-        with pytest.raises(ValueError):
-            h.read_records(np.array([5, 2]))
+        for indices in ([3, 3], [5, 2], [0, 7, 7, 9]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                h.read_records(np.array(indices))
+        for indices in ([-1, 3], [5, 100], [100], [-2**40]):
+            with pytest.raises(ValueError, match="index out of range"):
+                h.read_records(np.array(indices))
 
 
 class TestBigdataCiEdf:

@@ -272,6 +272,10 @@ class TestExitCodes:
          "bad parameters (nan, 1.0) for family normal"),
         (("kdist", "--dist", "normal:inf,1", "--n", "20", "--reps", "2000"),
          "bad parameters (inf, 1.0) for family normal"),
+        (("coverage", "--dist", "lognormal:800,1", "--n", "20", "--reps", "2000"),
+         "bad parameters (800.0, 1.0) for family lognormal"),
+        (("kdist", "--dist", "lognormal_std:0,40", "--n", "20", "--reps", "2000"),
+         "bad parameters (0.0, 40.0) for family lognormal_std"),
     ])
     def test_unusable_study_is_1_before_any_draw(self, argv, message):
         res = run_cli(*argv, "--no-timestamp", expect=1)

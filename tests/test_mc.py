@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -87,6 +88,19 @@ class TestDistributionSpec:
     def test_non_finite_params_rejected(self, text):
         with pytest.raises(BadParams, match="bad parameters"):
             parse_dist(text)
+
+    @pytest.mark.parametrize("text", ["lognormal:800,1", "lognormal:0,40", "lognormal_std:0,40",
+                                      "lognormal_std:0,26.7", "lognormal_std:709.2,1",
+                                      "exponential:1e-320", "uniform:1e308,1.7e308"])
+    def test_params_with_an_infinite_mean_or_sd_rejected(self, text):
+        # the mean (and lognormal_std's s.d.) would overflow or be inf
+        with pytest.raises(BadParams, match="bad parameters"):
+            parse_dist(text)
+
+    def test_large_finite_moments_accepted(self):
+        assert math.isfinite(parse_dist("lognormal:700,1").true_mean)
+        assert parse_dist("lognormal_std:0,26").true_mean == 0.0
+        assert parse_dist("uniform:-1.7e308,1.7e308").true_mean == 0.0
 
 
 class TestGenSample:
@@ -933,6 +947,19 @@ class TestStudyInputs:
                       lambda: proportion_study(huge, 5, kind, outer_reps=1, inner_reps=3)):
             with pytest.raises(RandPivotError, match="looks unusable"):
                 study()
+
+    @pytest.mark.parametrize("kind", list(PivotKind))
+    def test_overflowing_row_sums_are_refused_without_a_warning(self, kind):
+        # the row sums of x (and of c x) overflow too: still refused, and no
+        # RuntimeWarning leaks whatever the warnings filter
+        huge = parse_dist("uniform:0,1e308")
+        for study in (lambda: coverage_study(huge, 5, 5, kind, reps=3, alpha=0.05),
+                      lambda: kolmogorov_distance(kind, huge, 5, 5, reps=3),
+                      lambda: proportion_study(huge, 5, kind, outer_reps=1, inner_reps=3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RandPivotError, match="looks unusable"):
+                    study()
 
     @pytest.mark.parametrize("kind", [PivotKind.T2, PivotKind.G2])
     def test_one_redraw_budget(self, kind, monkeypatch):

@@ -153,8 +153,13 @@ class TestWeightStats:
         ([1] * 12, 12, 12),     # k = n, all equal: degenerate
         ([2, 1, 1, 3], 4, 7),   # k = n, m > n
         ([1, 1, 2], 10, 4),     # m < n
+        ([1] * 5000 + [2] * 40 + [3], 10**6, 5083),  # a sparse sample: mostly ones
+        ([1] * 3000, 10**5, 3000),                  # only ones
+        ([0, 3, 0, 1, 1, 0, 2, 1, 0, 0], 10, 8),    # a dense vector, zeros included
+        ([0] * 50 + [1] * 30 + [20], 81, 50),       # zeros, ones and one other count
     ])
     def test_edge_cases_equal_elementwise_fsum(self, counts, n, m):
+        # the ones are counted apart from the other counts' histogram
         assert stats_from_nonzero(np.array(counts), n, m) == elementwise_stats(counts, n, m)
 
     def test_many_categories_equal_elementwise_fsum(self):
