@@ -164,10 +164,9 @@ class DatasetHandle:
         The stats count what the page cache serves: ``read_calls`` is the
         number of windows gathered and released, ``pages_touched`` the
         distinct 4 KiB pages that hold a fetched record, and ``bytes_read``
-        is pages_touched * PAGE_SIZE.  A window is gathered by ndarray.take
-        straight into the output in mode="clip" (mode="raise" gathers into a
-        temporary first), which the order, range and size checks before any
-        mapping keep from clipping.
+        is pages_touched * PAGE_SIZE.  Each window is gathered straight into
+        the output by ndarray.take(mode="clip") (mode="raise" would buffer);
+        the order, range and size checks keep it from clipping.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
@@ -293,10 +292,10 @@ def draw_index_sample(n: int, m: int, rng: np.random.Generator) -> IndexSample:
     dense and sparse paths are interchangeable draw for draw.  The draws are
     sorted in place and each run of equal indices is flagged at its first
     draw: np.unique(draws, return_counts=True) as int64, bitwise.  For
-    n <= 2^31 the draws are made, sorted and compared as int32 (the same
-    stream at half the bytes); only the distinct indices are widened.
+    n <= 2^31 draw_indices gives int32 draws, which are sorted and compared
+    as int32; only the distinct indices are widened.
     """
-    idx = draw_indices(n, m, rng, np.int32 if n <= 1 << 31 else np.int64)
+    idx = draw_indices(n, m, rng)
     idx.sort()
     first = np.ones(m + 1, dtype=bool)  # the first of each run of equal indices, then m
     np.not_equal(idx[1:], idx[:-1], out=first[1:m])

@@ -90,7 +90,7 @@ _FAMILIES = {
                       lambda p, n, rng: rng.normal(p[0], p[1], n)),
     "beta": _Family(2, lambda p: p[0] > 0 and p[1] > 0, lambda p: p[0] / (p[0] + p[1]),
                     lambda p, n, rng: rng.beta(p[0], p[1], n)),
-    "uniform": _Family(2, lambda p: p[0] < p[1], lambda p: 0.5 * (p[0] + p[1]),
+    "uniform": _Family(2, lambda p: p[0] < p[1], lambda p: 0.5 * p[0] + 0.5 * p[1],
                        lambda p, n, rng: rng.uniform(p[0], p[1], n)),
 }
 

@@ -100,7 +100,7 @@ class WeightStats:
         return self._max_ratio
 
 
-def draw_indices(n: int, m: int, rng: np.random.Generator, dtype=np.int64) -> np.ndarray:
+def draw_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m uniform draws from {0, ..., n-1}; the raw resampling stream.
 
     Weight vectors and sparse index samples are both built by counting
@@ -108,12 +108,13 @@ def draw_indices(n: int, m: int, rng: np.random.Generator, dtype=np.int64) -> np
     identically.  The studies compute these values for a block of units
     from raw words (rng._bounded_indices) and call this only for the units
     that pass flags; single samples and big-data queries draw through here.
-    dtype=np.int32 (n <= 2^31) gives the same values and generator state as
-    int64: below 2^32 numpy draws both from the same 32-bit words.
+    For n <= 2^31 the draws are int32, at half the bytes, else int64: below
+    2^32 numpy makes both from the same 32-bit words, so the values and the
+    generator state left behind are the int64 draw's.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    return rng.integers(0, n, size=m, dtype=dtype)
+    return rng.integers(0, n, size=m, dtype=np.int32 if n <= 1 << 31 else np.int64)
 
 
 def draw_weights(n: int, m: int, rng: np.random.Generator) -> WeightVector:

@@ -699,7 +699,7 @@ class TestIndexSampleRuns:
     @example(n=10**6, m=1, seed=2)
     def test_equals_unique_bitwise(self, n, m, seed):
         sample = draw_index_sample(n, m, stream(seed))
-        want = np.unique(draw_indices(n, m, stream(seed)), return_counts=True)
+        want = np.unique(draw_indices(n, m, stream(seed)).astype(np.int64), return_counts=True)
         for got, expected in zip((sample.indices, sample.counts), want):
             assert got.dtype == expected.dtype == np.int64
             assert got.tobytes() == expected.tobytes()
@@ -707,16 +707,26 @@ class TestIndexSampleRuns:
     @pytest.mark.parametrize("n", [2, 17, 2**31 - 1, 2**31, 2**31 + 1])
     @pytest.mark.parametrize("seed", [0, 1, 2**64 + 3])
     def test_32_bit_draws_keep_the_int64_stream(self, n, seed):
-        # int32 draws up to n = 2^31, int64 past it: the int64 stream's runs,
-        # and the generator left as the int64 draw leaves it
-        got, want = stream(seed), stream(seed)
-        sample = draw_index_sample(n, 1000, got)
-        expected = np.unique(draw_indices(n, 1000, want), return_counts=True)
-        for array, reference in zip((sample.indices, sample.counts), expected):
-            assert array.dtype == reference.dtype == np.int64
-            assert array.tobytes() == reference.tobytes()
-        assert got.bit_generator.random_raw(8).tolist() == want.bit_generator.random_raw(8).tolist()
-        assert got.integers(0, n, 8).tolist() == want.integers(0, n, 8).tolist()
+        # draw_indices is int32 up to n = 2^31 and int64 past it; either way
+        # its values, the sample's runs and the generator left behind are
+        # those of the int64 draw
+        def tail(gen):
+            return gen.bit_generator.random_raw(8).tolist(), gen.integers(0, n, 8).tolist()
+
+        want = stream(seed)
+        reference = want.integers(0, n, 1000)
+        assert reference.dtype == np.int64
+        expected = tail(want)
+        drawn, sampled = stream(seed), stream(seed)
+        draws = draw_indices(n, 1000, drawn)
+        assert draws.dtype == (np.int32 if n <= 2**31 else np.int64)
+        assert draws.tolist() == reference.tolist()
+        sample = draw_index_sample(n, 1000, sampled)
+        for array, ref in zip((sample.indices, sample.counts),
+                              np.unique(reference, return_counts=True)):
+            assert array.dtype == ref.dtype == np.int64
+            assert array.tobytes() == ref.tobytes()
+        assert tail(drawn) == tail(sampled) == expected
 
 
 class TestBigdataCiMean:

@@ -91,7 +91,7 @@ class TestDistributionSpec:
 
     @pytest.mark.parametrize("text", ["lognormal:800,1", "lognormal:0,40", "lognormal_std:0,40",
                                       "lognormal_std:0,26.7", "lognormal_std:709.2,1",
-                                      "exponential:1e-320", "uniform:1e308,1.7e308"])
+                                      "exponential:1e-320"])
     def test_params_with_an_infinite_mean_or_sd_rejected(self, text):
         # the mean (and lognormal_std's s.d.) would overflow or be inf
         with pytest.raises(BadParams, match="bad parameters"):
@@ -101,6 +101,8 @@ class TestDistributionSpec:
         assert math.isfinite(parse_dist("lognormal:700,1").true_mean)
         assert parse_dist("lognormal_std:0,26").true_mean == 0.0
         assert parse_dist("uniform:-1.7e308,1.7e308").true_mean == 0.0
+        assert parse_dist("uniform:1e308,1.7e308").true_mean == 1.35e308  # the sum overflows
+        assert parse_dist("uniform:1,4").true_mean == 2.5
 
 
 class TestGenSample:

@@ -2,8 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/ab.py [--base REV] [--change REV] [--pairs N] [--records N]
-                        [--calls NAME,...] [--seed S] [--smoke]
+    python3 tools/ab.py [--base REV] [--change REV] [--pairs N] [--seed S] [--smoke]
 
 ``--base`` (default HEAD) is extracted with ``git archive`` into a
 temporary directory and imported under another package name; the package
@@ -19,11 +18,12 @@ prints each side's min and median wall in ms, the median's relative change,
 the pairs the change won (ties count for neither) and the pairs whose
 outputs were bitwise equal: intervals, report dicts and study reports are
 compared with every float as its hex string.  The big-data calls query one
-generated lognormal(0, 1) file in the documented binary layout (6e7
-records, 458 MiB by default) from a warm page cache.
+generated lognormal(0, 1) file (6e7 records, 458 MiB; 1e6 with --smoke),
+written by the change side's own dataset writer, from a warm page cache.
 
-The exit status is 1 if any pair's outputs differ.  ``--smoke`` shrinks the
-file, the studies and the pair count so a run takes well under 30 s.
+Every call runs; the exit status is 1 if any pair's outputs differ.
+``--smoke`` shrinks the file, the studies and the pair count so a run takes
+well under 30 s.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ import enum
 import importlib
 import io
 import statistics
-import struct
 import subprocess
 import sys
 import tarfile
@@ -48,6 +47,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/randpivot"
 CHUNK = 2_000_000  # records written per chunk of the generated file
+RECORDS, SMOKE_RECORDS = 60_000_000, 1_000_000  # records in the generated file
 X_EDF = 1.0  # the lognormal(0, 1) median
 
 
@@ -79,13 +79,12 @@ def load_worktree() -> ModuleType:
         sys.path.remove(str(ROOT / "src"))
 
 
-def write_file(path: Path, records: int, seed: int) -> None:
-    """records lognormal(0, 1) values in the binary layout, a chunk at a time."""
+def write_file(rp: ModuleType, path: Path, records: int, seed: int) -> None:
+    """records lognormal(0, 1) values, a chunk at a time, through the
+    package's own writer of the dataset format."""
     gen = np.random.Generator(np.random.PCG64(seed))
-    with open(path, "wb") as f:
-        f.write(b"RPV1" + struct.pack("<IQ", 1, records))
-        for lo in range(0, records, CHUNK):
-            gen.lognormal(0.0, 1.0, min(CHUNK, records - lo)).astype("<f8").tofile(f)
+    rp.bigdata._write_records((gen.lognormal(0.0, 1.0, min(CHUNK, records - lo))
+                               for lo in range(0, records, CHUNK)), path)
     with open(path, "rb") as f:  # one read, so every query starts from a warm page cache
         while f.read(1 << 24):
             pass
@@ -178,19 +177,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--change", default=None,
                    help="revision timed as the change (default: the working tree)")
     p.add_argument("--pairs", type=int, default=None, help="pairs per call (20; smoke 5)")
-    p.add_argument("--records", type=int, default=None,
-                   help="records in the generated file (6e7; smoke 1e6)")
-    p.add_argument("--calls", default=None, help="comma-separated names (default: all)")
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     p.add_argument("--smoke", action="store_true", help="small inputs, a run of seconds")
     args = p.parse_args(argv)
     pairs = args.pairs or (5 if args.smoke else 20)
-    records = args.records or (1_000_000 if args.smoke else 60_000_000)
-    table = calls(args.smoke)
-    names = args.calls.split(",") if args.calls else list(table)
-    unknown = sorted(set(names) - set(table))
-    if unknown:
-        p.error(f"unknown calls {unknown}; known: {', '.join(table)}")
+    records = SMOKE_RECORDS if args.smoke else RECORDS
 
     with tempfile.TemporaryDirectory(prefix="randpivot-ab-") as tmp:
         tmp = Path(tmp)
@@ -199,14 +190,14 @@ def main(argv: list[str] | None = None) -> int:
                     else load_revision(args.change, "change", tmp)]
         labels = [args.base, "worktree" if args.change is None else args.change]
         path = tmp / "ab.rpv"
-        write_file(path, records, args.seed)
+        write_file(packages[1], path, records, args.seed)
         sides = [(rp, rp.open_dataset(path)) for rp in packages]
         print(f"ab: base {labels[0]} ({packages[0].__name__}) against change {labels[1]} "
               f"({packages[1].__name__}); {records} records, {pairs} pairs, "
               f"seeds {args.seed}-{args.seed + pairs - 1}, numpy {np.__version__}")
         results = []
-        for name in names:
-            results.append(compare(name, table[name], sides, pairs, args.seed))
+        for name, fn in calls(args.smoke).items():
+            results.append(compare(name, fn, sides, pairs, args.seed))
             print(report_line(results[-1]), flush=True)
     differ = [r["call"] for r in results if r["equal"] != r["pairs"]]
     print("ab: outputs " + (f"DIFFER in {', '.join(differ)}" if differ else
