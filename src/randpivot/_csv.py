@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._pool import ordered_map
+from ._pool import cpus, ordered_map
 from .errors import MissingColumn, NonFiniteValue, ParseError
 
 # CSV characters parsed per step of an ingest.  numpy's reader is handed
@@ -84,9 +84,8 @@ def _parses(blocks: Iterator[str], col: int, delimiter: str,
     of _TASK_BLOCKS blocks by one worker process a CPU (_pool.ordered_map),
     while this one reads ahead, for a file of more than _POOL_BYTES with two
     or more CPUs to run on, and here a block at a time otherwise."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = cpus if cpus >= 2 and size > _POOL_BYTES else 0
-    tasks = iter(lambda: list(islice(blocks, _TASK_BLOCKS if workers else 1)), [])
+    workers = cpus() if size > _POOL_BYTES else 0  # below 2, parsed here
+    tasks = iter(lambda: list(islice(blocks, _TASK_BLOCKS if workers >= 2 else 1)), [])
     parse = partial(_block_task, col=col, delimiter=delimiter)
     with closing(ordered_map(parse, tasks, workers)) as results:
         for task, parsed in results:

@@ -1,9 +1,63 @@
-"""The package's one process pool: an ordered map over worker processes."""
+"""The package's parallel helpers: an ordered map over worker processes, and
+a large job cut in two halves over this thread and one helper thread.  The
+CPUs this process may run on (cpus) decide both."""
 from __future__ import annotations
 
+import contextvars
+import os
 import pickle
+import threading
 from collections import deque
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
+
+# Records or terms above which a job is cut in halves over two threads: the
+# crossover on 2 cores (medians of 15-25 calls).  Split against serial, a
+# fetch of 2^17 records took 4.4 against 4.0 ms and one of 2^18 5.4 against
+# 7.0 ms; an exact sum of 2^17 terms 1.2 against 0.9 ms, of 2^18 1.55
+# against 1.84 ms
+_SPLIT_ITEMS = 1 << 18
+
+
+def cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def halves(fn: Callable[[int, int], T], size: int, mid: int) -> list[T]:
+    """[fn(0, size)], or [fn(0, mid), fn(mid, size)] for a job of more than
+    _SPLIT_ITEMS items, cut at 0 < mid < size, with 2 or more CPUs to run on.
+
+    The second half runs on one helper thread, in a copy of this thread's
+    context (numpy's errstate with it), while the first runs here.  The
+    helper is joined before this returns, on every way out, so no thread
+    outlives the call and ordered_map never forks a process that has one.
+    A half's exception is raised here; this thread's own if both raise.
+    A split pays only where most of fn's work releases the GIL, as numpy's
+    gathers, bincounts and ufunc loops do.
+    """
+    if size <= _SPLIT_ITEMS or not 0 < mid < size or cpus() < 2:
+        return [fn(0, size)]
+    out: list[Any] = [None, None]
+    failed: list[BaseException] = []
+
+    def second() -> None:
+        try:
+            out[1] = fn(mid, size)
+        except BaseException as exc:  # raised in the caller once joined
+            failed.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(second,),
+                              name="randpivot-half")
+    helper.start()
+    try:
+        out[0] = fn(0, mid)
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+    return out
 
 
 def ordered_map(fn: Callable[[Any], Any], tasks: Iterable[Any],

@@ -11,9 +11,11 @@ the file's 8-byte slot r + 2, so one searchsorted over the first records
 of aligned WINDOWs (4 MiB) splits a fetch by window.  A fetch maps the
 span from its first to its last window once, gathers each window that
 holds a sampled record into its slice of the output and releases that
-window before the next: a fetch costs about its records, keeps at most
-one window of the file resident, and counts records, pages, bytes and
-windows gathered.
+window before the next: a fetch costs about its records and counts
+records, pages, bytes and windows gathered.  A dense fetch, of more than
+2^18 records on 2 or more CPUs, hands the windows of its second half to
+one helper thread (_pool.halves), so it keeps at most one window per
+thread, two in all, of the file resident.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from . import _pool
 from ._csv import _column_chunks, read_csv_column
 from .bounds import rate
 from .errors import DatasetFormatError, DatasetTooSmall
@@ -145,14 +148,18 @@ class DatasetHandle:
         bounds their runs.  The span from the first to the last window that
         holds one is mapped read-only once; each such window is gathered
         into its run's slice of the output and released with
-        madvise(MADV_DONTNEED) before the next, so at most one window of
-        the file is resident at a time.  A whole-file map left resident
-        would keep every faulted page, together with the kernel's
-        fault-around neighbours, in the process's peak resident set.  The
-        span adds only its page tables: VmPTE rose by 4 kB inside a dense
-        fetch of a 458 MiB file on Linux 6.18, as with one mapping per
-        window.  Where mmap has no MADV_DONTNEED (Windows), each window is
-        mapped on its own and unmapped before the next.  macOS may release
+        madvise(MADV_DONTNEED) before the next.  A fetch of more than
+        _pool._SPLIT_ITEMS records, on 2 or more CPUs, is cut at the run
+        start nearest its middle, and one helper thread gathers the windows
+        after the cut (_pool.halves).  Each thread takes its windows in
+        file order, so at most one window per thread, two in all, of the
+        file is resident at a time.  A whole-file map left resident would
+        keep every faulted page, together with the kernel's fault-around
+        neighbours, in the process's peak resident set.  The span adds only
+        its page tables: VmPTE rose by 4 kB inside a dense fetch of a 458
+        MiB file on Linux 6.18, as with one mapping per window.  Where mmap
+        has no MADV_DONTNEED (Windows), each window is mapped on its own
+        and unmapped before the next, in this thread.  macOS may release
         lazily, and its residency is unmeasured.
 
         Before mapping, the open file's size is checked: a file that no
@@ -180,6 +187,7 @@ class DatasetHandle:
         bounds = np.searchsorted(indices, (np.arange(first, last + 2) << _WINDOW_SHIFT) - _SLOT0)
         plan = [(w, lo, hi) for w, lo, hi in zip(range(first, last + 1), bounds.tolist(),
                                                   bounds[1:].tolist()) if lo < hi]
+        mid = int(bounds[np.abs(2 * bounds - indices.size).argmin()])  # a split's cut
         slots = indices + (_SLOT0 - (first << _WINDOW_SHIFT))  # each record's slot in the span
         pages = slots >> _PAGE_SHIFT
         touched = int(np.count_nonzero(pages[1:] != pages[:-1])) + 1
@@ -199,12 +207,17 @@ class DatasetHandle:
                 with mmap.mmap(f.fileno(), length, access=mmap.ACCESS_READ,
                                offset=start) as mapped:
                     records = np.frombuffer(mapped, dtype="<f8", count=length // RECORD_SIZE)
-                    for w, lo, hi in steps:
-                        # in place; the checks above keep clip mode from ever clipping
-                        records.take(slots[lo:hi], out=values[lo:hi], mode="clip")
-                        if release is not None:
-                            at = w * WINDOW - start
-                            mapped.madvise(release, at, min(WINDOW, length - at))
+
+                    def gather(a: int, b: int) -> None:  # the runs that start in a..b-1
+                        for w, lo, hi in steps:
+                            if a <= lo < b:
+                                # in place; the checks above keep clip mode from ever clipping
+                                records.take(slots[lo:hi], out=values[lo:hi], mode="clip")
+                                if release is not None:
+                                    at = w * WINDOW - start
+                                    mapped.madvise(release, at, min(WINDOW, length - at))
+
+                    _pool.halves(gather, indices.size, mid if len(steps) > 1 else 0)
                     del records  # the map cannot close while a view exports it
         return values, ReadStats(records_read=int(indices.size), bytes_read=touched * PAGE_SIZE,
                                  read_calls=len(plan), pages_touched=touched)

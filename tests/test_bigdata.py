@@ -10,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -23,11 +24,11 @@ from randpivot import (DatasetFormatError, DatasetTooSmall, MissingColumn,
                        bigdata_ci_edf, bigdata_ci_mean, ci_xbar, draw_index_sample,
                        draw_weights, ingest_csv, open_dataset, randomized_stats,
                        read_csv_column, stream, weight_stats, write_dataset)
-from randpivot import _csv, bigdata
+from randpivot import _csv, _pool, bigdata
 from randpivot.bigdata import (HEADER_SIZE, MAGIC, MIN_RECORDS, PAGE_SIZE, RECORD_SIZE,
                                VERSION, WINDOW)
 from randpivot.intervals import Fixed, PowerDelta
-from randpivot.pivots import _EXACT_MIN_TERMS, randomized_stats_from_nonzero
+from randpivot.pivots import _EXACT_MIN_TERMS, _exact_sum, randomized_stats_from_nonzero
 from randpivot.weights import draw_indices
 
 
@@ -76,15 +77,49 @@ def recorded_mappings(reader="span", at_release=lambda: None):
 
 
 def gathered_windows(reader, maps, releases, size):
-    """The (offset, length) of each window a fetch gathered: its releases
-    within the one mapping of the span, or its one mapping per window."""
+    """The (offset, length) of each window a fetch gathered, in file order:
+    its releases within the one mapping of the span, which a split fetch's
+    two threads make in two runs, or its one mapping per window."""
     if reader == "window":
         assert releases == []
         return maps
+    releases = sorted(releases)
     assert len(maps) == 1 and releases
     start, end = releases[0][0], min(releases[-1][0] + WINDOW, size)
     assert maps == [(start, end - start)]
     return releases
+
+
+@contextlib.contextmanager
+def split_forced():
+    """Cut every fetch and exact sum of two windows or chunks in halves over
+    two threads, whatever its size and the CPUs at hand."""
+    with mock.patch.object(_pool, "_SPLIT_ITEMS", 0), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+        yield
+
+
+@contextlib.contextmanager
+def recorded_gathers():
+    """Spy on the reader's gathers: collect (first slot, records) of each
+    take from a mapped file, and the names of the threads started."""
+    real_frombuffer, real_thread, gathers, threads = np.frombuffer, threading.Thread, [], []
+
+    class Records(np.ndarray):
+        def take(self, slots, out=None, mode="raise"):
+            gathers.append((int(slots[0]), slots.size))
+            return np.asarray(self).take(slots, out=out, mode=mode)
+
+    def frombuffer(*args, **kwargs):
+        return real_frombuffer(*args, **kwargs).view(Records)
+
+    def thread(*args, **kwargs):
+        threads.append(kwargs.get("name"))
+        return real_thread(*args, **kwargs)
+
+    with mock.patch.object(bigdata.np, "frombuffer", frombuffer), \
+            mock.patch.object(_pool.threading, "Thread", thread):
+        yield gathers, threads
 
 
 class TestBinaryFormat:
@@ -964,6 +999,58 @@ class TestRangedReads:
         assert stats.bytes_read == PAGE_SIZE * stats.pages_touched
         assert (values == ranged_values[indices]).all()
 
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("stride", [1, 3, 97])
+    def test_a_split_fetch_gathers_and_releases_each_window_once(
+            self, ranged_file, ranged_values, reader, stride):
+        h = open_dataset(ranged_file)
+        indices = np.arange(stride // 2, RANGED_N, stride)
+        want_values, want_stats = h.read_records(indices)
+        count = threading.active_count()
+        with split_forced(), recorded_gathers() as (gathers, threads), \
+                recorded_mappings(reader) as (maps, releases):
+            values, stats = h.read_records(indices)
+        assert threading.active_count() == count
+        assert values.tobytes() == want_values.tobytes() == ranged_values[indices].tobytes()
+        assert stats == want_stats
+        windows = gathered_windows(reader, maps, releases, ranged_file.stat().st_size)
+        assert len(set(windows)) == len(windows) == stats.read_calls == 3
+        # the span's windows, split over two threads; one window at a time on Windows
+        assert threads == (["randpivot-half"] if reader == "span" else [])
+        assert len(gathers) == 3 and sum(size for _, size in gathers) == indices.size
+        if reader == "span":  # slots count from the span's start, window 0
+            assert sorted(first // (WINDOW // RECORD_SIZE) for first, _ in gathers) == [0, 1, 2]
+
+    def test_concurrent_split_fetches_and_sums(self, ranged_file, ranged_values):
+        # three callers at once, each fetch and sum cut in two: six threads
+        # on fewer cores, switching every microsecond
+        h = open_dataset(ranged_file)
+        indices = np.arange(1, RANGED_N, 2)
+        counts = indices % 3 + 1
+        want = ranged_values[indices]
+        want_sum = math.fsum((counts * want).tolist())
+        results = []
+
+        def caller():
+            for _ in range(5):
+                values, _ = h.read_records(indices)
+                results.append((values.tobytes() == want.tobytes(),
+                                _exact_sum(counts, values, terms=np.multiply) == want_sum))
+
+        interval = sys.getswitchinterval()
+        callers = [threading.Thread(target=caller) for _ in range(3)]
+        sys.setswitchinterval(1e-6)
+        try:
+            with split_forced():
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert results == [(True, True)] * 15
+
     def test_truncated_after_open(self, tmp_path):
         path = tmp_path / "t.rpv"
         write_dataset(np.arange(float(RANGED_N)), path)
@@ -1026,6 +1113,31 @@ class TestWindowPlan:
         assert max(readings) <= 2 * WINDOW, [r / 2**20 for r in readings]
         assert (values == indices).all()
         assert stats.read_calls == len(releases) == 9 and len(maps) == 1 and len(readings) == 10
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads RssFile from /proc/self/status")
+    def test_a_split_fetch_holds_at_most_two_windows(self, tmp_path):
+        # the same dense fetch cut in halves over two threads: each holds
+        # at most the window in hand, so the two at most two windows
+        n = 8 * WINDOW // RECORD_SIZE + 1000
+        h = write_dataset(np.arange(float(n)), tmp_path / "big.rpv")
+
+        def rss_file():
+            with open("/proc/self/status") as f:
+                line = next(line for line in f if line.startswith("RssFile:"))
+            return int(line.split()[1]) * 1024
+
+        indices = np.arange(0, n, 64)
+        base, readings = rss_file(), []
+        with split_forced(), recorded_gathers() as (_, threads), \
+                recorded_mappings(at_release=lambda: readings.append(rss_file() - base)) as (
+                    maps, releases):
+            values, stats = h.read_records(indices)
+        assert threads == ["randpivot-half"]
+        assert max(readings) <= 3 * WINDOW, [r / 2**20 for r in readings]
+        assert (values == indices).all()
+        assert stats.read_calls == len(set(releases)) == len(releases) == 9
+        assert len(maps) == 1 and len(readings) == 10
 
     def test_fetch_memory_is_bounded_by_the_output(self, ranged_file):
         h = open_dataset(ranged_file)

@@ -1,6 +1,8 @@
 """Tests for sample statistics, randomized statistics, and the four pivots."""
 import contextlib
 import math
+import os
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randpivot.pivots as pivots
+from randpivot import _pool
 from randpivot import (DegenerateWeights, MissingMu, NonFiniteValue, PivotKind,
                        TooFewObservations, WeightVector, ZeroScale, ci_df, ci_edf, ci_mu,
                        draw_weights, edf_pivot, edf_point, enumerate_weight_vectors, pivot,
@@ -393,6 +396,43 @@ def summands(kind, size, rng):
 
 
 class TestExactSum:
+    @pytest.fixture(autouse=True, scope="class", params=["serial", "split", "one-cpu"])
+    def summing(self, request):
+        """Every case runs as it is; with each row of two chunks or more cut
+        in halves over two threads (the cut patched to 0, and chunks of 2^10
+        terms, so short rows are cut too); and so patched on one CPU, where
+        no row is cut."""
+        if request.param == "serial":
+            yield request.param
+            return
+        cpus = {0, 1} if request.param == "split" else {0}
+        with mock.patch.object(_pool, "_SPLIT_ITEMS", 0), \
+                mock.patch.object(pivots, "_EXACT_CHUNK", 1 << 10), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True):
+            yield request.param
+
+    def test_helper_threads_only_for_a_split(self, summing):
+        a = np.random.default_rng(11).standard_normal(2 * _EXACT_MIN_TERMS)
+        real, names = threading.Thread, []
+        count = threading.active_count()
+        with mock.patch.object(_pool.threading, "Thread",
+                               lambda *args, **kwargs: names.append(kwargs["name"]) or real(
+                                   *args, **kwargs)):
+            assert summed(_exact_sum, a) == summed(rounded_sum, a)
+        assert names == (["randpivot-half"] if summing == "split" else [])
+        assert threading.active_count() == count
+
+    @pytest.mark.parametrize("specials", [
+        [math.inf], [-math.inf], [math.nan], [math.inf, -math.inf],
+        [2.0**998, -(2.0**1000), 2.0**1023, 3.5 * 2.0**1010],  # finite, summed as ints
+        [2.0**1023, 2.0**1023],  # past float64
+    ])
+    def test_specials_in_the_second_half_only(self, specials):
+        a = np.random.default_rng(12).standard_normal(4 * _EXACT_MIN_TERMS)  # cut when split
+        a[-len(specials) - 3:-3] = specials
+        assert summed(_exact_sum, a) == summed(rounded_sum, a)
+        assert summed(_exact_sum, a[::-1]) == summed(rounded_sum, a[::-1])  # first half only
+
     @settings(max_examples=300, deadline=None)
     @given(SUM_SIZES,
            st.sampled_from(["normal", "scales", "wide", "subnormal", "cancel", "zeros", "huge"]),

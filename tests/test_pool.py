@@ -1,17 +1,24 @@
-"""Tests for the package's one process pool, _pool.ordered_map.
+"""Tests for the package's parallel helpers: the process pool,
+_pool.ordered_map, and the two-thread split, _pool.halves.
 
 Every fn that reaches a pool here is importable: on Python 3.11 a task
 whose fn cannot be pickled can leave the pool's shutdown() waiting
 forever, so ordered_map refuses such an fn before a pool starts.
 """
 import concurrent.futures
+import contextlib
 import math
 import multiprocessing
+import os
 import pickle
+import threading
+import time
 from unittest import mock
 
+import numpy as np
 import pytest
 
+from randpivot import _pool
 from randpivot._pool import ordered_map
 
 # Long tasks first, so that with two workers later tasks finish earlier.
@@ -81,3 +88,79 @@ def test_an_unpicklable_fn_is_refused_before_a_pool_starts():
         assert list(ordered_map(lambda x: x, [1.0, 4.0], 1)) == [(1.0, 1.0), (4.0, 4.0)]
     assert pools == []
     assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def started_threads():
+    """Collect the name of each thread _pool starts."""
+    real, names = threading.Thread, []
+
+    def spy(*args, **kwargs):
+        thread = real(*args, **kwargs)
+        names.append(thread.name)
+        return thread
+
+    with mock.patch.object(_pool.threading, "Thread", spy):
+        yield names
+
+
+class TestHalves:
+    """_pool.halves: a large job's second half on one helper thread."""
+
+    def test_a_large_job_is_cut_once_at_mid(self):
+        with started_threads() as names, \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+            count = threading.active_count()
+            assert _pool.halves(range, _pool._SPLIT_ITEMS + 1, 7) == [
+                range(7), range(7, _pool._SPLIT_ITEMS + 1)]
+            assert threading.active_count() == count
+        assert names == ["randpivot-half"]
+
+    @pytest.mark.parametrize("size, mid, cpus", [
+        (_pool._SPLIT_ITEMS, 7, {0, 1}),  # at the cut
+        (_pool._SPLIT_ITEMS + 1, 7, {0}),  # one CPU
+        (_pool._SPLIT_ITEMS + 1, 0, {0, 1}),  # an empty half
+        (_pool._SPLIT_ITEMS + 1, _pool._SPLIT_ITEMS + 1, {0, 1}),
+    ])
+    def test_no_thread_below_the_cut_on_one_cpu_or_for_an_empty_half(self, size, mid, cpus):
+        with started_threads() as names, \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True):
+            assert _pool.halves(range, size, mid) == [range(size)]
+        assert names == []
+
+    def test_no_thread_where_the_cpus_are_unknown(self):
+        with started_threads() as names, mock.patch.object(_pool, "_SPLIT_ITEMS", 0), \
+                pytest.MonkeyPatch.context() as patch:
+            patch.delattr(os, "sched_getaffinity", raising=False)
+            assert _pool.cpus() == 1
+            assert _pool.halves(range, 10, 5) == [range(10)]
+        assert names == []
+
+    @pytest.mark.parametrize("failing", ["second", "first", "both"])
+    def test_a_failing_half_is_raised_here_after_the_join(self, failing):
+        done = []
+
+        def fn(start, stop):
+            half = "first" if start == 0 else "second"
+            if failing in (half, "both"):
+                raise ValueError(half)
+            time.sleep(0.05)  # still running when the other half raises
+            done.append(half)
+
+        count = threading.active_count()
+        with mock.patch.object(_pool, "_SPLIT_ITEMS", 0), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), \
+                pytest.raises(ValueError, match="first" if failing == "both" else failing):
+            _pool.halves(fn, 10, 5)
+        assert threading.active_count() == count
+        assert done == ([] if failing == "both" else ["first" if failing == "second" else "second"])
+
+    def test_the_helper_runs_in_the_callers_context(self):
+        # numpy's errstate is a context variable: the helper's half keeps it
+        def fn(start, stop):
+            return np.geterr()["over"]
+
+        with mock.patch.object(_pool, "_SPLIT_ITEMS", 0), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), \
+                np.errstate(over="ignore"):
+            assert _pool.halves(fn, 10, 5) == ["ignore", "ignore"]

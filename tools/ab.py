@@ -20,6 +20,8 @@ outputs were bitwise equal: intervals, report dicts and study reports are
 compared with every float as its hex string.  The big-data calls query one
 generated lognormal(0, 1) file (6e7 records, 458 MiB; 1e6 with --smoke),
 written by the change side's own dataset writer, from a warm page cache.
+``exact_sum`` is a dense mean query's first sum on its own: the same
+677,916 terms, counts times lognormal values, in every pair.
 
 Every call runs; the exit status is 1 if any pair's outputs differ.
 ``--smoke`` shrinks the file, the studies and the pair count so a run takes
@@ -49,6 +51,7 @@ PACKAGE = "src/randpivot"
 CHUNK = 2_000_000  # records written per chunk of the generated file
 RECORDS, SMOKE_RECORDS = 60_000_000, 1_000_000  # records in the generated file
 X_EDF = 1.0  # the lognormal(0, 1) median
+DENSE_DRAWS = 681_732  # a power-delta:0.25 query's m on RECORDS records
 
 
 def git(*args: str) -> bytes:
@@ -90,9 +93,19 @@ def write_file(rp: ModuleType, path: Path, records: int, seed: int) -> None:
             pass
 
 
+def dense_terms() -> tuple[np.ndarray, np.ndarray]:
+    """The operands of a dense mean query's first exact sum, counts * x: the
+    counts of DENSE_DRAWS uniform draws from RECORDS records, one lognormal(0, 1)
+    x per distinct record (677,916 of them), drawn once at seed 0."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    counts = np.unique(gen.integers(0, RECORDS, DENSE_DRAWS), return_counts=True)[1]
+    return counts, gen.lognormal(0.0, 1.0, counts.size)
+
+
 def calls(smoke: bool) -> dict[str, Callable[[ModuleType, Any, int], Any]]:
     """Each named call as fn(package, dataset handle, seed) -> output."""
     reps, outer = (2_000, 20) if smoke else (20_000, 200)
+    counts, x = dense_terms()
 
     def query(stat: str, policy: str) -> Callable:
         def run(rp, h, seed):
@@ -107,6 +120,7 @@ def calls(smoke: bool) -> dict[str, Callable[[ModuleType, Any, int], Any]]:
         "sparse_edf": query("edf", "loglog"),
         "dense_mean": query("mean", "power-delta:0.25"),
         "dense_edf": query("edf", "power-delta:0.25"),
+        "exact_sum": lambda rp, h, seed: rp.pivots._exact_sum(counts, x, terms=np.multiply),
         "coverage": lambda rp, h, seed: rp.coverage_study(
             rp.parse_dist("normal:0,1"), 20, 20, rp.PivotKind("g1"), reps, 0.05, seed=seed),
         "proportion": lambda rp, h, seed: rp.proportion_study(
