@@ -1,6 +1,7 @@
 """The package's parallel helpers: an ordered map over worker processes, and
 a large job cut in two halves over this thread and one helper thread.  The
-CPUs this process may run on (cpus) decide both."""
+CPUs this process may run on (cpus) decide both.  Big-data fetches, exact
+sums and in-process studies of wide units are cut in halves."""
 from __future__ import annotations
 
 import contextvars
@@ -12,11 +13,11 @@ from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
-# Records or terms above which a job is cut in halves over two threads: the
-# crossover on 2 cores (medians of 15-25 calls).  Split against serial, a
-# fetch of 2^17 records took 4.4 against 4.0 ms and one of 2^18 5.4 against
-# 7.0 ms; an exact sum of 2^17 terms 1.2 against 0.9 ms, of 2^18 1.55
-# against 1.84 ms
+# Records, terms or drawn elements above which a job is cut in halves over
+# two threads: the crossover on 2 cores (medians of 15-25 calls).  Split
+# against serial, a fetch of 2^17 records took 4.4 against 4.0 ms and one
+# of 2^18 5.4 against 7.0 ms; an exact sum of 2^17 terms 1.2 against 0.9
+# ms, of 2^18 1.55 against 1.84 ms
 _SPLIT_ITEMS = 1 << 18
 
 
@@ -25,9 +26,10 @@ def cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def halves(fn: Callable[[int, int], T], size: int, mid: int) -> list[T]:
+def halves(fn: Callable[[int, int], T], size: int, mid: int, items: int | None = None) -> list[T]:
     """[fn(0, size)], or [fn(0, mid), fn(mid, size)] for a job of more than
-    _SPLIT_ITEMS items, cut at 0 < mid < size, with 2 or more CPUs to run on.
+    _SPLIT_ITEMS items (size, or the caller's count, as a study's drawn
+    elements), cut at 0 < mid < size, with 2 or more CPUs to run on.
 
     The second half runs on one helper thread, in a copy of this thread's
     context (numpy's errstate with it), while the first runs here.  The
@@ -37,7 +39,7 @@ def halves(fn: Callable[[int, int], T], size: int, mid: int) -> list[T]:
     A split pays only where most of fn's work releases the GIL, as numpy's
     gathers, bincounts and ufunc loops do.
     """
-    if size <= _SPLIT_ITEMS or not 0 < mid < size or cpus() < 2:
+    if (size if items is None else items) <= _SPLIT_ITEMS or not 0 < mid < size or cpus() < 2:
         return [fn(0, size)]
     out: list[Any] = [None, None]
     failed: list[BaseException] = []

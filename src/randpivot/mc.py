@@ -27,6 +27,9 @@ is a proportion outer replication of one row.  The keys of a run of units
 come from one vectorized pass, one generator is rewound to each, and a
 block's indices are computed from raw words in one pass
 (rng._bounded_indices); a unit that pass flags is drawn again.
+A study that runs in this process, not in --threads workers, is cut in
+two halves of its units over _pool.halves' helper thread when its units
+are wide enough; tallies are integers, so no cut changes a report's bits.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ._normal import norm_cdf
-from ._pool import ordered_map
+from ._pool import halves, ordered_map
 from .errors import BadParams, RandPivotError, ZeroScale
 from .intervals import SCHEMA_VERSION, _check_m, _z_for
 from .pivots import PivotKind, _check_n, _reweighted, _row_moments, _studentized
@@ -283,10 +286,16 @@ _BLOCK_ELEMENTS = 1 << 16
 _STREAM_ELEMENTS = 128
 _POOL_ELEMENTS = 1 << 20
 
+# The fewest elements a unit draws for its study to be split over two
+# threads: a narrower unit's rewind and draw calls hold the GIL (split
+# against serial: 1.15 at 1,000 elements, 0.77-0.91 at 1,536, README).
+_SPLIT_WIDTH = 12 * _STREAM_ELEMENTS
 
-def _study_chunk(args) -> np.ndarray:
+
+def _study_chunk(args, block: int | None = None) -> np.ndarray:
     """Summed block tallies of units [start, stop), of `inner` rows each,
-    with the redraws appended in the tallies' type.
+    with the redraws appended in the tallies' type; a block holds at most
+    `block` elements (_BLOCK_ELEMENTS if None), or one unit.
 
     Unit u at attempt a is drawn from stream(seed, u, a).  A block of whole
     units is one kernel call, in reused buffers; attempt-0 keys are derived
@@ -300,7 +309,7 @@ def _study_chunk(args) -> np.ndarray:
     that row and its name do not depend on how units are split into blocks.
     """
     (d, n, m, kind, seed, inner, name, tally, start, stop) = args
-    units = min(max(1, _BLOCK_ELEMENTS // (inner * max(n, m))), stop - start)
+    units = min(max(1, (block or _BLOCK_ELEMENTS) // (inner * max(n, m))), stop - start)
     run = units * max(1, (_BLOCK_ELEMENTS >> 6) // units)
     sample = partial(_FAMILIES[d.family].sample, d.params)  # gen_sample(d, ...), looked up once
     word_buf = np.empty(units * ((inner * m + 1) // 2), dtype=np.uint64)
@@ -372,14 +381,22 @@ def _run_chunks(total: int, threads: int, *args) -> np.ndarray:
     too small to repay a pool (total * (inner * max(n, m) + _STREAM_ELEMENTS)
     <= _POOL_ELEMENTS), the whole range is one in-process call, so every
     fixed cost of a call, a block of rows or a process pool is paid once,
-    not per range.  Units are keyed by index, so the report is the same.
+    not per range, unless _pool.halves cuts it in two: its units must be at
+    least _SPLIT_WIDTH wide, and a half's blocks take 3/4 of the budget, so
+    the two hold 1.5 blocks at once.  Units are keyed by index, so the
+    report is the same.
     """
     n, m, inner = args[1], args[2], args[5]
-    pooled = threads > 1 and total * (inner * max(n, m) + _STREAM_ELEMENTS) > _POOL_ELEMENTS
-    step = math.ceil(total / min(threads * 4, total)) if pooled else total
-    ranges = [(*args, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    return sum(part for _, part in ordered_map(_study_chunk, ranges,
-                                                threads if len(ranges) > 1 else 0))
+    width = inner * max(n, m)
+    if threads > 1 and total > 1 and total * (width + _STREAM_ELEMENTS) > _POOL_ELEMENTS:
+        step = math.ceil(total / min(threads * 4, total))
+        ranges = [(*args, lo, min(lo + step, total)) for lo in range(0, total, step)]
+        return sum(part for _, part in ordered_map(_study_chunk, ranges, threads))
+
+    def chunk(lo: int, hi: int) -> np.ndarray:  # a half's blocks take 3/4 of the budget
+        return _study_chunk((*args, lo, hi), 3 * _BLOCK_ELEMENTS // 4 if hi - lo < total else None)
+
+    return sum(halves(chunk, total, total // 2, items=total * width * (width >= _SPLIT_WIDTH)))
 
 
 def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,

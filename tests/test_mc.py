@@ -4,9 +4,11 @@ import functools
 import json
 import math
 import operator
+import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 import randpivot.mc as mc
 import randpivot.pivots as pivots
+from randpivot import _pool
 from randpivot import (BadParams, DegenerateWeights, DistributionSpec, PivotKind,
                        RandPivotError, TooFewObservations, WeightVector, ZeroScale, ci_mu,
                        coverage_study, critical_z, draw_weights, gen_sample,
@@ -27,6 +30,7 @@ from randpivot import (BadParams, DegenerateWeights, DistributionSpec, PivotKind
 from randpivot._normal import norm_cdf
 from randpivot.edf import edf_pivot
 from randpivot.weights import draw_indices
+from test_pool import started_threads
 
 NORMAL = DistributionSpec("normal", (0.0, 1.0))
 
@@ -50,6 +54,17 @@ def _in_workers(pool_elements=0):
         mp.setattr(mc, "_POOL_ELEMENTS", pool_elements)
         mp.setattr(ProcessPoolExecutor, "__init__", counting_init)
         yield started
+
+
+@contextlib.contextmanager
+def _split_forced():
+    """Cut every in-process study of two or more units in halves, as if on
+    two CPUs; yields the names of the threads _pool starts."""
+    with started_threads() as names, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_pool, "_SPLIT_ITEMS", 0)
+        mp.setattr(mc, "_SPLIT_WIDTH", 0)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield names
 
 
 class TestDistributionSpec:
@@ -459,6 +474,9 @@ class TestRowEngineMatchesSingleSampleApi:
         for block in (mc._BLOCK_ELEMENTS, 5, 2 * 4 * 5):
             monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
             check(threads=1)
+            with _split_forced() as names:  # both halves fail: this thread's half is named
+                check(threads=1)
+            assert names == ["randpivot-half"] * 2
         with _in_workers() as pools:
             check(threads=2)
         assert len(pools) == 2
@@ -469,8 +487,10 @@ class TestRowEngineMatchesSingleSampleApi:
         # every other call invalid, so a later block keeps its last two rows
         # invalid until the budget is spent.  Those rows are named by their
         # unit, past the first: in-process, 40 elements make blocks of 8
-        # coverage replications or 2 proportion outers of 4 rows; at
-        # threads=2 the unit opens the second range.
+        # coverage replications or 2 proportion outers of 4 rows; a split's
+        # halves, given 3/4 of 54 elements, make the same blocks, the failing
+        # one in the second half only; at threads=2 the unit opens the
+        # second range.
         batch_values, first_row = mc._batch_values, gen_sample(NORMAL, 5, stream(0, 0, 0))
 
         def valid_in_first_block(kind, x, *args):
@@ -480,11 +500,12 @@ class TestRowEngineMatchesSingleSampleApi:
             return vals, tvals, valid
 
         monkeypatch.setattr(mc, "_batch_values", valid_in_first_block)
-        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 40)
         msg = ("{} had 100 consecutive degenerate draws; the configuration "
                "normal(0,1), n=5, m=5 looks unusable")
-        for threads, unit, outer in ((1, 14, 3), (2, 2, 1)):
-            with _in_workers() as pools:
+        for threads, unit, outer, split in ((1, 14, 3, False), (1, 14, 3, True), (2, 2, 1, False)):
+            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 54 if split else 40)
+            with _in_workers() as pools, \
+                    _split_forced() if split else contextlib.nullcontext([]) as names:
                 with pytest.raises(RandPivotError) as exc:
                     coverage_study(NORMAL, 5, 5, PivotKind.T2, 16, 0.05, threads=threads)
                 assert str(exc.value) == msg.format(f"replication {unit}")
@@ -494,6 +515,36 @@ class TestRowEngineMatchesSingleSampleApi:
                 assert str(exc.value) == msg.format(
                     f"inner replication 2 of outer replication {outer}")
             assert len(pools) == (2 if threads > 1 else 0)
+            assert names == ["randpivot-half"] * (2 if split else 0)
+
+    @pytest.mark.parametrize("failing", [{12}, {5, 12}, {3, 5}])
+    def test_exhausted_budget_names_the_same_unit_split(self, failing, monkeypatch):
+        # Row 0 of each failing unit stays invalid at every attempt, whatever
+        # the blocks; the split's halves are units 0-7 and 8-15, and its
+        # error names the serial run's unit, in whichever half it is.
+        firsts = {gen_sample(NORMAL, 5, stream(0, u, a)).tobytes()
+                  for u in failing for a in range(mc.MAX_REDRAWS)}
+        batch_values = mc._batch_values
+
+        def failing_units(kind, x, *args):
+            vals, tvals, valid = batch_values(kind, x, *args)
+            return vals, tvals, valid & [row.tobytes() not in firsts for row in x]
+
+        monkeypatch.setattr(mc, "_batch_values", failing_units)
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 15)
+        msg = ("{} had 100 consecutive degenerate draws; the configuration "
+               "normal(0,1), n=5, m=5 looks unusable")
+        unit = min(failing)
+        for split in (False, True):
+            with _split_forced() if split else contextlib.nullcontext([]) as names:
+                with pytest.raises(RandPivotError) as exc:
+                    coverage_study(NORMAL, 5, 5, PivotKind.T2, 16, 0.05)
+                assert str(exc.value) == msg.format(f"replication {unit}")
+                with pytest.raises(RandPivotError) as exc:
+                    proportion_study(NORMAL, 5, PivotKind.T2, outer_reps=16, inner_reps=3)
+                assert str(exc.value) == msg.format(
+                    f"inner replication 0 of outer replication {unit}")
+            assert names == ["randpivot-half"] * (2 if split else 0)
 
 
 def _proportion_replay(d, n, kind, outer, inner, seed, band, alpha=0.05):
@@ -1109,6 +1160,116 @@ class TestThreadIndependence:
         d = parse_dist(spec)
         _threads_agree(lambda threads: kolmogorov_distance(kind, d, n, n, reps, seed=seed,
                                                            threads=threads))
+
+
+POISSON = DistributionSpec("poisson", (1.0,))
+
+# Studies run serially and with the split forced; the last argument is threads.
+SPLIT_STUDIES = {
+    "coverage redraws": lambda t: coverage_study(POISSON, 5, 5, PivotKind.G2, 301, 0.05,
+                                                 seed=5, threads=t),
+    "coverage m<n two-sided": lambda t: coverage_study(NORMAL, 12, 7, PivotKind.T2, 40, 0.1,
+                                                       sided="two", seed=6, threads=t),
+    "coverage student_t": lambda t: coverage_study(
+        parse_dist("exponential:1"), 8, 8, PivotKind.G1, 57, 0.05, seed=7,
+        classical_cutoff="student_t", threads=t),
+    "kdist": lambda t: kolmogorov_distance(PivotKind.G1, NORMAL, 100, 100, 201, seed=8,
+                                           threads=t),
+    "kdist redraws": lambda t: kolmogorov_distance(PivotKind.G2, POISSON, 5, 5, 99, seed=9,
+                                                   threads=t),
+    "proportion redraws": lambda t: proportion_study(POISSON, 5, PivotKind.G2, outer_reps=9,
+                                                     inner_reps=40, seed=10, threads=t),
+    "proportion m>n two-sided student_t": lambda t: proportion_study(
+        NORMAL, 6, PivotKind.G1, outer_reps=7, inner_reps=30, m=20, sided="two",
+        classical_cutoff="student_t", band=(0.85, 1.0), seed=11, threads=t),
+    **{f"proportion of {outer}": lambda t, outer=outer: proportion_study(
+        POISSON, 5, PivotKind.T2, outer_reps=outer, inner_reps=25, seed=12, threads=t)
+       for outer in (1, 2, 3)},
+    **{f"coverage of {reps}": lambda t, reps=reps: coverage_study(
+        POISSON, 5, 5, PivotKind.T1, reps, 0.05, seed=13, threads=t) for reps in (1, 2, 3)},
+}
+
+
+class TestSplitStudies:
+    """An in-process study cut in halves over _pool.halves' helper thread
+    gives the serial report bit for bit, and is cut only where its units
+    are wide enough and its drawn elements many enough."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", list(SPLIT_STUDIES))
+    def test_reports_equal_serial(self, name, threads):
+        study = SPLIT_STUDIES[name]
+        serial = study(1)
+        with _in_workers(mc._POOL_ELEMENTS) as pools, _split_forced() as names:
+            assert study(threads) == serial
+        assert pools == []  # threads=2 below the pool cut runs in this process
+        assert names == ([] if name.endswith(" of 1") else ["randpivot-half"])
+
+    def test_recorded_reports_split(self):
+        recorded = json.loads(RECORDED.read_text())
+        with _split_forced() as names:
+            assert _grid_reports((3, 20), 1) == recorded, NUMPY_NOTE
+        assert len(names) == 3 * len(GRID_SPECS) * 2 * len(PivotKind)
+
+    @pytest.mark.parametrize("study, splits", [
+        # one-row units: 20 and 100 elements wide, 4 * 10^5 and 5 * 10^5 drawn
+        (lambda: coverage_study(NORMAL, 20, 20, PivotKind.G1, 20_000, 0.05), False),
+        (lambda: kolmogorov_distance(PivotKind.G1, NORMAL, 100, 100, 5_000), False),
+        # 20 * 76 = 1,520 elements a unit, below the width; 2.6 * 10^5 drawn
+        (lambda: proportion_study(NORMAL, 20, PivotKind.G1, outer_reps=173, inner_reps=76),
+         False),
+        # 24 * 64 = 1,536 a unit; drawn elements at the cut and just past it
+        (lambda: proportion_study(NORMAL, 24, PivotKind.G1, outer_reps=170, inner_reps=64),
+         False),
+        (lambda: proportion_study(NORMAL, 24, PivotKind.G1, outer_reps=171, inner_reps=64),
+         True),
+    ], ids=["coverage", "kdist", "proportion narrow", "proportion at the cut",
+            "proportion past the cut"])
+    def test_split_only_for_wide_units_past_the_cut(self, study, splits, monkeypatch):
+        assert 170 * 24 * 64 < _pool._SPLIT_ITEMS < 171 * 24 * 64 < 173 * 20 * 76
+        assert 20 * 76 < mc._SPLIT_WIDTH == 24 * 64
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with started_threads() as names:
+            study()
+        assert names == (["randpivot-half"] if splits else [])
+
+    def test_reports_equal_serial_under_fast_thread_switches(self):
+        # the halves share only read-only state; switch threads as often as
+        # the interpreter can, so an update lost between them would show
+        study = SPLIT_STUDIES["proportion redraws"]
+        serial = study(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _split_forced() as names:
+                reports = [study(1) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [serial] * 3
+        assert names == ["randpivot-half"] * 3
+
+    def test_halves_take_three_quarters_of_the_block_budget(self, monkeypatch):
+        # so that the two halves at once hold the buffers of 1.5 blocks
+        blocks, chunk = [], mc._study_chunk
+
+        def spy(args, block=None):
+            blocks.append(block)
+            return chunk(args, block)
+
+        monkeypatch.setattr(mc, "_study_chunk", spy)
+        study = SPLIT_STUDIES["proportion redraws"]
+        serial = study(1)
+        with _split_forced():
+            assert study(1) == serial
+        assert blocks == [None] + [3 * mc._BLOCK_ELEMENTS // 4] * 2
+
+    def test_thread_count_restored_after_a_split_study_raises(self, monkeypatch):
+        _never_valid(monkeypatch)
+        count = threading.active_count()
+        with _split_forced() as names, pytest.raises(RandPivotError):
+            proportion_study(NORMAL, 5, PivotKind.T2, outer_reps=4, inner_reps=3)
+        assert names == ["randpivot-half"]
+        assert threading.active_count() == count
 
 
 RECORDED = Path(__file__).parent / "golden" / "schema1_reports.json"

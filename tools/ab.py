@@ -123,6 +123,8 @@ def calls(smoke: bool) -> dict[str, Callable[[ModuleType, Any, int], Any]]:
         "exact_sum": lambda rp, h, seed: rp.pivots._exact_sum(counts, x, terms=np.multiply),
         "coverage": lambda rp, h, seed: rp.coverage_study(
             rp.parse_dist("normal:0,1"), 20, 20, rp.PivotKind("g1"), reps, 0.05, seed=seed),
+        "kdist": lambda rp, h, seed: rp.kolmogorov_distance(
+            rp.PivotKind("g1"), rp.parse_dist("normal:0,1"), 100, 100, reps, seed=seed),
         "proportion": lambda rp, h, seed: rp.proportion_study(
             rp.parse_dist("exponential:1"), 20, rp.PivotKind("g1"), outer_reps=outer,
             inner_reps=outer, seed=seed),
