@@ -1,7 +1,7 @@
 """The package's parallel helpers: an ordered map over worker processes, and
 a large job cut in two halves over this thread and one helper thread.  The
-CPUs this process may run on (cpus) decide both.  Big-data fetches, exact
-sums and in-process studies of wide units are cut in halves."""
+CPUs this process may run on (cpus) decide both.  Big-data fetches and
+in-process studies of wide units are cut in halves."""
 from __future__ import annotations
 
 import contextvars
@@ -13,11 +13,10 @@ from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
-# Records, terms or drawn elements above which a job is cut in halves over
-# two threads: the crossover on 2 cores (medians of 15-25 calls).  Split
+# Records or drawn elements above which a job is cut in halves over two
+# threads: the fetch crossover on 2 cores (medians of 15-25 calls).  Split
 # against serial, a fetch of 2^17 records took 4.4 against 4.0 ms and one
-# of 2^18 5.4 against 7.0 ms; an exact sum of 2^17 terms 1.2 against 0.9
-# ms, of 2^18 1.55 against 1.84 ms
+# of 2^18 5.4 against 7.0 ms
 _SPLIT_ITEMS = 1 << 18
 
 

@@ -20,13 +20,6 @@ exactly, like math.fsum (_exact_sum); a study's block is column-major,
 its rows summed left to right by numpy's own reduction (mc._rowsum).
 Temporaries take their operands' layout, so every row sum of a block sees
 a column-major array.  A square past float64 is inf, without a warning.
-
-A row sum is rowsum(*operands, terms=None, out=None): the sums over the
-last axis of the one operand, or of terms(*operands, out=...), a recipe
-such as the reweighted moments' w x and w (x - mean)^2.  A study's block
-forms the terms once, in its work buffer out; the exact sum forms them
-2^16 columns at a time in its own, so a big-data query makes no
-query-length temporary for them.
 """
 from __future__ import annotations
 
@@ -34,11 +27,10 @@ import contextlib
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-from . import _pool
 from .errors import DegenerateWeights, MissingMu, NonFiniteValue, TooFewObservations, ZeroScale
 from .weights import WeightVector
 
@@ -64,8 +56,7 @@ _SHIFT = np.maximum(np.arange(4096) & 2047, 1) - 1 + np.array([[26], [0]])
 _SCALE = (1074 - _SHIFT).astype(np.intc)
 _FSUM_NEGATIVE_ZERO = math.copysign(1.0, math.fsum([-0.0, -0.0])) < 0.0
 _FINITE_CHUNK = 1 << 16  # values scanned per step of the finiteness check
-_Terms = Callable[..., np.ndarray]  # terms(*operands, out=None): a row sum's terms
-_RowSum = Callable[..., np.ndarray | float]  # rowsum(*operands, terms=None, out=None)
+_RowSum = Callable[[np.ndarray], np.ndarray | float]  # the sums over the last axis
 
 
 class PivotKind(enum.Enum):
@@ -124,16 +115,9 @@ class RandomizedStats:
         return self._ratio_mean
 
 
-def _exact_sum(*operands, terms: _Terms | None = None, out=None) -> float:
-    """math.fsum of the terms, bitwise, vectorized: their exact sum rounded once.
+def _exact_sum(values) -> float:
+    """math.fsum of the values, bitwise, vectorized: their exact sum rounded once.
 
-    The terms are operands[0], flattened, or terms(*operands, out=...) of
-    1-D operands broadcast to one row, formed _EXACT_CHUNK columns at a
-    time in one reused buffer (a study block's out is not used here).  A
-    row of more than _pool._SPLIT_ITEMS terms is cut at the chunk boundary
-    nearest its middle, and each half summed on its own thread
-    (_pool.halves) into an exact partial; the partials are added as Python
-    ints and rounded once, so where the row is cut changes no bit.
     Below _EXACT_MIN_TERMS fsum is faster: on 2 cores (min of 7 timeit
     runs) fsum against this path took 35 against 49 us at 1,000 normal
     terms, 52 against 51 at 1,400 and 76 against 55 at 2,000; 45 against
@@ -156,57 +140,37 @@ def _exact_sum(*operands, terms: _Terms | None = None, out=None) -> float:
     a walk over the terms: -0.0 only for terms that are all -0.0, and only
     where this interpreter's fsum keeps that sign (3.11's returns 0.0).
     """
-    if terms is None:
-        operands = (np.asarray(operands[0], dtype=np.float64).reshape(-1),)
-    n = max(np.shape(o)[-1] for o in operands)  # the row length they broadcast to
-    if n < _EXACT_MIN_TERMS:
+    terms = np.asarray(values, dtype=np.float64).reshape(-1)
+    if terms.size < _EXACT_MIN_TERMS:
         with contextlib.suppress(OverflowError):  # else summed exactly below
-            return math.fsum((operands[0] if terms is None else terms(*operands)).tolist())
-
-    def chunks(start: int, stop: int) -> Iterator[np.ndarray]:
-        buf = np.empty(min(stop - start, _EXACT_CHUNK))
-        for lo in range(start, stop, _EXACT_CHUNK):
-            cols = slice(lo, min(lo + _EXACT_CHUNK, stop))
-            part = [o[..., cols] if np.shape(o)[-1] == n else o for o in operands]
-            yield part[0] if terms is None else terms(*part, out=buf[:cols.stop - lo])
-
-    def partial(start: int, stop: int) -> tuple[int, list[float]]:
-        """Columns start..stop-1: their finite terms' exact sum in units of
-        2^-1074, and their non-finite terms."""
-        width = min(stop - start, _EXACT_CHUNK)
-        keys = np.empty(width, dtype=np.uint64)
-        his = np.empty(width, dtype=np.uint64)
-        sums = np.zeros((2, 4096))  # per key, the sums of hi and of lo
-        total, big, nonfinite = 0, 0, []
-        for i, c in enumerate(chunks(start, stop), 1):
-            key = np.right_shift(c.view(np.uint64), 52, out=keys[:c.size]).view(np.int64)
-            half = np.bitwise_and(c.view(np.uint64), _HI_MASK, out=his[:c.size]).view(np.float64)
+            return math.fsum(terms.tolist())
+    keys = np.empty(min(terms.size, _EXACT_CHUNK), dtype=np.uint64)
+    his = np.empty_like(keys)
+    sums = np.zeros((2, 4096))  # per key, the sums of hi and of lo
+    total, big, nonfinite = 0, 0, []
+    for i, lo in enumerate(range(0, terms.size, _EXACT_CHUNK), 1):
+        c = terms[lo:lo + _EXACT_CHUNK]
+        key = np.right_shift(c.view(np.uint64), 52, out=keys[:c.size]).view(np.int64)
+        half = np.bitwise_and(c.view(np.uint64), _HI_MASK, out=his[:c.size]).view(np.float64)
+        h = np.bincount(key, half, 4096)
+        if h.reshape(2, 2048)[:, _SAFE_FIELDS:].any():  # terms of 2^998 and up, inf or NaN
+            odd = (key & 2047) >= _SAFE_FIELDS
+            rare = c[odd]
+            finite = np.isfinite(rare)
+            nonfinite += rare[~finite].tolist()
+            big += sum(map(int, rare[finite].tolist()))
+            c = np.where(odd, 0.0, c)
+            half[odd] = 0.0
             h = np.bincount(key, half, 4096)
-            if h.reshape(2, 2048)[:, _SAFE_FIELDS:].any():  # terms of 2^998 and up, inf or NaN
-                odd = (key & 2047) >= _SAFE_FIELDS
-                rare = c[odd]
-                finite = np.isfinite(rare)
-                nonfinite += rare[~finite].tolist()
-                big += sum(map(int, rare[finite].tolist()))
-                c = np.where(odd, 0.0, c)
-                half[odd] = 0.0
-                h = np.bincount(key, half, 4096)
-            sums[0] += h
-            sums[1] += np.bincount(key, np.subtract(c, half, out=half), 4096)
-            if i % _EXACT_FLUSH == 0:
-                total += _units(sums)
-        return total + _units(sums) + (big << 1074), nonfinite
-
-    # the chunk boundary nearest the middle cuts a long row in halves (_pool.halves)
-    mid = (n + _EXACT_CHUNK) // (2 * _EXACT_CHUNK) * _EXACT_CHUNK
-    parts = _pool.halves(partial, n, mid)
-    nonfinite = [t for _, special in parts for t in special]
+        sums[0] += h
+        sums[1] += np.bincount(key, np.subtract(c, half, out=half), 4096)
+        if i % _EXACT_FLUSH == 0:
+            total += _units(sums)
     if nonfinite:  # fsum's result from its non-finite terms alone
         return math.fsum(nonfinite)
-    total = sum(units for units, _ in parts)
+    total += _units(sums) + (big << 1074)
     if total == 0:
-        return -0.0 if _FSUM_NEGATIVE_ZERO and all(np.signbit(c).all()
-                                                   for c in chunks(0, n)) else 0.0
+        return -0.0 if _FSUM_NEGATIVE_ZERO and np.signbit(terms).all() else 0.0
     try:
         return total / (1 << 1074)
     except OverflowError:  # the sum rounds past float64
@@ -267,24 +231,18 @@ def _row_moments(x: np.ndarray, rowsum: _RowSum,
     return mean, css / n, np.sqrt(css / (n - 1))
 
 
-def _weighted_squares(w: np.ndarray, x: np.ndarray, center: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """The terms w (x - center)^2, formed in out if given."""
-    sq = np.square(np.subtract(x, center, out=out), out=out)
-    return np.multiply(w, sq, out=sq)
-
-
 def _reweighted(w: np.ndarray, x: np.ndarray, m: int, rowsum: _RowSum,
                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row means and divisor-m variances of x reweighted by the counts w:
-    the sub-sample mean and S_{m,n}^2 of each row, their terms w x and
-    w (x - mean)^2 formed by rowsum, in out if it uses it.  A zero count
-    times an overflowed square is a NaN that a study's validity mask
-    refuses; a single sample passes its nonzero counts only."""
+    the sub-sample mean and S_{m,n}^2 of each row, from the terms w x and
+    then w (x - mean)^2, formed in out if given, else in one temporary.
+    A zero count times an overflowed square is a NaN that a study's
+    validity mask refuses; a single sample passes its nonzero counts only."""
     with np.errstate(over="ignore", invalid="ignore"):
-        rmean = rowsum(w, x, terms=np.multiply, out=out) / m
-        return rmean, rowsum(w, x, np.asarray(rmean)[..., None], terms=_weighted_squares,
-                             out=out) / m
+        terms = np.multiply(w, x, out=out)
+        rmean = rowsum(terms) / m
+        sq = np.square(np.subtract(x, np.asarray(rmean)[..., None], out=terms), out=terms)
+        return rmean, rowsum(np.multiply(w, sq, out=sq)) / m
 
 
 def _studentized(w: np.ndarray, m: int, data: np.ndarray, center: float | None,
@@ -335,7 +293,10 @@ def randomized_stats_from_nonzero(values_nz: np.ndarray, counts_nz: np.ndarray,
     Shared by the in-memory and out-of-core paths; with matching index
     order the two produce bitwise-identical results.
     """
-    return _reweighted(counts_nz, np.asarray(values_nz, dtype=np.float64), m, _exact_sum)
+    x, counts = np.asarray(values_nz, dtype=np.float64), np.asarray(counts_nz)
+    if x.size != counts.size:
+        raise ValueError(f"values length {x.size} != counts length {counts.size}")
+    return _reweighted(counts, x, m, _exact_sum)
 
 
 def _ratio_estimate(x: np.ndarray, w: WeightVector) -> float | None:

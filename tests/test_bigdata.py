@@ -92,8 +92,8 @@ def gathered_windows(reader, maps, releases, size):
 
 @contextlib.contextmanager
 def split_forced():
-    """Cut every fetch and exact sum of two windows or chunks in halves over
-    two threads, whatever its size and the CPUs at hand."""
+    """Cut every fetch of two windows or more in halves over two threads,
+    whatever its size and the CPUs at hand."""
     with mock.patch.object(_pool, "_SPLIT_ITEMS", 0), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
         yield
@@ -1022,8 +1022,8 @@ class TestRangedReads:
             assert sorted(first // (WINDOW // RECORD_SIZE) for first, _ in gathers) == [0, 1, 2]
 
     def test_concurrent_split_fetches_and_sums(self, ranged_file, ranged_values):
-        # three callers at once, each fetch and sum cut in two: six threads
-        # on fewer cores, switching every microsecond
+        # three callers at once, each fetch cut in two and each sum on its
+        # caller's thread: six threads on fewer cores, switching every microsecond
         h = open_dataset(ranged_file)
         indices = np.arange(1, RANGED_N, 2)
         counts = indices % 3 + 1
@@ -1035,7 +1035,7 @@ class TestRangedReads:
             for _ in range(5):
                 values, _ = h.read_records(indices)
                 results.append((values.tobytes() == want.tobytes(),
-                                _exact_sum(counts, values, terms=np.multiply) == want_sum))
+                                _exact_sum(counts * values) == want_sum))
 
         interval = sys.getswitchinterval()
         callers = [threading.Thread(target=caller) for _ in range(3)]

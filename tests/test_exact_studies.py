@@ -5,21 +5,27 @@ vectors and the multinomial count vectors are finite, and each has an
 exact probability.  A replication is redrawn until its row is valid, so
 the exact coverage is P(hit and valid) / P(valid), for the pivot and for
 the classical t on the same rows, and the redraws of one replication are
-geometric, with mean P(invalid) / P(valid).  The pivots are written here
+geometric, with mean P(invalid) / P(valid).  kdist's values come from
+valid rows alone, so its exact distance is taken from the pivot's CDF
+conditional on validity.  The pivots are written here
 as the paper writes them, one (sample, weights) pair at a time, so the
 check does not rest on the library's kernel.  Monte Carlo SEs follow
 Morris, White & Crowther, Stat. Med. 38(11), 2019.
 """
+import bisect
 import itertools
 import math
 from statistics import NormalDist
 
 import pytest
 
-from randpivot import (PivotKind, coverage_study, enumerate_weight_vectors, parse_dist,
-                       proportion_study)
+from randpivot import (PivotKind, coverage_study, enumerate_weight_vectors,
+                       kolmogorov_distance, parse_dist, proportion_study)
+from randpivot.edf import dkw_bound
+from randpivot.mc import KDIST_GRID
 
 ALPHA = 0.05
+FAILURE = 1e-4  # the chance that a kdist check fails on a correct library
 
 
 def _binomial_pmf(size: int, p: float) -> dict[int, float]:
@@ -121,3 +127,40 @@ def test_proportion_study_matches_exact_cell():
         se = math.sqrt(exact * (1.0 - exact) / outer)
         assert abs(got - exact) <= 4.0 * se, (got, exact, (got - exact) / se)
     _check_redraws(report.degenerate_count, outer * inner, redraws)
+
+
+def _exact_grid_distance(pmf: dict[int, float], n: int, kind: PivotKind) -> float:
+    """sup over KDIST_GRID of |F - Phi| at m = n, F the pivot's exact CDF
+    conditional on a valid row.  The data are i.i.d. and the count vector
+    exchangeable, so every ordering of one data multiset gives the pivot the
+    same law: one sorted representative per multiset is enumerated, weighted
+    by the multiset's multinomial probability."""
+    mu = sum(k * p for k, p in pmf.items())
+    weights = [(w, float(p)) for w, p in enumerate_weight_vectors(n, n)]
+    grid = KDIST_GRID.tolist()
+    mass = [0.0] * (len(grid) + 1)  # P(valid, and the first grid point >= value is t_i)
+    for x in itertools.combinations_with_replacement(sorted(pmf), n):
+        ways = math.factorial(n) // math.prod(math.factorial(x.count(k)) for k in set(x))
+        px = ways * math.prod(pmf[k] for k in x)
+        for w, pw in weights:
+            value = _pivot(kind, x, w, mu)
+            if value is not None:
+                mass[bisect.bisect_left(grid, value)] += px * pw
+    valid = sum(mass)
+    cdf = itertools.accumulate(mass[:-1])
+    return max(abs(f / valid - NormalDist().cdf(t)) for f, t in zip(cdf, grid))
+
+
+@pytest.mark.parametrize("kind,want", [(PivotKind.G1, 0.0763), (PivotKind.T2, 0.1197)])
+def test_kolmogorov_distance_matches_exact_grid_distance(kind, want):
+    # The study's distance differs from the exact one by at most the sup
+    # over the grid of |ECDF - F|, its reps values being i.i.d. draws of F:
+    # by DKW with Massart's constant that passes eps with probability at
+    # most dkw_bound(reps, eps), here set to FAILURE.
+    reps = 200_000
+    exact = _exact_grid_distance(_binomial_pmf(3, 0.3), 6, kind)
+    assert exact == pytest.approx(want, abs=5e-5)  # the independent enumeration's digits
+    eps = math.sqrt(math.log(2.0 / FAILURE) / (2.0 * reps))
+    assert dkw_bound(reps, eps) == pytest.approx(FAILURE)
+    got = kolmogorov_distance(kind, parse_dist("binomial:3,0.3"), 6, 6, reps, seed=1)
+    assert abs(got - exact) <= eps, (got, exact, eps)

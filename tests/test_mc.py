@@ -759,13 +759,7 @@ class TestStudyBlocks:
             shapes.append(a.shape)
             return a
 
-        def spy(*operands, terms=None, out=None):
-            if terms is None:
-                return rowsum(summed(operands[0]))
-            return rowsum(*operands, out=out,
-                          terms=lambda *args, out: summed(terms(*args, out=out)))
-
-        monkeypatch.setattr(mc, "_rowsum", spy)
+        monkeypatch.setattr(mc, "_rowsum", lambda a: rowsum(summed(a)))
         d = parse_dist("binomial:10,0.1")
         assert coverage_study(d, 8, 8, PivotKind.T2, 300, 0.05, seed=5).degenerate_count > 0
         kolmogorov_distance(PivotKind.G2, d, 10, 10, 300, seed=5)
@@ -831,11 +825,9 @@ def _left_to_right(terms: np.ndarray) -> float:
     return functools.reduce(operator.add, terms.tolist(), 0.0)
 
 
-def _exact_rows(*operands, terms=None, out=None) -> np.ndarray:
-    """The exact sum of each row of a matrix, or of terms(*operands) over
-    the operands broadcast to rows: pivots._exact_sum row by row."""
-    rows = zip(*np.broadcast_arrays(*operands))
-    return np.array([pivots._exact_sum(*row, terms=terms) for row in rows])
+def _exact_rows(a: np.ndarray) -> np.ndarray:
+    """The exact sum of each row of a matrix: pivots._exact_sum row by row."""
+    return np.array([pivots._exact_sum(row) for row in a])
 
 
 def _row_matrix(draw, rows, n):

@@ -95,6 +95,15 @@ class TestRandomizedStats:
         assert b.rvar == pytest.approx(a.rvar, rel=1e-12)
         assert b.ratio_mean == pytest.approx(a.ratio_mean, rel=1e-12)
 
+    @pytest.mark.parametrize("values, counts", [
+        ([1.0, 2.0, 3.0], [3]),  # counts that would broadcast
+        ([1.0], [1, 2]),
+    ])
+    def test_values_and_counts_of_different_lengths(self, values, counts):
+        with pytest.raises(ValueError, match=rf"values length {len(values)} "
+                                             rf"!= counts length {len(counts)}"):
+            pivots.randomized_stats_from_nonzero(values, counts, 3)
+
     def test_enumeration_mean_of_rmean_equals_sample_mean(self):
         # E_w X_bar_{m,n} == X_bar_n at fixed data, by exact enumeration
         x = np.array([0.0, 3.0, 6.0])
@@ -396,30 +405,32 @@ def summands(kind, size, rng):
 
 
 class TestExactSum:
-    @pytest.fixture(autouse=True, scope="class", params=["serial", "split", "one-cpu"])
+    @pytest.fixture(autouse=True, scope="class",
+                    params=["serial", "small-chunks", "flush-every-chunk"])
     def summing(self, request):
-        """Every case runs as it is; with each row of two chunks or more cut
-        in halves over two threads (the cut patched to 0, and chunks of 2^10
-        terms, so short rows are cut too); and so patched on one CPU, where
-        no row is cut."""
+        """Every case runs as it is; with chunks of 2^10 terms, so that short
+        rows span several chunks; and so, with the bucket sums moved to
+        integers after every chunk, so that each case crosses flushes."""
         if request.param == "serial":
             yield request.param
             return
-        cpus = {0, 1} if request.param == "split" else {0}
-        with mock.patch.object(_pool, "_SPLIT_ITEMS", 0), \
-                mock.patch.object(pivots, "_EXACT_CHUNK", 1 << 10), \
-                mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True):
+        flush = 1 if request.param == "flush-every-chunk" else pivots._EXACT_FLUSH
+        with mock.patch.object(pivots, "_EXACT_CHUNK", 1 << 10), \
+                mock.patch.object(pivots, "_EXACT_FLUSH", flush):
             yield request.param
 
-    def test_helper_threads_only_for_a_split(self, summing):
-        a = np.random.default_rng(11).standard_normal(2 * _EXACT_MIN_TERMS)
+    def test_no_thread_started(self):
+        # not even where a job of two or more items would be cut in halves
+        a = np.random.default_rng(11).standard_normal(4 * _EXACT_MIN_TERMS)
         real, names = threading.Thread, []
         count = threading.active_count()
-        with mock.patch.object(_pool.threading, "Thread",
-                               lambda *args, **kwargs: names.append(kwargs["name"]) or real(
-                                   *args, **kwargs)):
+        with mock.patch.object(threading, "Thread",
+                               lambda *args, **kwargs: names.append(kwargs.get("name")) or real(
+                                   *args, **kwargs)), \
+                mock.patch.object(_pool, "_SPLIT_ITEMS", 0), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
             assert summed(_exact_sum, a) == summed(rounded_sum, a)
-        assert names == (["randpivot-half"] if summing == "split" else [])
+        assert names == []
         assert threading.active_count() == count
 
     @pytest.mark.parametrize("specials", [
@@ -427,11 +438,11 @@ class TestExactSum:
         [2.0**998, -(2.0**1000), 2.0**1023, 3.5 * 2.0**1010],  # finite, summed as ints
         [2.0**1023, 2.0**1023],  # past float64
     ])
-    def test_specials_in_the_second_half_only(self, specials):
-        a = np.random.default_rng(12).standard_normal(4 * _EXACT_MIN_TERMS)  # cut when split
+    def test_specials_in_the_last_chunk_only(self, specials):
+        a = np.random.default_rng(12).standard_normal(4 * _EXACT_MIN_TERMS)  # 5 small chunks
         a[-len(specials) - 3:-3] = specials
         assert summed(_exact_sum, a) == summed(rounded_sum, a)
-        assert summed(_exact_sum, a[::-1]) == summed(rounded_sum, a[::-1])  # first half only
+        assert summed(_exact_sum, a[::-1]) == summed(rounded_sum, a[::-1])  # first chunk only
 
     @settings(max_examples=300, deadline=None)
     @given(SUM_SIZES,
@@ -530,8 +541,7 @@ class TestExactSum:
         assert summed(_exact_sum, a) == summed(rounded_sum, a)
 
     def test_reweighted_moments_over_chunks_are_fraction_sums(self):
-        # the terms formed a chunk at a time are the terms numpy forms in
-        # one pass, and their sums are exact, rounded once
+        # the sums of the terms over several chunks are exact, rounded once
         rng = np.random.default_rng(8)
         x = rng.lognormal(0.0, 1.0, 200_003)
         counts = rng.integers(1, 5, x.size)

@@ -20,8 +20,11 @@ outputs were bitwise equal: intervals, report dicts and study reports are
 compared with every float as its hex string.  The big-data calls query one
 generated lognormal(0, 1) file (6e7 records, 458 MiB; 1e6 with --smoke),
 written by the change side's own dataset writer, from a warm page cache.
-``exact_sum`` is a dense mean query's first sum on its own: the same
-677,916 terms, counts times lognormal values, in every pair.
+``rstats`` is a dense mean query's randomized mean and variance on their
+own: the two exact sums over the same 677,916 counts and lognormal values
+in every pair.  ``ci_mu`` is a g2 interval on one in-memory sample of
+SAMPLE_N lognormal values, with n weights drawn at each pair's seed: the
+single-sample exact sums.
 
 Every call runs; the exit status is 1 if any pair's outputs differ.
 ``--smoke`` shrinks the file, the studies and the pair count so a run takes
@@ -52,6 +55,7 @@ CHUNK = 2_000_000  # records written per chunk of the generated file
 RECORDS, SMOKE_RECORDS = 60_000_000, 1_000_000  # records in the generated file
 X_EDF = 1.0  # the lognormal(0, 1) median
 DENSE_DRAWS = 681_732  # a power-delta:0.25 query's m on RECORDS records
+SAMPLE_N = 100_000  # values in ci_mu's in-memory sample
 
 
 def git(*args: str) -> bytes:
@@ -94,7 +98,7 @@ def write_file(rp: ModuleType, path: Path, records: int, seed: int) -> None:
 
 
 def dense_terms() -> tuple[np.ndarray, np.ndarray]:
-    """The operands of a dense mean query's first exact sum, counts * x: the
+    """The operands of a dense mean query's exact sums, counts and x: the
     counts of DENSE_DRAWS uniform draws from RECORDS records, one lognormal(0, 1)
     x per distinct record (677,916 of them), drawn once at seed 0."""
     gen = np.random.Generator(np.random.PCG64(0))
@@ -106,6 +110,7 @@ def calls(smoke: bool) -> dict[str, Callable[[ModuleType, Any, int], Any]]:
     """Each named call as fn(package, dataset handle, seed) -> output."""
     reps, outer = (2_000, 20) if smoke else (20_000, 200)
     counts, x = dense_terms()
+    sample = np.random.Generator(np.random.PCG64(1)).lognormal(0.0, 1.0, SAMPLE_N)
 
     def query(stat: str, policy: str) -> Callable:
         def run(rp, h, seed):
@@ -120,7 +125,10 @@ def calls(smoke: bool) -> dict[str, Callable[[ModuleType, Any, int], Any]]:
         "sparse_edf": query("edf", "loglog"),
         "dense_mean": query("mean", "power-delta:0.25"),
         "dense_edf": query("edf", "power-delta:0.25"),
-        "exact_sum": lambda rp, h, seed: rp.pivots._exact_sum(counts, x, terms=np.multiply),
+        "rstats": lambda rp, h, seed: rp.pivots.randomized_stats_from_nonzero(
+            x, counts, DENSE_DRAWS),
+        "ci_mu": lambda rp, h, seed: rp.ci_mu(
+            sample, rp.draw_weights(SAMPLE_N, SAMPLE_N, rp.stream(seed)), 0.05, variant="g2"),
         "coverage": lambda rp, h, seed: rp.coverage_study(
             rp.parse_dist("normal:0,1"), 20, 20, rp.PivotKind("g1"), reps, 0.05, seed=seed),
         "kdist": lambda rp, h, seed: rp.kolmogorov_distance(
