@@ -290,13 +290,16 @@ _POOL_ELEMENTS = 1 << 20
 _SPLIT_WIDTH = 12 * _STREAM_ELEMENTS
 
 
-def _study_chunk(args, block: int | None = None) -> np.ndarray:
+def _study_chunk(args) -> np.ndarray:
     """Summed block tallies of units [start, stop), of `inner` rows each,
     with the redraws appended in the tallies' type; a block holds at most
-    `block` elements (_BLOCK_ELEMENTS if None), or one unit.
+    _BLOCK_ELEMENTS elements, or one unit.
 
     Unit u at attempt a is drawn from stream(seed, u, a).  A block of whole
-    units is one kernel call, in reused buffers; attempt-0 keys are derived
+    units is one kernel call, in reused buffers: x and the kernel's two work
+    arrays, whose memory also holds the block's indices (the first) and raw
+    words (the second), both used up before the kernel forms its terms, so
+    a block keeps 24 bytes an element at n = m.  Attempt-0 keys are derived
     a run of whole blocks (at most 1,024 units, or one block) at a time, so
     memory stays flat in the unit count.  A row whose weights are degenerate
     or whose pivot or classical scale vanishes or overflows is drawn again,
@@ -307,12 +310,13 @@ def _study_chunk(args, block: int | None = None) -> np.ndarray:
     that row and its name do not depend on how units are split into blocks.
     """
     (d, n, m, kind, seed, inner, name, tally, start, stop) = args
-    units = min(max(1, (block or _BLOCK_ELEMENTS) // (inner * max(n, m))), stop - start)
+    units = min(max(1, _BLOCK_ELEMENTS // (inner * max(n, m))), stop - start)
     run = units * max(1, (_BLOCK_ELEMENTS >> 6) // units)
     sample = partial(_FAMILIES[d.family].sample, d.params)  # gen_sample(d, ...), looked up once
-    word_buf = np.empty(units * ((inner * m + 1) // 2), dtype=np.uint64)
-    idx_buf = np.empty(units * inner * m, dtype=np.int64)
-    x, *work = (np.empty((n, units * inner)) for _ in range(3))
+    x = np.empty((n, units * inner))
+    buffers = [np.empty(units * inner * max(n, m)) for _ in range(2)]
+    idx_buf, word_buf = buffers[0].view(np.int64), buffers[1].view(np.uint64)
+    work = [a[:x.size].reshape(x.shape) for a in buffers]
     gen = stream(seed)  # rewound to each unit's key in turn
     raw = gen.bit_generator.random_raw
 
@@ -380,9 +384,8 @@ def _run_chunks(total: int, threads: int, *args) -> np.ndarray:
     <= _POOL_ELEMENTS), the whole range is one in-process call, so every
     fixed cost of a call, a block of rows or a process pool is paid once,
     not per range, unless _pool.halves cuts it in two: its units must be at
-    least _SPLIT_WIDTH wide, and a half's blocks take 3/4 of the budget, so
-    the two hold 1.5 blocks at once.  Units are keyed by index, so the
-    report is the same.
+    least _SPLIT_WIDTH wide.  Each half runs whole blocks, in buffers of
+    its own.  Units are keyed by index, so the report is the same.
     """
     n, m, inner = args[1], args[2], args[5]
     width = inner * max(n, m)
@@ -390,11 +393,8 @@ def _run_chunks(total: int, threads: int, *args) -> np.ndarray:
         step = math.ceil(total / min(threads * 4, total))
         ranges = [(*args, lo, min(lo + step, total)) for lo in range(0, total, step)]
         return sum(part for _, part in ordered_map(_study_chunk, ranges, threads))
-
-    def chunk(lo: int, hi: int) -> np.ndarray:  # a half's blocks take 3/4 of the budget
-        return _study_chunk((*args, lo, hi), 3 * _BLOCK_ELEMENTS // 4 if hi - lo < total else None)
-
-    return sum(halves(chunk, total, total // 2, items=total * width * (width >= _SPLIT_WIDTH)))
+    return sum(halves(lambda lo, hi: _study_chunk((*args, lo, hi)), total, total // 2,
+                      items=total * width * (width >= _SPLIT_WIDTH)))
 
 
 def coverage_study(d: DistributionSpec, n: int, m: int, pivot_kind: PivotKind,

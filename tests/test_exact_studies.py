@@ -62,19 +62,28 @@ def _student_t(x: tuple, mu: float) -> float:
     return (mean - mu) / (s / math.sqrt(n))
 
 
+def _multisets(pmf: dict[int, float], n: int):
+    """(x, P(x)) for one sorted representative x of each data multiset of n
+    draws, P(x) the multiset's multinomial probability.  The data are i.i.d.
+    and the count vector exchangeable, so every ordering of one multiset
+    gives a pivot, and the classical t, the same law."""
+    for x in itertools.combinations_with_replacement(sorted(pmf), n):
+        ways = math.factorial(n) // math.prod(math.factorial(x.count(k)) for k in set(x))
+        yield x, ways * math.prod(pmf[k] for k in x)
+
+
 def _exact_cell(pmf: dict[int, float], n: int, kind: PivotKind,
                 sided: str) -> tuple[float, float, float]:
     """Exact pivot coverage, classical coverage and redraws per replication
     of an upper- or two-sided study at m = n, by enumeration of every data
-    vector and every count vector.  mu is the mean of the support; pivot and
-    classical t share the normal cutoff z, met below z or within +/-z."""
+    multiset and every count vector.  mu is the mean of the support; pivot
+    and classical t share the normal cutoff z, met below z or within +/-z."""
     mu = sum(k * p for k, p in pmf.items())
     z = NormalDist().inv_cdf(1.0 - (ALPHA / 2.0 if sided == "two" else ALPHA))
     meets = (lambda v: abs(v) <= z) if sided == "two" else (lambda v: v <= z)
     weights = [(w, float(p)) for w, p in enumerate_weight_vectors(n, n)]
     valid = hit = t_hit = 0.0
-    for x in itertools.product(pmf, repeat=n):
-        px = math.prod(pmf[k] for k in x)
+    for x, px in _multisets(pmf, n):
         for w, pw in weights:
             value = _pivot(kind, x, w, mu)
             if value is None:
@@ -87,6 +96,7 @@ def _exact_cell(pmf: dict[int, float], n: int, kind: PivotKind,
 
 @pytest.mark.parametrize("size,p,n,kind,sided,want", [
     (2, 0.5, 4, PivotKind.G1, "upper", (0.92408, 0.86555, 0.1869)),
+    (2, 0.5, 4, PivotKind.T1, "upper", (0.93813, 0.86555, 0.18690)),
     (2, 0.5, 4, PivotKind.T2, "upper", (0.91595, 0.86530, 0.4713)),
     (2, 0.5, 4, PivotKind.G1, "two", (0.88815, 0.93277, 0.1869)),
     (3, 0.3, 5, PivotKind.G2, "upper", (0.87814, 0.92981, 0.18706))])
@@ -131,17 +141,13 @@ def test_proportion_study_matches_exact_cell():
 
 def _exact_grid_distance(pmf: dict[int, float], n: int, kind: PivotKind) -> float:
     """sup over KDIST_GRID of |F - Phi| at m = n, F the pivot's exact CDF
-    conditional on a valid row.  The data are i.i.d. and the count vector
-    exchangeable, so every ordering of one data multiset gives the pivot the
-    same law: one sorted representative per multiset is enumerated, weighted
-    by the multiset's multinomial probability."""
+    conditional on a valid row, by enumeration of every data multiset and
+    every count vector."""
     mu = sum(k * p for k, p in pmf.items())
     weights = [(w, float(p)) for w, p in enumerate_weight_vectors(n, n)]
     grid = KDIST_GRID.tolist()
     mass = [0.0] * (len(grid) + 1)  # P(valid, and the first grid point >= value is t_i)
-    for x in itertools.combinations_with_replacement(sorted(pmf), n):
-        ways = math.factorial(n) // math.prod(math.factorial(x.count(k)) for k in set(x))
-        px = ways * math.prod(pmf[k] for k in x)
+    for x, px in _multisets(pmf, n):
         for w, pw in weights:
             value = _pivot(kind, x, w, mu)
             if value is not None:

@@ -486,11 +486,11 @@ class TestRowEngineMatchesSingleSampleApi:
         # one whose first row is unit 0's first row) and the last two rows of
         # every other call invalid, so a later block keeps its last two rows
         # invalid until the budget is spent.  Those rows are named by their
-        # unit, past the first: in-process, 40 elements make blocks of 8
-        # coverage replications or 2 proportion outers of 4 rows; a split's
-        # halves, given 3/4 of 54 elements, make the same blocks, the failing
-        # one in the second half only; at threads=2 the unit opens the
-        # second range.
+        # unit, past the first: 40 elements make blocks of 8 coverage
+        # replications or 2 proportion outers of 4 rows, in-process and in a
+        # split's halves, whose blocks take the whole budget, the failing one
+        # in the second half only; at threads=2 the unit opens the second
+        # range.
         batch_values, first_row = mc._batch_values, gen_sample(NORMAL, 5, stream(0, 0, 0))
 
         def valid_in_first_block(kind, x, *args):
@@ -502,8 +502,8 @@ class TestRowEngineMatchesSingleSampleApi:
         monkeypatch.setattr(mc, "_batch_values", valid_in_first_block)
         msg = ("{} had 100 consecutive degenerate draws; the configuration "
                "normal(0,1), n=5, m=5 looks unusable")
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 40)
         for threads, unit, outer, split in ((1, 14, 3, False), (1, 14, 3, True), (2, 2, 1, False)):
-            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 54 if split else 40)
             with _in_workers() as pools, \
                     _split_forced() if split else contextlib.nullcontext([]) as names:
                 with pytest.raises(RandPivotError) as exc:
@@ -767,6 +767,51 @@ class TestStudyBlocks:
                                 seed=5).degenerate_count > 0
         rows = [shape[0] for shape in shapes]
         assert min(rows) < max(rows)  # the redraws' smaller blocks were summed too
+
+
+class TestStudyBuffers:
+    """A block's resampling indices are held in the first of the kernel's two
+    work arrays and its raw words in the second: both are used up before the
+    kernel forms its terms there, so the reports do not change."""
+
+    studies = {  # Poisson G2 redraws rows; at m > n the indices need rows * m slots
+        "coverage m>n": lambda: coverage_study(POISSON, 5, 12, PivotKind.G2, 300, 0.05, seed=3),
+        "proportion": lambda: proportion_study(POISSON, 5, PivotKind.G2, outer_reps=6,
+                                               inner_reps=40, seed=10),
+    }
+
+    @pytest.mark.parametrize("flag_all", [False, True], ids=["pass-flags", "every-row-flagged"])
+    @pytest.mark.parametrize("name", list(studies))
+    def test_indices_and_words_share_the_work_arrays(self, name, flag_all, monkeypatch):
+        study = self.studies[name]
+        want = study()
+        draws, kernels, attempts = [], [], []
+        bounded, batch_values, row_keys = mc._bounded_indices, mc._batch_values, mc._row_keys
+
+        def bounded_spy(words, n, m, out):
+            idx, flagged = bounded(words, n, m, out)
+            draws.append((words, out))
+            return idx, flagged | flag_all  # every-row-flagged: draw_indices fills out
+
+        def batch_spy(kind, x, w, m, mu, work):
+            kernels.append((x, work))
+            return batch_values(kind, x, w, m, mu, work)
+
+        def keys_spy(seed, rows, attempt):
+            attempts.append(attempt)
+            return row_keys(seed, rows, attempt)
+
+        monkeypatch.setattr(mc, "_bounded_indices", bounded_spy)
+        monkeypatch.setattr(mc, "_batch_values", batch_spy)
+        monkeypatch.setattr(mc, "_row_keys", keys_spy)
+        assert study() == want
+        assert max(attempts) >= 1 and len(draws) == len(kernels) > 1
+        for (words, idx), (x, work) in zip(draws, kernels):
+            assert np.shares_memory(idx, work[0]) and not np.shares_memory(idx, work[1])
+            assert np.shares_memory(words, work[1]) and not np.shares_memory(words, work[0])
+            assert not np.shares_memory(x, idx) and not np.shares_memory(x, words)
+        if name.endswith("m>n"):
+            assert all(idx.size > work[0].size for (_, idx), (_, work) in zip(draws, kernels))
 
 
 class TestStudyTallies:
@@ -1240,20 +1285,22 @@ class TestSplitStudies:
         assert reports == [serial] * 3
         assert names == ["randpivot-half"] * 3
 
-    def test_halves_take_three_quarters_of_the_block_budget(self, monkeypatch):
-        # so that the two halves at once hold the buffers of 1.5 blocks
-        blocks, chunk = [], mc._study_chunk
+    def test_halves_take_whole_blocks(self, monkeypatch):
+        # each half is a _study_chunk call on its range alone, as the serial
+        # run is on the whole range, so its blocks take the whole budget
+        calls, chunk = [], mc._study_chunk
 
-        def spy(args, block=None):
-            blocks.append(block)
-            return chunk(args, block)
+        def spy(*args, **kwargs):
+            calls.append((args[0][-2:], len(args), kwargs))
+            return chunk(*args, **kwargs)
 
         monkeypatch.setattr(mc, "_study_chunk", spy)
         study = SPLIT_STUDIES["proportion redraws"]
         serial = study(1)
         with _split_forced():
             assert study(1) == serial
-        assert blocks == [None] + [3 * mc._BLOCK_ELEMENTS // 4] * 2
+        assert calls[0] == ((0, 9), 1, {})
+        assert sorted(calls[1:]) == [((0, 4), 1, {}), ((4, 9), 1, {})]
 
     def test_thread_count_restored_after_a_split_study_raises(self, monkeypatch):
         _never_valid(monkeypatch)

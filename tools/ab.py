@@ -24,7 +24,10 @@ written by the change side's own dataset writer, from a warm page cache.
 own: the two exact sums over the same 677,916 counts and lognormal values
 in every pair.  ``ci_mu`` is a g2 interval on one in-memory sample of
 SAMPLE_N lognormal values, with n weights drawn at each pair's seed: the
-single-sample exact sums.
+single-sample exact sums.  ``proportion500`` is the benchmark's heavy cell,
+``exponential:1`` n = 20 G1 at 500 x 500 (60 x 500 with --smoke, still past
+the two-thread split's cut), which runs split over two threads; the 200 x 200
+``proportion`` call's units sit near the split's width cut instead.
 
 Every call runs; the exit status is 1 if any pair's outputs differ.
 ``--smoke`` shrinks the file, the studies and the pair count so a run takes
@@ -108,7 +111,7 @@ def dense_terms() -> tuple[np.ndarray, np.ndarray]:
 
 def calls(smoke: bool) -> dict[str, Callable[[ModuleType, Any, int], Any]]:
     """Each named call as fn(package, dataset handle, seed) -> output."""
-    reps, outer = (2_000, 20) if smoke else (20_000, 200)
+    reps, outer, wide = (2_000, 20, 60) if smoke else (20_000, 200, 500)
     counts, x = dense_terms()
     sample = np.random.Generator(np.random.PCG64(1)).lognormal(0.0, 1.0, SAMPLE_N)
 
@@ -136,6 +139,9 @@ def calls(smoke: bool) -> dict[str, Callable[[ModuleType, Any, int], Any]]:
         "proportion": lambda rp, h, seed: rp.proportion_study(
             rp.parse_dist("exponential:1"), 20, rp.PivotKind("g1"), outer_reps=outer,
             inner_reps=outer, seed=seed),
+        "proportion500": lambda rp, h, seed: rp.proportion_study(
+            rp.parse_dist("exponential:1"), 20, rp.PivotKind("g1"), outer_reps=wide,
+            inner_reps=500, seed=seed),
     }
 
 
@@ -189,7 +195,7 @@ def compare(name: str, fn: Callable, sides: list, pairs: int, seed: int) -> dict
 
 def report_line(r: dict[str, Any]) -> str:
     rel = r["change_median"] / r["base_median"] - 1.0
-    return (f"{r['call']:<12} base min {r['base_min']:9.3f} med {r['base_median']:9.3f} ms | "
+    return (f"{r['call']:<13} base min {r['base_min']:9.3f} med {r['base_median']:9.3f} ms | "
             f"change min {r['change_min']:9.3f} med {r['change_median']:9.3f} ms | "
             f"{100 * rel:+6.1f} % | wins {r['wins']}/{r['pairs']} | "
             f"equal {r['equal']}/{r['pairs']}")

@@ -29,3 +29,13 @@ def test_canonical_form_is_bitwise():
     assert ab.canonical({"x": (1.0, np.float64(2.0))}) == {"x": ["0x1.0000000000000p+0",
                                                                  "0x1.0000000000000p+1"]}
     assert ab.canonical(np.array([1, 2], np.int32)) != ab.canonical(np.array([1, 2], np.int64))
+
+
+def test_smoke_proportion500_is_split(monkeypatch):
+    # --smoke's heavy cell stays past the two-thread split's cut, as the full one is
+    rp = ab.load_worktree()
+    ranges, chunk = [], rp.mc._study_chunk
+    monkeypatch.setattr(rp._pool, "cpus", lambda: 2)
+    monkeypatch.setattr(rp.mc, "_study_chunk", lambda args: ranges.append(args[-2:]) or chunk(args))
+    ab.calls(True)["proportion500"](rp, None, 1)
+    assert sorted(ranges) == [(0, 30), (30, 60)]
